@@ -1,232 +1,225 @@
-"""Small-step reference semantics for FG, fuel-bounded.
+"""Small-step reference semantics for FG, run as a fuel-bounded abstract
+machine.
 
 Only the axiom rules (field projection, method call, assertion, and the
 extension's primitive operators) cost a step; descending through an
 evaluation context is free.  Evaluation order follows the context grammar:
 struct arguments left to right, then receiver, then call arguments left to
 right.
+
+The machine holds a control expression, an environment binding the
+enclosing method's receiver and parameters, and the evaluation context as
+an explicit stack of frames.  A method call binds its receiver and
+arguments in a fresh environment instead of substituting them into the
+body, so a value, once built, is never walked again.  `fg_step` and traces
+plug the stack back into the term the substitution semantics shows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import sys
-
 from . import fg_ast as fg
+from .fg_ast import Assert, BinOp, BoolLit, Call, IntLit, Select, StructLit, Var
 from .fg_parser import print_expr, subst_expr
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 8000))
-
-# Expressions nested deeper than this are treated as exceeding the step
-# budget: rebuilding them each step is quadratic and the recursive context
-# descent would otherwise exhaust the Python stack.
-MAX_TERM_DEPTH = 1000
+from .outcome import (  # noqa: F401  (re-exported outcome vocabulary)
+    BAD_PRIM, AlreadyValue, OutOfFuel, Stepped, Stuck, StuckOutcome, Value,
+    _Stuck, check_fuel, prim, step_once, tracer,
+)
 
 # Stuck reasons
 ASSERT_FAILURE = "assert-failure"
 NO_METHOD = "no-method"
 BAD_FIELD = "bad-field"
-BAD_PRIM = "bad-prim"
 FREE_VAR = "free-var"
-
-
-def is_value(e) -> bool:
-    if isinstance(e, (fg.IntLit, fg.BoolLit)):
-        return True
-    return isinstance(e, fg.StructLit) and all(is_value(a) for a in e.args)
 
 
 def value_type(decls, v) -> str:
     """Dynamic type name of a value."""
-    if isinstance(v, fg.IntLit):
+    if isinstance(v, IntLit):
         return fg.INT
-    if isinstance(v, fg.BoolLit):
+    if isinstance(v, BoolLit):
         return fg.BOOL
     return v.type_name
-
-
-class _Stuck(Exception):
-    def __init__(self, reason, detail):
-        self.reason = reason
-        self.detail = detail
-        super().__init__(f"{reason}: {detail}")
-
-
-class _TooDeep(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class Stepped:
-    expr: object
-    rule: str
-
-
-@dataclass(frozen=True)
-class AlreadyValue:
-    pass
-
-
-@dataclass(frozen=True)
-class Stuck:
-    reason: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class DepthExceeded:
-    pass
-
-
-def fg_step(decls: fg.Decls, e):
-    """One reduction step: Stepped(e', rule), AlreadyValue() or Stuck."""
-    try:
-        r = _step(decls, e)
-    except _Stuck as s:
-        return Stuck(s.reason, s.detail)
-    except _TooDeep:
-        return DepthExceeded()
-    if r is None:
-        return AlreadyValue()
-    return Stepped(*r)
-
-
-def _step_args(decls, args, depth):
-    """Step the leftmost non-value in a tuple, or None if all are values."""
-    for i, a in enumerate(args):
-        if not is_value(a):
-            r = _step(decls, a, depth + 1)
-            assert r is not None
-            e2, rule = r
-            return tuple(args[:i]) + (e2,) + tuple(args[i + 1:]), rule
-    return None
-
-
-def _step(decls, e, depth=0):
-    if depth > MAX_TERM_DEPTH:
-        raise _TooDeep()
-    if is_value(e):
-        return None
-
-    if isinstance(e, fg.Var):
-        raise _Stuck(FREE_VAR, f"free variable {e.name}")
-
-    if isinstance(e, fg.StructLit):
-        r = _step_args(decls, e.args, depth)
-        assert r is not None
-        args, rule = r
-        return fg.StructLit(e.type_name, args, span=e.span), rule
-
-    if isinstance(e, fg.Select):
-        if not is_value(e.recv):
-            e2, rule = _step(decls, e.recv, depth + 1)
-            return fg.Select(e2, e.fld, span=e.span), rule
-        v = e.recv
-        if not isinstance(v, fg.StructLit):
-            raise _Stuck(BAD_FIELD, f"selecting {e.fld} from non-struct value")
-        fields = dict_fields(decls, v.type_name)
-        if e.fld not in fields:
-            raise _Stuck(BAD_FIELD, f"no field {e.fld} on {v.type_name}")
-        return v.args[fields[e.fld]], "fg-field"
-
-    if isinstance(e, fg.Assert):
-        if not is_value(e.expr):
-            e2, rule = _step(decls, e.expr, depth + 1)
-            return fg.Assert(e2, e.type_name, span=e.span), rule
-        v = e.expr
-        t_dyn = value_type(decls, v)
-        if fg.is_subtype(decls, t_dyn, e.type_name):
-            return v, "fg-assert"
-        raise _Stuck(ASSERT_FAILURE, f"{t_dyn} does not conform to {e.type_name}")
-
-    if isinstance(e, fg.Call):
-        if not is_value(e.recv):
-            e2, rule = _step(decls, e.recv, depth + 1)
-            return fg.Call(e2, e.method, e.args, span=e.span), rule
-        r = _step_args(decls, e.args, depth)
-        if r is not None:
-            args, rule = r
-            return fg.Call(e.recv, e.method, args, span=e.span), rule
-        v = e.recv
-        if not isinstance(v, fg.StructLit):
-            raise _Stuck(NO_METHOD, f"calling {e.method} on non-struct value")
-        d = decls.method_decls.get((v.type_name, e.method))
-        if d is None:
-            raise _Stuck(NO_METHOD, f"no method {e.method} on {v.type_name}")
-        if len(d.sig.params) != len(e.args):
-            raise _Stuck(NO_METHOD, f"arity mismatch calling {e.method} on {v.type_name}")
-        body = subst_expr(d.body, d.recv_var, v)
-        for (x, _t), arg in zip(d.sig.params, e.args):
-            body = subst_expr(body, x, arg)
-        return body, "fg-call"
-
-    if isinstance(e, fg.BinOp):
-        if not is_value(e.left):
-            e2, rule = _step(decls, e.left, depth + 1)
-            return fg.BinOp(e.op, e2, e.right, span=e.span), rule
-        if not is_value(e.right):
-            e2, rule = _step(decls, e.right, depth + 1)
-            return fg.BinOp(e.op, e.left, e2, span=e.span), rule
-        return _prim(e), "fg-prim"
-
-    raise _Stuck(BAD_PRIM, f"cannot reduce {e!r}")
-
-
-def _prim(e):
-    op, a, b = e.op, e.left, e.right
-    if op in ("==", "<"):
-        if not (isinstance(a, fg.IntLit) and isinstance(b, fg.IntLit)):
-            raise _Stuck(BAD_PRIM, f"{op} applied to non-int operands")
-        return fg.BoolLit(a.value == b.value if op == "==" else a.value < b.value)
-    if not (isinstance(a, fg.BoolLit) and isinstance(b, fg.BoolLit)):
-        raise _Stuck(BAD_PRIM, f"{op} applied to non-bool operands")
-    return fg.BoolLit(a.value and b.value if op == "&&" else a.value or b.value)
 
 
 def dict_fields(decls, t_s):
     return {f: i for i, (f, _t) in enumerate(decls.struct_fields(t_s))}
 
 
-# ---------------------------------------------------------------------------
-# Iterated evaluation
+# Continuation frames.  A Select, an Assert or an argument-less Call node is
+# its own frame, waiting for its subject.  The other frames are lists:
+#   [_STRUCT, node, env, argument values so far]
+#   [_CALL, node, env, receiver value and argument values so far]
+#   [_BIN, node, env, left value or None]
+_STRUCT, _CALL, _BIN = "struct", "call", "bin"
 
 
-@dataclass(frozen=True)
-class Value:
-    value: object
-    steps: int
+def _run(decls, e, fuel, on_step):
+    methods = decls.method_decls
+    stack = []
+    push, pop = stack.append, stack.pop
+    steps = 0
+    c, env = e, {}
+    try:
+        while True:
+            # Descend to the next subterm in evaluation order, until it is
+            # a value v.
+            while True:
+                t = type(c)
+                if t is Call:
+                    push([_CALL, c, env, []] if c.args else c)
+                    c = c.recv
+                elif t is Var:
+                    v = env.get(c.name)
+                    if v is None:
+                        raise _Stuck(FREE_VAR, f"free variable {c.name}")
+                    break
+                elif t is Select:
+                    push(c)
+                    c = c.recv
+                elif t is StructLit:
+                    if not c.args:
+                        v = c
+                        break
+                    push([_STRUCT, c, env, []])
+                    c = c.args[0]
+                elif t is Assert:
+                    push(c)
+                    c = c.expr
+                elif t is IntLit or t is BoolLit:
+                    v = c
+                    break
+                elif t is BinOp:
+                    push([_BIN, c, env, None])
+                    c = c.left
+                else:
+                    raise _Stuck(BAD_PRIM, f"cannot reduce {c!r}")
+            # Return v to the innermost frame; fire an axiom when one applies.
+            while stack:
+                f = pop()
+                t = type(f)
+                if t is Select:
+                    if not isinstance(v, StructLit):
+                        raise _Stuck(BAD_FIELD, f"selecting {f.fld} from non-struct value")
+                    i = dict_fields(decls, v.type_name).get(f.fld)
+                    if i is None:
+                        raise _Stuck(BAD_FIELD, f"no field {f.fld} on {v.type_name}")
+                    v = v.args[i]
+                    rule = "fg-field"
+                elif t is Call:
+                    c, env = _call(methods, f, v, ())
+                    v = None
+                    rule = "fg-call"
+                elif t is Assert:
+                    t_dyn = value_type(decls, v)
+                    if not fg.is_subtype(decls, t_dyn, f.type_name):
+                        raise _Stuck(ASSERT_FAILURE,
+                                     f"{t_dyn} does not conform to {f.type_name}")
+                    rule = "fg-assert"
+                else:
+                    tag, node = f[0], f[1]
+                    if tag == _STRUCT:
+                        done = f[3]
+                        done.append(v)
+                        if len(done) < len(node.args):
+                            push(f)
+                            c, env = node.args[len(done)], f[2]
+                            break
+                        v = StructLit(node.type_name, tuple(done), span=node.span)
+                        continue
+                    if tag == _CALL:
+                        done = f[3]
+                        done.append(v)
+                        if len(done) <= len(node.args):
+                            push(f)
+                            c, env = node.args[len(done) - 1], f[2]
+                            break
+                        c, env = _call(methods, node, done[0], tuple(done[1:]))
+                        v = None
+                        rule = "fg-call"
+                    else:
+                        if f[3] is None:
+                            f[3] = v
+                            push(f)
+                            c, env = node.right, f[2]
+                            break
+                        v = prim(node.op, f[3], v, IntLit, BoolLit)
+                        rule = "fg-prim"
+                if steps >= fuel:
+                    return OutOfFuel(steps)
+                steps += 1
+                if on_step is not None and on_step(steps, rule, (v, c, env, stack)):
+                    return None
+                if v is None:
+                    break
+            else:
+                return Value(v, steps)
+    except _Stuck as s:
+        return StuckOutcome(s.reason, s.detail, steps)
 
 
-@dataclass(frozen=True)
-class StuckOutcome:
-    reason: str
-    detail: str
-    steps: int
+def _call(methods, node, recv, args):
+    """fg-call: the method body and the environment it runs in."""
+    if not isinstance(recv, StructLit):
+        raise _Stuck(NO_METHOD, f"calling {node.method} on non-struct value")
+    d = methods.get((recv.type_name, node.method))
+    if d is None:
+        raise _Stuck(NO_METHOD, f"no method {node.method} on {recv.type_name}")
+    params = d.sig.params
+    if len(params) != len(args):
+        raise _Stuck(NO_METHOD, f"arity mismatch calling {node.method} on {recv.type_name}")
+    # As with substituting one by one: the receiver shadows a parameter of
+    # the same name, and an earlier parameter shadows a later one.
+    env = {x: a for (x, _t), a in zip(reversed(params), reversed(args))}
+    env[d.recv_var] = recv
+    return d.body, env
 
 
-@dataclass(frozen=True)
-class OutOfFuel:
-    steps: int
+def _term(e, env):
+    for x, v in env.items():
+        e = subst_expr(e, x, v)
+    return e
+
+
+def _plug(state):
+    """The term a machine state stands for."""
+    v, c, env, stack = state
+    e = v if v is not None else _term(c, env)
+    for f in reversed(stack):
+        e = _plug_frame(f, e)
+    return e
+
+
+def _plug_frame(f, e):
+    t = type(f)
+    if t is Select:
+        return Select(e, f.fld, span=f.span)
+    if t is Assert:
+        return Assert(e, f.type_name, span=f.span)
+    if t is Call:
+        return Call(e, f.method, f.args, span=f.span)
+    tag, node, env, done = f
+    if tag == _BIN:
+        if done is None:
+            return BinOp(node.op, e, _term(node.right, env), span=node.span)
+        return BinOp(node.op, done, e, span=node.span)
+    if tag == _STRUCT:
+        rest = node.args[len(done) + 1:]
+        args = tuple(done) + (e,) + tuple(_term(a, env) for a in rest)
+        return StructLit(node.type_name, args, span=node.span)
+    if not done:
+        return Call(e, node.method, tuple(_term(a, env) for a in node.args),
+                    span=node.span)
+    args = tuple(done[1:]) + (e,) + tuple(_term(a, env) for a in node.args[len(done):])
+    return Call(done[0], node.method, args, span=node.span)
+
+
+def fg_step(decls: fg.Decls, e):
+    """One reduction step: Stepped(e', rule), AlreadyValue() or Stuck."""
+    return step_once(_run, _plug, decls, e)
 
 
 def fg_eval(decls: fg.Decls, e, fuel: int, trace=None):
-    """Iterate fg_step up to `fuel` axiom steps.  `trace`, if given, is
-    called as trace(step_number, rule, expr) after each step."""
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
-    steps = 0
-    while True:
-        r = fg_step(decls, e)
-        if isinstance(r, AlreadyValue):
-            return Value(e, steps)
-        if isinstance(r, Stuck):
-            return StuckOutcome(r.reason, r.detail, steps)
-        if isinstance(r, DepthExceeded):
-            return OutOfFuel(steps)
-        if steps >= fuel:
-            return OutOfFuel(steps)
-        e = r.expr
-        steps += 1
-        if trace is not None:
-            trace(steps, r.rule, print_expr(e))
+    """Evaluate up to `fuel` axiom steps.  `trace`, if given, is called as
+    trace(step_number, rule, expr_text) after each step."""
+    check_fuel(fuel)
+    return _run(decls, e, fuel, tracer(trace, _plug, print_expr))

@@ -10,9 +10,15 @@ accepts int/bool literals, the infix operators `== < && ||` and
 from __future__ import annotations
 
 import re
+import sys
 
 from . import fg_ast as fg
 from .diagnostics import SYNTAX, Diagnostic, FgError, SourceSpan
+
+# The parser, the printer and the translation recurse once per level of
+# expression nesting; Python's default limit fails on a numeral a few
+# hundred levels deep.
+sys.setrecursionlimit(max(sys.getrecursionlimit(), 8000))
 
 KEYWORDS = {"type", "struct", "interface", "func", "return", "main", "var", "package"}
 EXT_KEYWORDS = {"true", "false"}

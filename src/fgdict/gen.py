@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass, replace
 
 from . import fg_ast as fg
+from .diagnostics import FgError
 from .translate import translate_program
 
 
@@ -362,7 +363,7 @@ def _candidates(prog: fg.Program):
         if isinstance(d, fg.MethodDecl):
             try:
                 small = minimal_value(prog.table, d.sig.ret)
-            except Exception:
+            except ValueError:
                 small = None
             bodies = [b for b in _subexprs(d.body)]
             if small is not None and small != d.body:
@@ -375,14 +376,15 @@ def _candidates(prog: fg.Program):
 
 def shrink(prog: fg.Program, failing) -> fg.Program:
     """Greedy fixpoint minimization preserving well-typedness and the
-    failure predicate."""
+    failure predicate.  A candidate whose check or predicate reports
+    diagnostics (FgError) is skipped; any other exception propagates."""
     while True:
         for cand in _candidates(prog):
             try:
                 if _valid(cand) and failing(cand):
                     prog = cand
                     break
-            except Exception:
+            except FgError:
                 continue
         else:
             return prog

@@ -1,63 +1,35 @@
 """Small-step semantics for the target language under a method substitution,
-fuel-bounded.
+run as a fuel-bounded abstract machine.
 
 Axiom rules (beta, case selection, method unfolding, primitive operators)
 cost one step each; context descent is free.  A method variable in function
 position unfolds immediately (`Y E -> mu(Y) E`), before its argument is
-reduced, which keeps the strategy deterministic.
+reduced, which keeps the strategy deterministic.  That holds also when the
+method variable is the value of the function expression.
+
+The machine holds a control term, an environment of lambda- and
+pattern-bound variables, and the evaluation context as an explicit stack of
+frames.  Lambdas evaluate to closures; a free variable is a value.  Closures
+are read back to terms, by substitution, only for the final value, stuck
+details, `tl_step` and traces.  Binding is lexical, so the machine and the
+substitution semantics differ only where a value carrying a free variable
+is substituted under a binder of that name, which a closed program never
+does.
 """
 
 from __future__ import annotations
 
-import sys
-
-from dataclasses import dataclass
-
 from . import tl_ast as tl
-
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 8000))
+from .outcome import (  # noqa: F401  (re-exported outcome vocabulary)
+    BAD_PRIM, AlreadyValue, OutOfFuel, Stepped, Stuck, StuckOutcome, Value,
+    _Stuck, check_fuel, prim, step_once, tracer,
+)
 from .tl_ast import App, Case, Clause, CtorApp, Lam, MethodVar, TLBool, TLInt, TLPrim, TLVar
-
-MAX_TERM_DEPTH = 1000
 
 MATCH_FAILURE = "match-failure"
 UNBOUND_METHOD = "unbound-method"
 NON_FUNCTION = "non-function-application"
-BAD_PRIM = "bad-prim"
 UNBOUND_VAR = "unbound-variable"
-
-
-@dataclass(frozen=True)
-class Stepped:
-    expr: object
-    rule: str
-
-
-@dataclass(frozen=True)
-class AlreadyValue:
-    pass
-
-
-@dataclass(frozen=True)
-class Stuck:
-    reason: str
-    detail: str
-
-
-class _Stuck(Exception):
-    def __init__(self, reason, detail):
-        self.reason = reason
-        self.detail = detail
-        super().__init__(f"{reason}: {detail}")
-
-
-class _TooDeep(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class DepthExceeded:
-    pass
 
 
 def subst(e, x, v):
@@ -84,138 +56,205 @@ def subst(e, x, v):
     raise TypeError(f"not a TL expression: {e!r}")
 
 
+class _Closure:
+    """The value of a lambda: the lambda and the environment it closes over."""
+
+    __slots__ = ("lam", "env")
+
+    def __init__(self, lam, env):
+        self.lam = lam
+        self.env = env
+
+
+# Continuation frames, each a sequence headed by a tag:
+#   (_APP, argument, env)            function position is being evaluated
+#   (_ARG, function value)           argument position is being evaluated
+#   (_CASE, node, env)               scrutinee is being evaluated
+#   [_CTOR, node, env, values so far]
+#   [_PRIM, node, env, left value or None]
+_APP, _ARG, _CASE, _CTOR, _PRIM = "app", "arg", "case", "ctor", "prim"
+
+
+def _run(mu, e, fuel, on_step):
+    stack = []
+    push, pop = stack.append, stack.pop
+    steps = 0
+    c, env = e, {}
+    try:
+        while True:
+            # Descend to the next subterm in evaluation order, until it is
+            # a value v.
+            while True:
+                t = type(c)
+                if t is App:
+                    push((_APP, c.arg, env))
+                    c = c.fn
+                elif t is TLVar:
+                    v = env.get(c.name, c)
+                    break
+                elif t is Case:
+                    push((_CASE, c, env))
+                    c = c.scrut
+                elif t is Lam:
+                    v = _Closure(c, env)
+                    break
+                elif t is CtorApp:
+                    if not c.args:
+                        v = c
+                        break
+                    push([_CTOR, c, env, []])
+                    c = c.args[0]
+                elif t is MethodVar or t is TLInt or t is TLBool:
+                    v = c
+                    break
+                elif t is TLPrim:
+                    push([_PRIM, c, env, None])
+                    c = c.left
+                else:
+                    raise TypeError(f"not a TL expression: {c!r}")
+            # Return v to the innermost frame; fire an axiom when one applies.
+            while stack:
+                f = pop()
+                tag = f[0]
+                if tag == _APP:
+                    if type(v) is not MethodVar:
+                        push((_ARG, v))
+                        c, env = f[1], f[2]
+                        break
+                    lam = mu.get(v.name)
+                    if lam is None:
+                        raise _Stuck(UNBOUND_METHOD, f"unbound method variable {v.name}")
+                    push(f)
+                    c, env, v = lam, {}, None
+                    rule = "tl-method"
+                elif tag == _ARG:
+                    fn = f[1]
+                    if type(fn) is not _Closure:
+                        raise _Stuck(NON_FUNCTION,
+                                     f"applying non-function {tl.print_expr(_value_term(fn))}")
+                    lam = fn.lam
+                    c, env, v = lam.body, {**fn.env, lam.var: v}, None
+                    rule = "tl-lambda"
+                elif tag == _CASE:
+                    c, env = _match(f[1], f[2], v)
+                    v = None
+                    rule = "tl-case"
+                elif tag == _CTOR:
+                    node, done = f[1], f[3]
+                    done.append(v)
+                    if len(done) < len(node.args):
+                        push(f)
+                        c, env = node.args[len(done)], f[2]
+                        break
+                    v = CtorApp(node.ctor, tuple(done))
+                    continue
+                else:
+                    node = f[1]
+                    if f[3] is None:
+                        f[3] = v
+                        push(f)
+                        c, env = node.right, f[2]
+                        break
+                    v = prim(node.op, f[3], v, TLInt, TLBool)
+                    rule = "tl-prim"
+                if steps >= fuel:
+                    return OutOfFuel(steps)
+                steps += 1
+                if on_step is not None and on_step(steps, rule, (v, c, env, stack)):
+                    return None
+                if v is None:
+                    break
+            else:
+                return Value(_value_term(v), steps)
+    except _Stuck as s:
+        return StuckOutcome(s.reason, s.detail, steps)
+
+
+def _match(node, env, v):
+    """tl-case: the selected clause body and the environment it runs in."""
+    if type(v) is not CtorApp:
+        raise _Stuck(MATCH_FAILURE,
+                     f"case on non-constructor value {tl.print_expr(_value_term(v))}")
+    for c in node.clauses:
+        if c.pat.ctor == v.ctor:
+            names = c.pat.vars
+            if len(names) != len(v.args):
+                raise _Stuck(MATCH_FAILURE, f"pattern arity mismatch for {v.ctor}")
+            if not names:
+                return c.body, env
+            # As with substituting one by one, a repeated pattern variable
+            # is bound by its first occurrence.
+            env = dict(env)
+            env.update(zip(reversed(names), reversed(v.args)))
+            return c.body, env
+    raise _Stuck(MATCH_FAILURE, f"no clause matches {v.ctor}")
+
+
+def _value_term(v):
+    """Read a machine value back as a term.  Constructor values nest as deep
+    as evaluation builds them, so they are rebuilt with an explicit stack."""
+    done = []  # read-back terms, in order
+    todo = [(v, False)]
+    while todo:
+        w, children_done = todo.pop()
+        t = type(w)
+        if children_done:
+            n = len(w.args)
+            args = tuple(done[len(done) - n:])
+            del done[len(done) - n:]
+            done.append(CtorApp(w.ctor, args))
+        elif t is CtorApp and w.args:
+            todo.append((w, True))
+            todo.extend((a, False) for a in reversed(w.args))
+        elif t is _Closure:
+            done.append(_term(w.lam, w.env))
+        else:
+            done.append(w)
+    return done[0]
+
+
+def _term(e, env):
+    for x, v in env.items():
+        e = subst(e, x, _value_term(v))
+    return e
+
+
+def _plug(state):
+    """The term a machine state stands for."""
+    v, c, env, stack = state
+    e = _value_term(v) if v is not None else _term(c, env)
+    for f in reversed(stack):
+        e = _plug_frame(f, e)
+    return e
+
+
+def _plug_frame(f, e):
+    tag = f[0]
+    if tag == _APP:
+        return App(e, _term(f[1], f[2]))
+    if tag == _ARG:
+        return App(_value_term(f[1]), e)
+    if tag == _CASE:
+        return Case(e, _term(f[1], f[2]).clauses)
+    _tag, node, env, done = f
+    if tag == _CTOR:
+        rest = node.args[len(done) + 1:]
+        return CtorApp(node.ctor, tuple(map(_value_term, done)) + (e,) +
+                       tuple(_term(a, env) for a in rest))
+    if done is None:
+        return TLPrim(node.op, e, _term(node.right, env))
+    return TLPrim(node.op, _value_term(done), e)
+
+
 def tl_step(mu, e):
     """One reduction step under method substitution mu."""
-    try:
-        r = _step(mu, e)
-    except _Stuck as s:
-        return Stuck(s.reason, s.detail)
-    except _TooDeep:
-        return DepthExceeded()
-    if r is None:
-        return AlreadyValue()
-    return Stepped(*r)
-
-
-def _step(mu, e, depth=0):
-    if depth > MAX_TERM_DEPTH:
-        raise _TooDeep()
-    if isinstance(e, (TLVar, MethodVar, TLInt, TLBool, Lam)):
-        return None
-
-    if isinstance(e, CtorApp):
-        for i, a in enumerate(e.args):
-            if not tl.is_value(a):
-                r = _step(mu, a, depth + 1)
-                assert r is not None
-                e2, rule = r
-                return CtorApp(e.ctor, e.args[:i] + (e2,) + e.args[i + 1:]), rule
-        return None
-
-    if isinstance(e, App):
-        if isinstance(e.fn, MethodVar):
-            lam = mu.get(e.fn.name)
-            if lam is None:
-                raise _Stuck(UNBOUND_METHOD, f"unbound method variable {e.fn.name}")
-            return App(lam, e.arg), "tl-method"
-        if not tl.is_value(e.fn):
-            r = _step(mu, e.fn, depth + 1)
-            assert r is not None
-            e2, rule = r
-            return App(e2, e.arg), rule
-        if not tl.is_value(e.arg):
-            r = _step(mu, e.arg, depth + 1)
-            assert r is not None
-            e2, rule = r
-            return App(e.fn, e2), rule
-        if isinstance(e.fn, Lam):
-            return subst(e.fn.body, e.fn.var, e.arg), "tl-lambda"
-        raise _Stuck(NON_FUNCTION, f"applying non-function {tl.print_expr(e.fn)}")
-
-    if isinstance(e, Case):
-        if not tl.is_value(e.scrut):
-            r = _step(mu, e.scrut, depth + 1)
-            assert r is not None
-            e2, rule = r
-            return Case(e2, e.clauses), rule
-        v = e.scrut
-        if not isinstance(v, CtorApp):
-            raise _Stuck(MATCH_FAILURE, f"case on non-constructor value {tl.print_expr(v)}")
-        for c in e.clauses:
-            if c.pat.ctor == v.ctor:
-                if len(c.pat.vars) != len(v.args):
-                    raise _Stuck(MATCH_FAILURE,
-                                 f"pattern arity mismatch for {v.ctor}")
-                body = c.body
-                for x, a in zip(c.pat.vars, v.args):
-                    body = subst(body, x, a)
-                return body, "tl-case"
-        raise _Stuck(MATCH_FAILURE, f"no clause matches {v.ctor}")
-
-    if isinstance(e, TLPrim):
-        if not tl.is_value(e.left):
-            r = _step(mu, e.left, depth + 1)
-            assert r is not None
-            e2, rule = r
-            return TLPrim(e.op, e2, e.right), rule
-        if not tl.is_value(e.right):
-            r = _step(mu, e.right, depth + 1)
-            assert r is not None
-            e2, rule = r
-            return TLPrim(e.op, e.left, e2), rule
-        return _prim(e), "tl-prim"
-
-    raise TypeError(f"not a TL expression: {e!r}")
-
-
-def _prim(e):
-    a, b = e.left, e.right
-    if e.op in ("==", "<"):
-        if not (isinstance(a, TLInt) and isinstance(b, TLInt)):
-            raise _Stuck(BAD_PRIM, f"{e.op} applied to non-int operands")
-        return TLBool(a.value == b.value if e.op == "==" else a.value < b.value)
-    if not (isinstance(a, TLBool) and isinstance(b, TLBool)):
-        raise _Stuck(BAD_PRIM, f"{e.op} applied to non-bool operands")
-    return TLBool(a.value and b.value if e.op == "&&" else a.value or b.value)
-
-
-@dataclass(frozen=True)
-class Value:
-    value: object
-    steps: int
-
-
-@dataclass(frozen=True)
-class StuckOutcome:
-    reason: str
-    detail: str
-    steps: int
-
-
-@dataclass(frozen=True)
-class OutOfFuel:
-    steps: int
+    return step_once(_run, _plug, mu, e)
 
 
 def tl_eval(mu, e, fuel: int, trace=None):
-    """Iterate tl_step up to `fuel` axiom steps."""
-    if fuel < 0:
-        raise ValueError("fuel must be non-negative")
-    steps = 0
-    while True:
-        r = tl_step(mu, e)
-        if isinstance(r, AlreadyValue):
-            return Value(e, steps)
-        if isinstance(r, Stuck):
-            return StuckOutcome(r.reason, r.detail, steps)
-        if isinstance(r, DepthExceeded):
-            return OutOfFuel(steps)
-        if steps >= fuel:
-            return OutOfFuel(steps)
-        e = r.expr
-        steps += 1
-        if trace is not None:
-            trace(steps, r.rule, tl.print_expr(e))
+    """Evaluate up to `fuel` axiom steps under method substitution mu."""
+    check_fuel(fuel)
+    return _run(mu, e, fuel, tracer(trace, _plug, tl.print_expr))
 
 
 def run_program(prog: tl.TLProgram, fuel: int, trace=None):

@@ -128,3 +128,4 @@ def test_runaway_nesting_reports_out_of_fuel():
     """).table
     out = eval_src(decls, "A{}.grow()", fuel=10 ** 6)
     assert isinstance(out, fg_interp.OutOfFuel)
+    assert out.steps == 10 ** 6

@@ -94,3 +94,13 @@ def test_shrink_of_minimal_witness_is_identity():
     # The only shrink candidates either break well-formedness or typing.
     result = shrink(prog, lambda p: diff_run(p).kind == "agree")
     assert print_program(result) == print_program(prog)
+
+
+def test_shrink_does_not_hide_crashes():
+    prog = _find_stuck_seed()
+
+    def crashing(p):
+        raise RuntimeError("predicate bug")
+
+    with pytest.raises(RuntimeError, match="predicate bug"):
+        shrink(prog, crashing)
