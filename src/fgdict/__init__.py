@@ -14,8 +14,7 @@ from .fg_interp import fg_eval, fg_step
 from .tl_ast import TLProgram
 from .tl_interp import run_program, tl_eval, tl_step
 from .translate import (
-    Translation, check_program, require_translation, translate_method,
-    translate_program,
+    Translation, require_translation, translate_method, translate_program,
 )
 from .relate import (
     AGREE, BOTH_STUCK, BUDGET, DISAGREE, Verdict, diff_run, harvest_related,
@@ -28,7 +27,7 @@ __all__ = [
     "AGREE", "BOTH_STUCK", "BUDGET", "CORE", "DISAGREE", "EXT",
     "Decls", "Diagnostic", "FgError", "GenConfig", "Program", "SourceSpan",
     "TLProgram", "Translation", "Verdict",
-    "check_program", "check_wellformed", "cli_dispatch", "diff_run",
+    "check_wellformed", "cli_dispatch", "diff_run",
     "fg_eval", "fg_step", "gen_program", "harvest_related", "is_subtype",
     "method_lookup", "methods", "methods_related", "monotonicity_violations",
     "parse_expr", "parse_program", "print_expr", "print_program",

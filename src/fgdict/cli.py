@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import fg_ast as fg
@@ -15,8 +16,9 @@ from . import fg_interp
 from . import tl_ast as tl
 from . import tl_interp
 from .diagnostics import FgError
-from .fg_parser import parse_program, print_program
+from .fg_parser import parse_program, print_expr, print_program
 from .gen import GenConfig, gen_program
+from .outcome import StuckOutcome, Value
 from .relate import (
     AGREE, BOTH_STUCK, BUDGET, DEFAULT_EVAL_FUEL, DEFAULT_RELATION_FUEL,
     DISAGREE, diff_run, program_hash, verdict_json,
@@ -112,20 +114,13 @@ def _cmd_parse(args):
 
 
 def _cmd_check(args):
-    prog = _load(args)
-    diags = fg.check_wellformed(prog)
-    if not diags:
-        res = require_translation(prog)
-        print(f"ok: main has type {res.main_type}")
-        return EXIT_OK
-    for d in diags:
-        print(str(d), file=sys.stderr)
-    return EXIT_DIAGNOSTICS
+    res = require_translation(_load(args))
+    print(f"ok: main has type {res.main_type}")
+    return EXIT_OK
 
 
 def _cmd_compile(args):
     prog = _load(args)
-    fg.require_wellformed(prog)
     res = require_translation(prog, hoist_helpers=args.hoist_helpers)
     text = tl.print_program(res.tl_program)
     if args.output:
@@ -137,11 +132,11 @@ def _cmd_compile(args):
 
 
 def _report_eval(out, value_printer):
-    if isinstance(out, (fg_interp.Value, tl_interp.Value)):
+    if isinstance(out, Value):
         print(f"{value_printer(out.value)}")
         print(f"-- {out.steps} steps", file=sys.stderr)
         return EXIT_OK
-    if isinstance(out, (fg_interp.StuckOutcome, tl_interp.StuckOutcome)):
+    if isinstance(out, StuckOutcome):
         print(f"stuck after {out.steps} steps: {out.reason}: {out.detail}",
               file=sys.stderr)
         return EXIT_OK
@@ -150,9 +145,7 @@ def _report_eval(out, value_printer):
 
 
 def _cmd_run_fg(args):
-    from .fg_parser import print_expr
     prog = _load(args)
-    fg.require_wellformed(prog)
     require_translation(prog)
     trace = None
     if args.trace:
@@ -182,7 +175,6 @@ def _emit_verdict(prog, verdict, args, seed=None):
         print(json.dumps(verdict_json(prog, verdict, args.steps, args.rel_fuel,
                                       seed=seed)))
         return
-    from .fg_parser import print_expr
     line = f"{verdict.kind}"
     if verdict.kind == AGREE:
         line += f": {print_expr(verdict.fg_value)}"
@@ -204,7 +196,6 @@ def _cmd_diff(args):
 
 
 def _cmd_fuzz(args):
-    import os
     worst = EXIT_OK
     counts = {AGREE: 0, BOTH_STUCK: 0, DISAGREE: 0, BUDGET: 0}
     for i in range(args.count):

@@ -282,29 +282,26 @@ def method_lookup(decls: Decls, t_s: str, m: str) -> MethodDecl | None:
 # Well-formedness
 
 
-def _walk_expr(e):
-    yield e
-    if isinstance(e, StructLit):
-        for a in e.args:
-            yield from _walk_expr(a)
-    elif isinstance(e, Call):
-        yield from _walk_expr(e.recv)
-        for a in e.args:
-            yield from _walk_expr(a)
-    elif isinstance(e, Select):
-        yield from _walk_expr(e.recv)
-    elif isinstance(e, Assert):
-        yield from _walk_expr(e.expr)
-    elif isinstance(e, BinOp):
-        yield from _walk_expr(e.left)
-        yield from _walk_expr(e.right)
-
-
 def program_exprs(prog: Program):
-    for d in prog.decls:
-        if isinstance(d, MethodDecl):
-            yield from _walk_expr(d.body)
-    yield from _walk_expr(prog.main)
+    """Every expression node of the method bodies, then of main, in
+    pre-order, with an explicit stack."""
+    stack = [prog.main]
+    stack.extend(d.body for d in reversed(prog.decls) if isinstance(d, MethodDecl))
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, StructLit):
+            stack.extend(reversed(e.args))
+        elif isinstance(e, Call):
+            stack.extend(reversed(e.args))
+            stack.append(e.recv)
+        elif isinstance(e, Select):
+            stack.append(e.recv)
+        elif isinstance(e, Assert):
+            stack.append(e.expr)
+        elif isinstance(e, BinOp):
+            stack.append(e.right)
+            stack.append(e.left)
 
 
 def check_wellformed(prog: Program):

@@ -135,6 +135,8 @@ class _Gen:
         return None
 
     def _build_table(self):
+        """Every declaration, with placeholder method bodies: the table that
+        body generation types against."""
         decls = []
         for s in self.structs:
             decls.append(fg.TypeDecl(s, fg.StructType(self.fields[s])))
@@ -151,21 +153,17 @@ class _Gen:
         return [I for I in self.ifaces if self._first_impl(I) is not None]
 
     def _declarations(self):
+        """The table's declarations, with a generated body for each method."""
         decls = []
-        for s in self.structs:
-            decls.append(fg.TypeDecl(s, fg.StructType(self.fields[s])))
-        for name in self.ifaces:
-            decls.append(fg.TypeDecl(name, self.iface_defs[name]))
-        for s in self.structs:
-            for t in self.impls[s]:
-                spec = self.templates[t]
-                env = {"this": s}
-                env.update({x: ty for x, ty in spec.sig.params})
+        for d in self.table.decls:
+            if isinstance(d, fg.MethodDecl):
+                env = {d.recv_var: d.recv_type}
+                env.update(d.sig.params)
                 # Bodies may only call strictly earlier templates, which keeps
                 # the call graph acyclic and evaluation terminating.
-                self.call_ceiling = t
-                body = self.gen_expr(env, spec.sig.ret, self.cfg.expr_depth)
-                decls.append(fg.MethodDecl("this", s, spec.name, spec.sig, body))
+                self.call_ceiling = self.template_index[d.name]
+                d = replace(d, body=self.gen_expr(env, d.sig.ret, self.cfg.expr_depth))
+            decls.append(d)
         return decls
 
     # -- expressions -------------------------------------------------------
@@ -350,10 +348,6 @@ def _subexprs(e):
     return out
 
 
-def _valid(prog):
-    return not fg.check_wellformed(prog) and translate_program(prog).ok
-
-
 def _candidates(prog: fg.Program):
     for i in range(len(prog.decls)):
         yield fg.Program(prog.decls[:i] + prog.decls[i + 1:], prog.main, prog.mode)
@@ -381,7 +375,7 @@ def shrink(prog: fg.Program, failing) -> fg.Program:
     while True:
         for cand in _candidates(prog):
             try:
-                if _valid(cand) and failing(cand):
+                if translate_program(cand).ok and failing(cand):
                     prog = cand
                     break
             except FgError:

@@ -23,8 +23,10 @@ from . import fg_interp
 from . import tl_ast as tl
 from . import tl_interp
 from .fg_parser import print_program as print_fg
-from .translate import method_var_name, translate_method, translate_program
-from .diagnostics import FgError
+from .outcome import OutOfFuel, StuckOutcome
+# translate_program is bound here for bench/tracing.py, which wraps it where
+# its callers look it up.
+from .translate import require_translation, translate_method, translate_program  # noqa: F401
 
 DEFAULT_EVAL_FUEL = 10 ** 5
 DEFAULT_RELATION_FUEL = 64
@@ -63,15 +65,15 @@ def values_related(decls: fg.Decls, mu, t: str, v, V, k: int) -> bool:
     if len(V.args) != 1 + len(specs):
         return False
     payload = V.args[0]
-    if not isinstance(payload, tl.CtorApp) or not payload.ctor.startswith("K_"):
+    if not isinstance(payload, tl.CtorApp):
         return False
-    u_s = payload.ctor[2:]
+    u_s = tl.ctor_type(payload.ctor)
     if u_s not in decls.types or decls.kind(u_s) != "struct":
         return False
     if not values_related(decls, mu, u_s, v, payload, k - 1):
         return False
     for spec, slot in zip(specs, V.args[1:]):
-        name = method_var_name(spec.name, u_s)
+        name = tl.method_var_name(spec.name, u_s)
         if not (isinstance(slot, tl.MethodVar) and slot.name == name):
             return False
         if (u_s, spec.name) not in decls.method_decls or name not in mu:
@@ -112,25 +114,24 @@ class Verdict:
 def diff_run(prog: fg.Program, fuel=DEFAULT_EVAL_FUEL,
              rel_fuel=DEFAULT_RELATION_FUEL, hoist_helpers=False,
              inject_identity_upcasts=False) -> Verdict:
-    """Run main under both semantics and relate the outcomes."""
-    res = translate_program(prog, hoist_helpers=hoist_helpers,
-                            inject_identity_upcasts=inject_identity_upcasts)
-    if not res.ok:
-        raise FgError(res.diagnostics)
+    """Run main under both semantics and relate the outcomes.  Raises
+    FgError for an ill-formed or ill-typed program."""
+    res = require_translation(prog, hoist_helpers=hoist_helpers,
+                              inject_identity_upcasts=inject_identity_upcasts)
     decls = prog.table
     mu = res.tl_program.method_subst()
     fg_out = fg_interp.fg_eval(decls, prog.main, fuel)
     tl_out = tl_interp.tl_eval(mu, res.tl_program.main, fuel)
 
-    if isinstance(fg_out, fg_interp.OutOfFuel) or isinstance(tl_out, tl_interp.OutOfFuel):
-        side = "fg" if isinstance(fg_out, fg_interp.OutOfFuel) else "tl"
-        if isinstance(fg_out, fg_interp.OutOfFuel) and isinstance(tl_out, tl_interp.OutOfFuel):
-            side = "both"
+    fg_fuel = isinstance(fg_out, OutOfFuel)
+    tl_fuel = isinstance(tl_out, OutOfFuel)
+    if fg_fuel or tl_fuel:
+        side = "both" if fg_fuel and tl_fuel else "fg" if fg_fuel else "tl"
         return Verdict(BUDGET, main_type=res.main_type, side=side,
                        fg_steps=fg_out.steps, tl_steps=tl_out.steps)
 
-    fg_stuck = isinstance(fg_out, fg_interp.StuckOutcome)
-    tl_stuck = isinstance(tl_out, tl_interp.StuckOutcome)
+    fg_stuck = isinstance(fg_out, StuckOutcome)
+    tl_stuck = isinstance(tl_out, StuckOutcome)
     if fg_stuck and tl_stuck:
         return Verdict(BOTH_STUCK, main_type=res.main_type,
                        fg_reason=fg_out.reason, tl_reason=tl_out.reason,
@@ -164,8 +165,9 @@ def harvest_related(decls: fg.Decls, t: str, v, V, out=None):
             harvest_related(decls, ft, va, Va, out)
     elif kind == "interface" and isinstance(V, tl.CtorApp) and V.args:
         payload = V.args[0]
-        if isinstance(payload, tl.CtorApp) and payload.ctor.startswith("K_"):
-            harvest_related(decls, payload.ctor[2:], v, payload, out)
+        u_s = isinstance(payload, tl.CtorApp) and tl.ctor_type(payload.ctor)
+        if u_s:
+            harvest_related(decls, u_s, v, payload, out)
     return out
 
 

@@ -4,9 +4,21 @@ format for emitted .tl programs.
 Constructors are n-ary and saturated: `CtorApp` always carries exactly the
 constructor's arguments, and patterns bind one variable per argument.
 Tuples are the constructors Tup0..Tup32, printed with parenthesis syntax.
-Method variables (the `m_tS` names bound by the top-level let) live in a
-namespace distinguished from ordinary lambda-bound variables by binding
-structure, not spelling.
+
+Every TL spelling of an FG name is made here, one namespace per kind of
+name: constructors `K_T` and `Tup<n>`; method variables `m_T`; hoisted
+helpers `to_U_T` (T up to interface U) and `from_T_U` (interface T down to
+U); FG variables, kept as written or prefixed with `_`; fresh variables
+`_0`, `_1`, ...  Each namespace is injective and no two meet, so a
+translated program never binds a name twice, and its printed text reads
+back with every name in its own role.
+
+In a method variable or helper, `_` inside an FG name is written `__`, so
+the separators are exactly the odd-length runs of `_`: one in a method
+variable, two in a helper.  A method name's leading `K` is doubled, so no
+method variable starts with `K_`.  An FG variable is prefixed when it
+contains `_`, is a keyword or looks like a tuple constructor; FG names
+start with a letter, so a prefixed name never meets a fresh variable.
 """
 
 from __future__ import annotations
@@ -18,6 +30,8 @@ from dataclasses import dataclass
 from .diagnostics import DUP_BINDING, SYNTAX, Diagnostic, FgError
 
 MAX_TUPLE = 32
+
+_TL_KEYWORDS = {"let", "in", "case", "of", "true", "false"}
 
 
 @dataclass(frozen=True)
@@ -122,6 +136,44 @@ def struct_ctor(name: str) -> str:
     return f"K_{name}"
 
 
+def ctor_type(ctor: str):
+    """The FG type whose constructor is `ctor`, or None."""
+    return ctor[2:] if ctor.startswith("K_") else None
+
+
+def _esc(name: str) -> str:
+    return name.replace("_", "__")
+
+
+def method_var_name(m: str, t_s: str) -> str:
+    """Method variable bound to the declaration of method m on struct t_s."""
+    m = _esc(m)
+    if m.startswith("K"):
+        m = "K" + m
+    return f"{m}_{_esc(t_s)}"
+
+
+def upcast_name(t: str, u_i: str) -> str:
+    """Hoisted helper that packs a value of type t as interface u_i."""
+    return f"to_{_esc(u_i)}_{_esc(t)}"
+
+
+def downcast_name(t_i: str, u: str) -> str:
+    """Hoisted helper that asserts an interface t_i value to type u."""
+    return f"from_{_esc(t_i)}_{_esc(u)}"
+
+
+def fg_var(x: str) -> str:
+    """TL variable for the FG variable (or receiver, or parameter) x."""
+    if "_" in x or x in _TL_KEYWORDS or tuple_arity(x) is not None:
+        return "_" + x
+    return x
+
+
+def fresh_var(n: int) -> str:
+    return f"_{n}"
+
+
 def is_value(e) -> bool:
     if isinstance(e, (TLVar, MethodVar, TLInt, TLBool, Lam)):
         return True
@@ -133,22 +185,24 @@ def is_value(e) -> bool:
 
 
 def _walk(e):
-    yield e
-    if isinstance(e, CtorApp):
-        for a in e.args:
-            yield from _walk(a)
-    elif isinstance(e, Lam):
-        yield from _walk(e.body)
-    elif isinstance(e, App):
-        yield from _walk(e.fn)
-        yield from _walk(e.arg)
-    elif isinstance(e, Case):
-        yield from _walk(e.scrut)
-        for c in e.clauses:
-            yield from _walk(c.body)
-    elif isinstance(e, TLPrim):
-        yield from _walk(e.left)
-        yield from _walk(e.right)
+    """Every node of e in pre-order, with an explicit stack."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        if isinstance(e, CtorApp):
+            stack.extend(reversed(e.args))
+        elif isinstance(e, Lam):
+            stack.append(e.body)
+        elif isinstance(e, App):
+            stack.append(e.arg)
+            stack.append(e.fn)
+        elif isinstance(e, Case):
+            stack.extend(c.body for c in reversed(e.clauses))
+            stack.append(e.scrut)
+        elif isinstance(e, TLPrim):
+            stack.append(e.right)
+            stack.append(e.left)
 
 
 def free_vars(e, bound=frozenset()):
@@ -300,11 +354,10 @@ _TL_TOKEN_RE = re.compile(
     | (?P<num>\d+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>->|==|&&|\|\||[\\(){},;<=])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
-
-_TL_KEYWORDS = {"let", "in", "case", "of", "true", "false"}
 
 
 def _is_ctor_name(name):
@@ -314,14 +367,13 @@ def _is_ctor_name(name):
 class _TLParser:
     def __init__(self, text):
         self.tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TL_TOKEN_RE.match(text, pos)
-            if m is None:
-                raise FgError(Diagnostic(SYNTAX, f"unexpected character {text[pos]!r} at offset {pos}"))
-            if m.lastgroup != "ws":
-                self.tokens.append((m.lastgroup, m.group()))
-            pos = m.end()
+        for m in _TL_TOKEN_RE.finditer(text):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise FgError(Diagnostic(
+                    SYNTAX, f"unexpected character {m.group()!r} at offset {m.start()}"))
+            if kind != "ws":
+                self.tokens.append((kind, m.group()))
         self.tokens.append(("eof", ""))
         self.i = 0
         self.let_bound = set()
@@ -340,11 +392,11 @@ class _TLParser:
         raise FgError(Diagnostic(SYNTAX, f"{msg}, found {self.cur[1]!r}"))
 
     def at(self, text):
-        return self.cur[0] != "eof" and self.cur[1] == text
+        return self.tokens[self.i][1] == text  # the eof token's text is ""
 
     def accept(self, text):
-        if self.at(text):
-            self.advance()
+        if self.tokens[self.i][1] == text:
+            self.i += 1
             return True
         return False
 
@@ -366,22 +418,13 @@ class _TLParser:
     def program(self):
         bindings = []
         if self.accept("let"):
-            # Pre-scan binding names so references parse as MethodVars even
-            # in earlier bindings (mutual recursion).
-            save = self.i
-            while True:
-                name = self.ident()
-                self.let_bound.add(name)
-                depth = 0
-                while not (self.cur[0] == "eof" or (depth == 0 and self.cur[1] in (";", "in"))):
-                    if self.cur[1] in ("(", "{"):
-                        depth += 1
-                    elif self.cur[1] in (")", "}"):
-                        depth -= 1
-                    self.advance()
-                if not self.accept(";"):
-                    break
-            self.i = save
+            # Binding names are known up front, so references parse as
+            # MethodVars even in earlier bindings (mutual recursion).  `=`
+            # occurs only after a binding name, so they are the identifiers
+            # just before an `=`.
+            toks = self.tokens
+            self.let_bound.update(a[1] for a, b in zip(toks, toks[1:])
+                                  if b[1] == "=" and a[0] == "ident")
             while True:
                 name = self.ident()
                 self.expect("=")

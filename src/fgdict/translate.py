@@ -7,9 +7,9 @@ without diagnostics iff it type-checks.
 Interface values are constructor applications K_I(value, dict...) where the
 dictionary entries are method variables in the interface's spec order.
 Upcast and downcast helpers are emitted inline by default; with
-hoist_helpers=True they become named let bindings (toI_T / fromI_U) after
+hoist_helpers=True they become named let bindings (to_I_T / from_I_U) after
 the method bindings, matching the presentation style of hand-written
-dictionary-passing code.
+dictionary-passing code.  Every TL name is spelled by `tl_ast`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from . import tl_ast as tl
 from .diagnostics import (
     ARITY_MISMATCH,
     ASSERT_ON_STRUCT,
-    DUP_BINDING,
     NOT_A_STRUCT,
     NOT_A_SUBTYPE,
     PRIM_OP_TYPE,
@@ -34,28 +33,6 @@ from .diagnostics import (
     FgError,
 )
 
-RULES = (
-    "td-var", "td-struct", "td-access", "td-call-struct", "td-call-iface",
-    "td-assert", "td-sub", "td-method", "td-prog",
-    "td-cons-struct-iface", "td-cons-iface-iface",
-    "td-destr-iface-struct", "td-destr-iface-iface",
-)
-
-
-def method_var_name(m: str, t_s: str) -> str:
-    """Printable method variable for the declaration (m, t_s).  Uniqueness
-    is inherited from FG4 and double-checked at program level."""
-    return f"{m}_{t_s}"
-
-
-def upcast_name(t: str, u_i: str) -> str:
-    return f"to{u_i}_{t}"
-
-
-def downcast_name(t_i: str, u: str) -> str:
-    return f"from{t_i}_{u}"
-
-
 class _TypeErr(Exception):
     def __init__(self, diag):
         self.diag = diag
@@ -63,14 +40,13 @@ class _TypeErr(Exception):
 
 
 class _Fresh:
-    """Fresh TL variables.  User identifiers cannot start with '_', so the
-    generated names never collide with translated FG variables."""
+    """Fresh TL variables, numbered from 0."""
 
     def __init__(self):
         self.n = 0
 
     def __call__(self):
-        name = f"_{self.n}"
+        name = tl.fresh_var(self.n)
         self.n += 1
         return name
 
@@ -112,7 +88,7 @@ class Translator:
             if e.name not in env:
                 raise _TypeErr(Diagnostic(UNKNOWN_VAR, f"unknown variable {e.name}", e.span))
             self.count("td-var")
-            return env[e.name], tl.TLVar(e.name)
+            return env[e.name], tl.TLVar(tl.fg_var(e.name))
 
         if isinstance(e, fg.StructLit):
             if not decls.is_declared(e.type_name) or decls.kind(e.type_name) != "struct":
@@ -179,7 +155,7 @@ class Translator:
             sig = d.sig
             args = self._check_args(env, e, sig)
             self.count("td-call-struct")
-            fn = tl.MethodVar(method_var_name(e.method, t_recv))
+            fn = tl.MethodVar(tl.method_var_name(e.method, t_recv))
             return sig.ret, tl.App(tl.App(fn, code), tl.make_tuple(args))
         specs = decls.iface_specs(t_recv)
         idx = next((j for j, s in enumerate(specs) if s.name == e.method), None)
@@ -251,7 +227,7 @@ class Translator:
     def build_upcast(self, t, u_i):
         decls = self.decls
         assert decls.kind(u_i) == "interface"
-        name = upcast_name(t, u_i)
+        name = tl.upcast_name(t, u_i)
         if self.hoist and name in self.helpers:
             return tl.MethodVar(name)
         fresh = _Fresh()
@@ -260,7 +236,7 @@ class Translator:
             self.count("td-cons-struct-iface")
             assert fg.is_subtype(decls, t, u_i)
             x = fresh()
-            slots = tuple(tl.MethodVar(method_var_name(s.name, t)) for s in specs)
+            slots = tuple(tl.MethodVar(tl.method_var_name(s.name, t)) for s in specs)
             lam = tl.Lam(x, tl.CtorApp(tl.struct_ctor(u_i), (tl.TLVar(x),) + slots))
         else:
             self.count("td-cons-iface-iface")
@@ -282,7 +258,7 @@ class Translator:
     def build_downcast(self, t_i, u):
         decls = self.decls
         assert decls.kind(t_i) == "interface"
-        name = downcast_name(t_i, u)
+        name = tl.downcast_name(t_i, u)
         if self.hoist and name in self.helpers:
             return tl.MethodVar(name)
         fresh = _Fresh()
@@ -314,7 +290,7 @@ class Translator:
                 # lambda plus two pattern matches.
                 ys = tuple(fresh() for _ in decls.struct_fields(t_sj))
                 repacked = tl.CtorApp(tl.struct_ctor(t_sj), tuple(tl.TLVar(v) for v in ys))
-                slots = tuple(tl.MethodVar(method_var_name(s.name, t_sj)) for s in specs)
+                slots = tuple(tl.MethodVar(tl.method_var_name(s.name, t_sj)) for s in specs)
                 clauses.append(tl.Clause(
                     tl.Pattern(tl.struct_ctor(t_sj), ys),
                     tl.CtorApp(tl.struct_ctor(u), (repacked,) + slots)))
@@ -344,9 +320,10 @@ class Translator:
         self.count("td-method")
         arg = self.fresh()
         pat = tl.Pattern(tl.tuple_ctor(len(d.sig.params)),
-                         tuple(x for x, _t in d.sig.params))
-        lam = tl.Lam(d.recv_var, tl.Lam(arg, tl.Case(tl.TLVar(arg), (tl.Clause(pat, body),))))
-        return method_var_name(d.name, d.recv_type), lam
+                         tuple(tl.fg_var(x) for x, _t in d.sig.params))
+        lam = tl.Lam(tl.fg_var(d.recv_var),
+                     tl.Lam(arg, tl.Case(tl.TLVar(arg), (tl.Clause(pat, body),))))
+        return tl.method_var_name(d.name, d.recv_type), lam
 
     def translate_main(self, main):
         self.fresh = _Fresh()
@@ -362,27 +339,22 @@ def translate_method(decls: fg.Decls, d: fg.MethodDecl, hoist_helpers=False):
 
 def translate_program(prog: fg.Program, hoist_helpers=False,
                       inject_identity_upcasts=False) -> Translation:
-    """Translate a well-formed program; aggregates type diagnostics instead
-    of stopping at the first."""
-    decls = prog.table
-    tr = Translator(decls, hoist_helpers=hoist_helpers,
+    """Check a program, then translate it.  An ill-formed program gets its
+    well-formedness diagnostics and no translation; type diagnostics are
+    aggregated instead of stopping at the first."""
+    diags = fg.check_wellformed(prog)
+    if diags:
+        return Translation(None, None, diags, [])
+    tr = Translator(prog.table, hoist_helpers=hoist_helpers,
                     inject_identity_upcasts=inject_identity_upcasts)
-    diags = []
     bindings = []
-    names = set()
     for d in prog.decls:
         if not isinstance(d, fg.MethodDecl):
             continue
         try:
-            name, lam = tr.translate_method(d)
+            bindings.append(tr.translate_method(d))
         except _TypeErr as err:
             diags.append(err.diag)
-            continue
-        if name in names:
-            diags.append(Diagnostic(
-                DUP_BINDING, f"method variable name collision: {name}", d.span))
-        names.add(name)
-        bindings.append((name, lam))
     main_type = None
     main_code = None
     try:
@@ -392,17 +364,14 @@ def translate_program(prog: fg.Program, hoist_helpers=False,
     tr.count("td-prog")
     if diags:
         return Translation(None, None, diags, tr.warnings, tr.counts)
-    bindings.extend((n, lam) for n, lam in tr.helpers.items())
+    bindings.extend(tr.helpers.items())
     out = tl.TLProgram(tuple(bindings), main_code)
     return Translation(out, main_type, [], tr.warnings, tr.counts)
 
 
-def check_program(prog: fg.Program):
-    """Type checking = translation with the emitted code ignored."""
-    return translate_program(prog).diagnostics
-
-
 def require_translation(prog: fg.Program, **kw) -> Translation:
+    """The checked pipeline: well-formedness, then translation.  Raises
+    FgError with the diagnostics of an ill-formed or ill-typed program."""
     res = translate_program(prog, **kw)
     if not res.ok:
         raise FgError(res.diagnostics)

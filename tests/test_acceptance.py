@@ -82,19 +82,19 @@ def test_criterion_1_running_example():
 
     hoisted = require_translation(prog, hoist_helpers=True)
     names = {n: lam for n, lam in hoisted.tl_program.bindings}
-    expected = ["toEq_Int", "toEq_Pair", "toEq_Ord",
-                "fromEq_Int", "fromEq_Pair", "fromOrd_Int"]
+    expected = ["to_Eq_Int", "to_Eq_Pair", "to_Eq_Ord",
+                "from_Eq_Int", "from_Eq_Pair", "from_Ord_Int"]
     ok = ok and all(n in names for n in expected)
 
     # Constructor shape: \x -> K_Eq x eq_Int
-    lam = names.get("toEq_Int")
+    lam = names.get("to_Eq_Int")
     ok = ok and isinstance(lam, tl.Lam) and lam.body == tl.CtorApp(
         "K_Eq", (tl.TLVar(lam.var), tl.MethodVar("eq_Int")))
     # Interface-to-interface constructor drops the lt slot.
-    lam = names.get("toEq_Ord")
+    lam = names.get("to_Eq_Ord")
     ok = ok and isinstance(lam, tl.Lam) and isinstance(lam.body, tl.Case)
     # Destructor shape: outer unpack of K_Eq, inner match on K_Int.
-    lam = names.get("fromEq_Int")
+    lam = names.get("from_Eq_Int")
     ok = ok and isinstance(lam.body, tl.Case) and \
         lam.body.clauses[0].pat.ctor == "K_Eq" and \
         lam.body.clauses[0].body.clauses[0].pat.ctor == "K_Int"

@@ -4,10 +4,9 @@ import pytest
 
 from fgdict import fg_ast as fg, tl_ast as tl, tl_interp
 from fgdict.fg_parser import parse_program
-from fgdict.translate import (
-    Translator, downcast_name, method_var_name, require_translation,
-    translate_program, upcast_name,
-)
+from fgdict.relate import AGREE, diff_run
+from fgdict.tl_ast import downcast_name, method_var_name, upcast_name
+from fgdict.translate import Translator, require_translation, translate_program
 
 EQUALITY = open("corpus/equality.fg").read()
 
@@ -19,10 +18,10 @@ def equality():
 
 def test_mangled_names():
     assert method_var_name("eq", "Int") == "eq_Int"
-    assert upcast_name("Int", "Eq") == "toEq_Int"
-    assert upcast_name("Ord", "Eq") == "toEq_Ord"
-    assert downcast_name("Eq", "Int") == "fromEq_Int"
-    assert downcast_name("Ord", "Int") == "fromOrd_Int"
+    assert upcast_name("Int", "Eq") == "to_Eq_Int"
+    assert upcast_name("Ord", "Eq") == "to_Eq_Ord"
+    assert downcast_name("Eq", "Int") == "from_Eq_Int"
+    assert downcast_name("Ord", "Int") == "from_Ord_Int"
 
 
 def test_method_bindings_exist(equality):
@@ -34,8 +33,8 @@ def test_method_bindings_exist(equality):
 def test_hoisted_helper_bindings(equality):
     res = require_translation(equality, hoist_helpers=True)
     names = {n for n, _lam in res.tl_program.bindings}
-    assert {"toEq_Int", "toEq_Pair", "toEq_Ord",
-            "fromEq_Int", "fromEq_Pair", "fromOrd_Int"} <= names
+    assert {"to_Eq_Int", "to_Eq_Pair", "to_Eq_Ord",
+            "from_Eq_Int", "from_Eq_Pair", "from_Ord_Int"} <= names
 
 
 def test_struct_upcast_shape(equality):
@@ -175,8 +174,9 @@ def test_rule_counts_cover_main_forms(equality):
 
 
 def test_mangling_collision_detected():
-    # Method names may contain underscores, so distinct (method, receiver)
-    # pairs can collide after mangling; this must be reported, not silent.
+    # Method names may contain underscores.  Distinct (method, receiver)
+    # pairs must still get distinct method variables, so the program is
+    # accepted and both sides agree.
     prog = parse_program("""
     package main
     type A struct {}
@@ -184,7 +184,10 @@ def test_mangling_collision_detected():
     type Y struct {}
     func (this X_Y) m() A { return A{} }
     func (this Y) m_X() A { return A{} }
-    func main() { _ = A{} }
+    func main() { _ = Y{}.m_X() }
     """)
     res = translate_program(prog)
-    assert not res.ok
+    assert res.ok
+    names = [n for n, _lam in res.tl_program.bindings]
+    assert len(set(names)) == len(names) == 2
+    assert diff_run(prog).kind == AGREE
