@@ -38,7 +38,6 @@ ARITY_MISMATCH = "arity-mismatch"
 NOT_A_SUBTYPE = "not-a-subtype"
 NOT_A_STRUCT = "not-a-struct"
 ASSERT_ON_STRUCT = "assert-on-struct"
-ASSERT_STRUCT_TARGET_IMPOSSIBLE = "assert-struct-target-impossible"
 PRIM_OP_TYPE = "prim-op-type"
 UNIMPLEMENTED_IFACE = "unimplemented-iface"
 DUP_BINDING = "dup-binding"

@@ -194,7 +194,12 @@ class Program:
 
 
 class Decls:
-    """Indexed view over a declaration sequence."""
+    """Indexed view over a declaration sequence, and the facts derived from
+    it: each declared type's method-spec keys, each interface's implementing
+    structs and each struct's field indices.  Building it never raises, so
+    `check_wellformed` can use the table of an ill-formed program; the first
+    declaration of a name or method wins.
+    """
 
     def __init__(self, decls, mode=CORE):
         self.decls = tuple(decls)
@@ -217,6 +222,14 @@ class Decls:
                 if key not in self.method_decls:
                     self.method_decls[key] = d
                     self.methods_by_recv.setdefault(d.recv_type, []).append(d)
+        self.spec_keys = {t: frozenset(s.key() for s in methods(self, t))
+                          for t in self.types}
+        self.implementers = {  # interface -> [struct], declaration order
+            u: [t for t in self.struct_names if self.spec_keys[u] <= self.spec_keys[t]]
+            for u in self.iface_names}
+        self.field_index = {  # struct -> {field: index}
+            s: {f: j for j, (f, _t) in enumerate(self.types[s].literal.fields)}
+            for s in self.struct_names}
 
     def is_declared(self, t):
         return t in self.types or (self.mode == EXT and t in PRIMITIVES)
@@ -261,16 +274,12 @@ def is_subtype(decls: Decls, t: str, u: str) -> bool:
         raise FgError(Diagnostic(UNKNOWN_TYPE, f"unknown type {t}"))
     if not decls.is_declared(u):
         raise FgError(Diagnostic(UNKNOWN_TYPE, f"unknown type {u}"))
-    if t == u and decls.kind(t) != "interface":
+    if t == u:
         return True
-    if decls.kind(u) != "interface":
-        return False
-    if decls.kind(t) == "prim":
-        # Primitives implement no methods; only the empty interface would
-        # apply, and we keep primitives out of the interface world entirely.
-        return False
-    have = {s.key() for s in methods(decls, t)}
-    return all(s.key() in have for s in decls.iface_specs(u))
+    # Primitives implement no methods; only the empty interface would apply,
+    # and we keep primitives out of the interface world entirely.
+    return decls.kind(u) == "interface" and decls.kind(t) != "prim" and \
+        decls.spec_keys[u] <= decls.spec_keys[t]
 
 
 def method_lookup(decls: Decls, t_s: str, m: str) -> MethodDecl | None:

@@ -41,10 +41,6 @@ def value_type(decls, v) -> str:
     return v.type_name
 
 
-def dict_fields(decls, t_s):
-    return {f: i for i, (f, _t) in enumerate(decls.struct_fields(t_s))}
-
-
 # Continuation frames.  A Select, an Assert or an argument-less Call node is
 # its own frame, waiting for its subject.  The other frames are lists:
 #   [_STRUCT, node, env, argument values so far]
@@ -100,7 +96,7 @@ def _run(decls, e, fuel, on_step):
                 if t is Select:
                     if not isinstance(v, StructLit):
                         raise _Stuck(BAD_FIELD, f"selecting {f.fld} from non-struct value")
-                    i = dict_fields(decls, v.type_name).get(f.fld)
+                    i = decls.field_index.get(v.type_name, {}).get(f.fld)
                     if i is None:
                         raise _Stuck(BAD_FIELD, f"no field {f.fld} on {v.type_name}")
                     v = v.args[i]

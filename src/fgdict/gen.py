@@ -58,6 +58,10 @@ class _Gen:
 
         self._gen_templates()
         self._gen_iface_defs()
+        # Fields do not affect subtyping, so a table without them tells
+        # `_gen_fields` which interfaces earlier structs implement.
+        self.fields = dict.fromkeys(self.structs, ())
+        self._build_table()
         self._gen_fields()
         self._build_table()
         decls = self._declarations()
@@ -116,23 +120,13 @@ class _Gen:
 
     def _gen_fields(self):
         rng = self.rng
-        self.fields = {}
+        impls = self.table.implementers
         for i, s in enumerate(self.structs):
-            allowed = list(self.structs[:i]) + list(self.prims)
-            allowed += [I for I in self.ifaces if self._first_impl(I, limit=i) is not None]
+            earlier = self.structs[:i]
+            allowed = earlier + list(self.prims)
+            allowed += [I for I in self.ifaces if any(t in earlier for t in impls[I])]
             n = rng.randint(0, self.cfg.max_fields) if allowed else 0
             self.fields[s] = tuple((f"f{j}", rng.choice(allowed)) for j in range(n))
-
-    def _first_impl(self, iface, limit=None):
-        """Lowest-index struct implementing iface, considering only structs
-        below `limit` when given."""
-        specs = {sp.key() for sp in self.iface_defs[iface].specs}
-        names = self.structs if limit is None else self.structs[:limit]
-        for i, s in enumerate(names):
-            have = {self.templates[t].key() for t in self.impls[s]}
-            if specs <= have:
-                return s
-        return None
 
     def _build_table(self):
         """Every declaration, with placeholder method bodies: the table that
@@ -150,7 +144,7 @@ class _Gen:
         self.table = fg.Decls(decls, self.cfg.mode)
 
     def _inhabited_ifaces(self):
-        return [I for I in self.ifaces if self._first_impl(I) is not None]
+        return [I for I in self.ifaces if self.table.implementers[I]]
 
     def _declarations(self):
         """The table's declarations, with a generated body for each method."""
@@ -171,9 +165,6 @@ class _Gen:
     def _subtype(self, t, u):
         return fg.is_subtype(self.table, t, u)
 
-    def _implementers(self, iface):
-        return [s for s in self.structs if self._subtype(s, iface)]
-
     def gen_expr(self, env, want, depth):
         """Expression whose synthesized type is `want` for structs and
         primitives, or any subtype of `want` for interfaces."""
@@ -188,7 +179,7 @@ class _Gen:
         if kind == "struct":
             opts.append(("literal", want))
         elif kind == "interface":
-            impls = self._implementers(want)
+            impls = self.table.implementers[want]
             if impls and depth > 0:
                 opts.append(("literal", rng.choice(impls)))
             for I in self.ifaces:
@@ -222,7 +213,7 @@ class _Gen:
                                self._exact_iface_opts(env, I, depth - 1)]
                 elif kind == "interface":
                     sources = [I for I in self.ifaces
-                               if I != want and self._implementers(I) and
+                               if I != want and self.table.implementers[I] and
                                self._exact_iface_opts(env, I, depth - 1)]
                 else:
                     sources = []
@@ -320,10 +311,10 @@ def minimal_value(decls: fg.Decls, t: str, rng=None, _seen=frozenset()):
     if t in _seen:
         raise ValueError(f"cannot build a finite value of {t}")
     if kind == "interface":
-        for s in decls.struct_names:
-            if fg.is_subtype(decls, s, t):
-                return minimal_value(decls, s, rng, _seen | {t})
-        raise ValueError(f"no struct implements {t}")
+        impls = decls.implementers[t]
+        if not impls:
+            raise ValueError(f"no struct implements {t}")
+        return minimal_value(decls, impls[0], rng, _seen | {t})
     args = tuple(minimal_value(decls, ft, rng, _seen | {t})
                  for _f, ft in decls.struct_fields(t))
     return fg.StructLit(t, args)

@@ -66,11 +66,11 @@ class Translation:
 
 class Translator:
     def __init__(self, decls: fg.Decls, hoist_helpers=False,
-                 inject_identity_upcasts=False, counts=None):
+                 inject_identity_upcasts=False):
         self.decls = decls
         self.hoist = hoist_helpers
         self.inject_identity = inject_identity_upcasts
-        self.counts = counts if counts is not None else {}
+        self.counts = {}
         self.helpers = {}  # name -> Lam, insertion ordered
         self.warnings = []
         self.fresh = _Fresh()
@@ -282,9 +282,7 @@ class Translator:
             y = fresh()
             dict_vars = tuple(fresh() for _ in range(n))
             clauses = []
-            for t_sj in decls.struct_names:
-                if not fg.is_subtype(decls, t_sj, u):
-                    continue
+            for t_sj in decls.implementers[u]:
                 # Build the target interface value directly (the reduct of the
                 # struct upcast), so a successful destructor costs exactly one
                 # lambda plus two pattern matches.

@@ -5,7 +5,7 @@ import pytest
 from fgdict import fg_ast as fg
 from fgdict.diagnostics import (
     ASSERT_ON_STRUCT, FG1_RECURSIVE_STRUCT, FG2_DUP_FIELD, FG3_DUP_SPEC,
-    FG4_DUP_METHOD, FgError,
+    FG4_DUP_METHOD, UNKNOWN_TYPE, FgError,
 )
 from fgdict.fg_parser import parse_program
 
@@ -78,6 +78,54 @@ def test_method_lookup(good):
     d = fg.method_lookup(decls, "B", "n")
     assert d.recv_type == "B" and d.name == "n"
     assert fg.method_lookup(decls, "A", "n") is None
+
+
+def test_implementers_in_declaration_order():
+    decls = parse_program("""
+    package main
+    type C struct {}
+    type A struct {}
+    type B struct {}
+    type I interface { m() A }
+    type K interface { q() A }
+    func (this B) m() A { return A{} }
+    func (this C) m() A { return A{} }
+    func main() { _ = A{} }
+    """).table
+    assert decls.implementers == {"I": ["C", "B"], "K": []}
+
+
+def test_field_index():
+    decls = parse_program("""
+    package main
+    type A struct {}
+    type B struct { x A; y A; z A }
+    func main() { _ = A{} }
+    """).table
+    assert decls.field_index == {"A": {}, "B": {"x": 0, "y": 1, "z": 2}}
+
+
+def test_subtyping_rejects_undeclared_names(good):
+    for t, u in (("Nope", "I"), ("A", "Nope")):
+        with pytest.raises(FgError) as err:
+            fg.is_subtype(good.table, t, u)
+        assert [d.code for d in err.value.diagnostics] == [UNKNOWN_TYPE]
+
+
+def test_table_of_ill_formed_declarations_builds():
+    prog = parse_program("""
+    package main
+    type A struct {}
+    type A interface { m() A }
+    type I interface { m() A }
+    func (this Z) m() A { return A{} }
+    func (this A) m() A { return A{} }
+    func main() { _ = A{} }
+    """)
+    decls = prog.table  # duplicate type A, method on undeclared receiver Z
+    assert decls.kind("A") == "struct"
+    assert decls.implementers == {"I": ["A"]}
+    assert codes(prog)
 
 
 def test_recursive_struct_rejected():

@@ -1,5 +1,7 @@
 """Program generator and shrinker."""
 
+import hashlib
+
 import pytest
 
 from fgdict import fg_ast as fg
@@ -7,6 +9,30 @@ from fgdict.fg_parser import print_program
 from fgdict.gen import GenConfig, gen_program, minimal_value, shrink
 from fgdict.relate import BOTH_STUCK, diff_run
 from fgdict.translate import translate_program
+
+# sha256 over the printed programs of `_stream_configs`, recorded before the
+# generator read subtyping from the declaration table.
+STREAM_DIGEST = "29e57c91439d45c1296d9c26e1c1edb96965402780f2426be8201deb41a3cd03"
+# The larger programs of the benchmark's compile workload (kept in step with
+# bench/workloads.py COMPILE_CONFIG by hand: tests do not import bench).
+COMPILE_CONFIG = dict(max_structs=16, max_ifaces=8, max_methods_per_iface=3,
+                      max_fields=3, expr_depth=4)
+
+
+def _stream_configs():
+    for mode in (fg.CORE, fg.EXT):
+        for seed in range(500):
+            yield GenConfig(seed=seed, mode=mode)
+    for i in range(33):
+        yield GenConfig(seed=i, mode=(fg.CORE, fg.EXT)[i % 2], **COMPILE_CONFIG)
+
+
+def test_generator_stream_is_pinned():
+    """A generator refactor must not change a single generated program."""
+    h = hashlib.sha256()
+    for cfg in _stream_configs():
+        h.update(print_program(gen_program(cfg)).encode() + b"\0")
+    assert h.hexdigest() == STREAM_DIGEST
 
 
 def test_generated_programs_are_wellformed_and_typed():

@@ -191,3 +191,43 @@ def test_mangling_collision_detected():
     names = [n for n, _lam in res.tl_program.bindings]
     assert len(set(names)) == len(names) == 2
     assert diff_run(prog).kind == AGREE
+
+
+REJECT_DECLS = """
+package main
+type B struct {}
+type A struct { b B }
+type I interface { m() B }
+func (this A) m() B { return this.b }
+func (this A) i() I { return this }
+"""
+
+# (id, mode, extra declarations, main, expected diagnostic code)
+REJECTIONS = [
+    ("unknown-var", fg.CORE, "", "y", "unknown-var"),
+    ("literal-of-interface", fg.CORE, "", "I{}", "unknown-type"),
+    ("assert-to-primitive", fg.EXT, "", "A{B{}}.i().(int)", "unknown-type"),
+    ("struct-literal-arity", fg.CORE, "", "A{}", "arity-mismatch"),
+    ("call-arity", fg.CORE, "", "A{B{}}.m(B{})", "arity-mismatch"),
+    ("missing-field", fg.CORE, "", "A{B{}}.c", "unknown-field"),
+    ("field-of-interface", fg.CORE, "", "A{B{}}.i().b", "not-a-struct"),
+    ("missing-struct-method", fg.CORE, "", "A{B{}}.n()", "unknown-method"),
+    ("missing-interface-method", fg.CORE, "", "A{B{}}.i().n()", "unknown-method"),
+    ("method-on-int", fg.EXT, "", "(1).m()", "unknown-method"),
+    ("duplicate-type", fg.CORE, "type A struct {}", "B{}", "dup-type"),
+    ("declare-primitive", fg.EXT, "type int struct {}", "B{}", "dup-type"),
+    ("duplicate-param", fg.CORE,
+     "func (this A) p(x B, x B) B { return x }", "B{}", "dup-param"),
+    ("param-shadows-receiver", fg.CORE,
+     "func (this A) p(this B) B { return this }", "B{}", "dup-param"),
+]
+
+
+@pytest.mark.parametrize("mode,decls,main,code", [r[1:] for r in REJECTIONS],
+                         ids=[r[0] for r in REJECTIONS])
+def test_checker_rejects(mode, decls, main, code):
+    prog = parse_program(f"{REJECT_DECLS}{decls}\nfunc main() {{ _ = {main} }}\n",
+                         mode=mode)
+    res = translate_program(prog)
+    assert res.tl_program is None
+    assert [d.code for d in res.diagnostics] == [code]
