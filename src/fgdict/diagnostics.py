@@ -53,20 +53,6 @@ class Diagnostic:
     def __str__(self):
         return f"{self.span}: {self.severity}: {self.message} [{self.code}]"
 
-    def to_json(self):
-        return {
-            "code": self.code,
-            "message": self.message,
-            "severity": self.severity,
-            "span": {
-                "file": self.span.file,
-                "start": self.span.start,
-                "end": self.span.end,
-                "line": self.span.line,
-                "column": self.span.column,
-            },
-        }
-
 
 class FgError(Exception):
     """Raised for unrecoverable errors carrying one or more diagnostics."""

@@ -84,10 +84,6 @@ class StructType:
     def field_names(self):
         return tuple(f for f, _ in self.fields)
 
-    @property
-    def field_types(self):
-        return tuple(t for _, t in self.fields)
-
 
 @dataclass(frozen=True)
 class InterfaceType:

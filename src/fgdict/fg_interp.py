@@ -21,7 +21,7 @@ from . import fg_ast as fg
 from .fg_ast import Assert, BinOp, BoolLit, Call, IntLit, Select, StructLit, Var
 from .fg_parser import print_expr, subst_expr
 from .outcome import (  # noqa: F401  (re-exported outcome vocabulary)
-    BAD_PRIM, AlreadyValue, OutOfFuel, Stepped, Stuck, StuckOutcome, Value,
+    BAD_PRIM, OutOfFuel, Stepped, StuckOutcome, Value,
     _Stuck, check_fuel, prim, step_once, tracer,
 )
 
@@ -143,8 +143,8 @@ def _run(decls, e, fuel, on_step):
                 if steps >= fuel:
                     return OutOfFuel(steps)
                 steps += 1
-                if on_step is not None and on_step(steps, rule, (v, c, env, stack)):
-                    return None
+                if on_step is not None:
+                    on_step(steps, rule, (v, c, env, stack))
                 if v is None:
                     break
             else:
@@ -210,7 +210,8 @@ def _plug_frame(f, e):
 
 
 def fg_step(decls: fg.Decls, e):
-    """One reduction step: Stepped(e', rule), AlreadyValue() or Stuck."""
+    """One reduction step: Stepped(e', rule), or Value or StuckOutcome with
+    0 steps when no step applies."""
     return step_once(_run, _plug, decls, e)
 
 

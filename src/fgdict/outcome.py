@@ -9,10 +9,9 @@ A machine is a function `run(ctx, e, fuel, on_step)`.  It returns a
 `Value`, `StuckOutcome` or `OutOfFuel`.  A stuck state is reported before
 the fuel check, so a stuck term is reported as stuck even with no fuel
 left.  After each step, if `on_step` is given, the machine calls
-`on_step(steps, rule, state)`; a true result stops the run, which then
-returns None.  `state` is opaque here; the machine's own `plug(state)`
-turns it back into the term that the small-step semantics would have
-produced at that point.
+`on_step(steps, rule, state)`.  `state` is opaque here; the machine's own
+`plug(state)` turns it back into the term that the small-step semantics
+would have produced at that point.
 """
 
 from __future__ import annotations
@@ -44,17 +43,6 @@ class OutOfFuel:
 class Stepped:
     expr: object
     rule: str
-
-
-@dataclass(frozen=True)
-class AlreadyValue:
-    pass
-
-
-@dataclass(frozen=True)
-class Stuck:
-    reason: str
-    detail: str
 
 
 class _Stuck(Exception):
@@ -93,17 +81,12 @@ def tracer(trace, plug, printer):
 
 
 def step_once(run, plug, ctx, e):
-    """One-step view of a machine: Stepped(e', rule), AlreadyValue() or
-    Stuck(reason, detail)."""
+    """One-step view of a machine: Stepped(e', rule), or the run's own
+    Value or StuckOutcome, with 0 steps, when no step applies."""
     taken = []
 
-    def stop(_n, rule, state):
+    def keep(_n, rule, state):
         taken.append(Stepped(plug(state), rule))
-        return True
 
-    out = run(ctx, e, 1, stop)
-    if taken:
-        return taken[0]
-    if isinstance(out, StuckOutcome):
-        return Stuck(out.reason, out.detail)
-    return AlreadyValue()
+    out = run(ctx, e, 1, keep)
+    return taken[0] if taken else out

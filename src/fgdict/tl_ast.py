@@ -174,69 +174,15 @@ def fresh_var(n: int) -> str:
     return f"_{n}"
 
 
-def is_value(e) -> bool:
-    if isinstance(e, (TLVar, MethodVar, TLInt, TLBool, Lam)):
-        return True
-    return isinstance(e, CtorApp) and all(is_value(a) for a in e.args)
-
-
 # ---------------------------------------------------------------------------
 # Structural validation
 
 
-def _walk(e):
-    """Every node of e in pre-order, with an explicit stack."""
-    stack = [e]
-    while stack:
-        e = stack.pop()
-        yield e
-        if isinstance(e, CtorApp):
-            stack.extend(reversed(e.args))
-        elif isinstance(e, Lam):
-            stack.append(e.body)
-        elif isinstance(e, App):
-            stack.append(e.arg)
-            stack.append(e.fn)
-        elif isinstance(e, Case):
-            stack.extend(c.body for c in reversed(e.clauses))
-            stack.append(e.scrut)
-        elif isinstance(e, TLPrim):
-            stack.append(e.right)
-            stack.append(e.left)
-
-
-def free_vars(e, bound=frozenset()):
-    """Free ordinary variables (not method variables)."""
-    if isinstance(e, TLVar):
-        return set() if e.name in bound else {e.name}
-    if isinstance(e, MethodVar) or isinstance(e, (TLInt, TLBool)):
-        return set()
-    if isinstance(e, CtorApp):
-        out = set()
-        for a in e.args:
-            out |= free_vars(a, bound)
-        return out
-    if isinstance(e, Lam):
-        return free_vars(e.body, bound | {e.var})
-    if isinstance(e, App):
-        return free_vars(e.fn, bound) | free_vars(e.arg, bound)
-    if isinstance(e, Case):
-        out = free_vars(e.scrut, bound)
-        for c in e.clauses:
-            out |= free_vars(c.body, bound | set(c.pat.vars))
-        return out
-    if isinstance(e, TLPrim):
-        return free_vars(e.left, bound) | free_vars(e.right, bound)
-    raise TypeError(f"not a TL expression: {e!r}")
-
-
-def method_vars(e):
-    return {n.name for n in _walk(e) if isinstance(n, MethodVar)}
-
-
 def validate_program(prog: TLProgram):
     """Constructor-arity consistency, clause well-formedness, closure up to
-    method variables.  Returns a list of human-readable problems."""
+    method variables.  Returns a list of human-readable problems: for main
+    and then each binding, the structural ones in pre-order, then the free
+    variables and the unbound method variables, each sorted."""
     problems = []
     arities = {}
 
@@ -251,24 +197,42 @@ def validate_program(prog: TLProgram):
         arities.setdefault(name, arity)
 
     bound = prog.method_subst()
-    exprs = [("main", prog.main)] + [(name, lam) for name, lam in prog.bindings]
-    for where, top in exprs:
-        for node in _walk(top):
-            if isinstance(node, CtorApp):
-                see_ctor(node.ctor, len(node.args), where)
-            elif isinstance(node, Case):
-                heads = [c.pat.ctor for c in node.clauses]
+    for where, top in [("main", prog.main), *prog.bindings]:
+        free, mvars = set(), set()
+        stack = [(top, frozenset())]  # (term, variables in scope), pre-order
+        while stack:
+            e, scope = stack.pop()
+            if isinstance(e, TLVar):
+                if e.name not in scope:
+                    free.add(e.name)
+            elif isinstance(e, MethodVar):
+                mvars.add(e.name)
+            elif isinstance(e, CtorApp):
+                see_ctor(e.ctor, len(e.args), where)
+                stack.extend((a, scope) for a in reversed(e.args))
+            elif isinstance(e, Lam):
+                stack.append((e.body, scope | {e.var}))
+            elif isinstance(e, App):
+                stack.append((e.arg, scope))
+                stack.append((e.fn, scope))
+            elif isinstance(e, Case):
+                heads = [c.pat.ctor for c in e.clauses]
                 if len(set(heads)) != len(heads):
                     problems.append(f"{where}: duplicate clause constructors {heads}")
-                for c in node.clauses:
+                for c in e.clauses:
                     if len(set(c.pat.vars)) != len(c.pat.vars):
                         problems.append(f"{where}: non-linear pattern {c.pat}")
                     see_ctor(c.pat.ctor, len(c.pat.vars), where)
-        for fv in sorted(free_vars(top)):
-            problems.append(f"{where}: free variable {fv}")
-        for mv in sorted(method_vars(top)):
-            if mv not in bound:
-                problems.append(f"{where}: unbound method variable {mv}")
+                stack.extend((c.body, scope.union(c.pat.vars)) for c in reversed(e.clauses))
+                stack.append((e.scrut, scope))
+            elif isinstance(e, TLPrim):
+                stack.append((e.right, scope))
+                stack.append((e.left, scope))
+            elif not isinstance(e, (TLInt, TLBool)):
+                raise TypeError(f"not a TL expression: {e!r}")
+        problems.extend(f"{where}: free variable {x}" for x in sorted(free))
+        problems.extend(f"{where}: unbound method variable {m}"
+                        for m in sorted(mvars - bound.keys()))
     return problems
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from . import tl_ast as tl
 from .outcome import (  # noqa: F401  (re-exported outcome vocabulary)
-    BAD_PRIM, AlreadyValue, OutOfFuel, Stepped, Stuck, StuckOutcome, Value,
+    BAD_PRIM, OutOfFuel, Stepped, StuckOutcome, Value,
     _Stuck, check_fuel, prim, step_once, tracer,
 )
 from .tl_ast import App, Case, Clause, CtorApp, Lam, MethodVar, TLBool, TLInt, TLPrim, TLVar
@@ -160,8 +160,8 @@ def _run(mu, e, fuel, on_step):
                 if steps >= fuel:
                     return OutOfFuel(steps)
                 steps += 1
-                if on_step is not None and on_step(steps, rule, (v, c, env, stack)):
-                    return None
+                if on_step is not None:
+                    on_step(steps, rule, (v, c, env, stack))
                 if v is None:
                     break
             else:

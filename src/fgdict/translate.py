@@ -33,11 +33,6 @@ from .diagnostics import (
     FgError,
 )
 
-class _TypeErr(Exception):
-    def __init__(self, diag):
-        self.diag = diag
-        super().__init__(str(diag))
-
 
 class _Fresh:
     """Fresh TL variables, numbered from 0."""
@@ -65,11 +60,9 @@ class Translation:
 
 
 class Translator:
-    def __init__(self, decls: fg.Decls, hoist_helpers=False,
-                 inject_identity_upcasts=False):
+    def __init__(self, decls: fg.Decls, hoist_helpers=False):
         self.decls = decls
         self.hoist = hoist_helpers
-        self.inject_identity = inject_identity_upcasts
         self.counts = {}
         self.helpers = {}  # name -> Lam, insertion ordered
         self.warnings = []
@@ -86,17 +79,17 @@ class Translator:
 
         if isinstance(e, fg.Var):
             if e.name not in env:
-                raise _TypeErr(Diagnostic(UNKNOWN_VAR, f"unknown variable {e.name}", e.span))
+                raise FgError(Diagnostic(UNKNOWN_VAR, f"unknown variable {e.name}", e.span))
             self.count("td-var")
             return env[e.name], tl.TLVar(tl.fg_var(e.name))
 
         if isinstance(e, fg.StructLit):
-            if not decls.is_declared(e.type_name) or decls.kind(e.type_name) != "struct":
-                raise _TypeErr(Diagnostic(
+            if decls.kind(e.type_name) != "struct":
+                raise FgError(Diagnostic(
                     UNKNOWN_TYPE, f"{e.type_name} is not a declared struct", e.span))
             fields = decls.struct_fields(e.type_name)
             if len(fields) != len(e.args):
-                raise _TypeErr(Diagnostic(
+                raise FgError(Diagnostic(
                     ARITY_MISMATCH,
                     f"struct {e.type_name} has {len(fields)} fields, got {len(e.args)}",
                     e.span))
@@ -107,12 +100,12 @@ class Translator:
         if isinstance(e, fg.Select):
             t_recv, code = self.infer_expr(env, e.recv)
             if decls.kind(t_recv) != "struct":
-                raise _TypeErr(Diagnostic(
+                raise FgError(Diagnostic(
                     NOT_A_STRUCT, f"field selection on non-struct type {t_recv}", e.span))
             fields = decls.struct_fields(t_recv)
             names = [f for f, _t in fields]
             if e.fld not in names:
-                raise _TypeErr(Diagnostic(
+                raise FgError(Diagnostic(
                     UNKNOWN_FIELD, f"no field {e.fld} on {t_recv}", e.span))
             i = names.index(e.fld)
             self.count("td-access")
@@ -145,12 +138,12 @@ class Translator:
         t_recv, code = self.infer_expr(env, e.recv)
         kind = decls.kind(t_recv)
         if kind == "prim":
-            raise _TypeErr(Diagnostic(
+            raise FgError(Diagnostic(
                 UNKNOWN_METHOD, f"method call on primitive type {t_recv}", e.span))
         if kind == "struct":
             d = decls.method_decls.get((t_recv, e.method))
             if d is None:
-                raise _TypeErr(Diagnostic(
+                raise FgError(Diagnostic(
                     UNKNOWN_METHOD, f"no method {e.method} on {t_recv}", e.span))
             sig = d.sig
             args = self._check_args(env, e, sig)
@@ -160,7 +153,7 @@ class Translator:
         specs = decls.iface_specs(t_recv)
         idx = next((j for j, s in enumerate(specs) if s.name == e.method), None)
         if idx is None:
-            raise _TypeErr(Diagnostic(
+            raise FgError(Diagnostic(
                 UNKNOWN_METHOD, f"interface {t_recv} has no method {e.method}", e.span))
         sig = specs[idx].sig
         args = self._check_args(env, e, sig)
@@ -173,7 +166,7 @@ class Translator:
 
     def _check_args(self, env, e, sig):
         if len(sig.params) != len(e.args):
-            raise _TypeErr(Diagnostic(
+            raise FgError(Diagnostic(
                 ARITY_MISMATCH,
                 f"method {e.method} expects {len(sig.params)} arguments, got {len(e.args)}",
                 e.span))
@@ -184,16 +177,16 @@ class Translator:
         decls = self.decls
         t_expr, code = self.infer_expr(env, e.expr)
         if decls.kind(t_expr) != "interface":
-            raise _TypeErr(Diagnostic(
+            raise FgError(Diagnostic(
                 ASSERT_ON_STRUCT,
                 f"type assertion on non-interface-typed expression (type {t_expr})",
                 e.span))
-        if not decls.is_declared(e.type_name) or decls.kind(e.type_name) == "prim":
-            raise _TypeErr(Diagnostic(
+        if decls.kind(e.type_name) == "prim":
+            raise FgError(Diagnostic(
                 UNKNOWN_TYPE, f"asserted type {e.type_name} is not declared", e.span))
         if decls.kind(e.type_name) == "struct" and \
                 not fg.is_subtype(decls, e.type_name, t_expr):
-            raise _TypeErr(Diagnostic(
+            raise FgError(Diagnostic(
                 NOT_A_SUBTYPE,
                 f"assertion to {e.type_name} can never succeed: "
                 f"{e.type_name} does not implement {t_expr}",
@@ -209,18 +202,12 @@ class Translator:
     def coerce_to(self, have, want, code, span=None, diag_code=NOT_A_SUBTYPE):
         decls = self.decls
         if have == want:
-            out = code
-        elif decls.is_declared(want) and decls.kind(want) == "interface" and \
-                fg.is_subtype(decls, have, want):
+            return code
+        if decls.kind(want) == "interface" and fg.is_subtype(decls, have, want):
             self.count("td-sub")
-            out = tl.App(self.build_upcast(have, want), code)
-        else:
-            raise _TypeErr(Diagnostic(
-                diag_code, f"{have} is not a subtype of {want}", span or fg._NO_SPAN))
-        if self.inject_identity and decls.is_declared(want) and \
-                decls.kind(want) == "interface":
-            out = tl.App(self.build_upcast(want, want), out)
-        return out
+            return tl.App(self.build_upcast(have, want), code)
+        raise FgError(Diagnostic(
+            diag_code, f"{have} is not a subtype of {want}", span or fg._NO_SPAN))
 
     # -- interface-value constructors and destructors ----------------------
 
@@ -335,30 +322,28 @@ def translate_method(decls: fg.Decls, d: fg.MethodDecl, hoist_helpers=False):
     return tr.translate_method(d)
 
 
-def translate_program(prog: fg.Program, hoist_helpers=False,
-                      inject_identity_upcasts=False) -> Translation:
+def translate_program(prog: fg.Program, hoist_helpers=False) -> Translation:
     """Check a program, then translate it.  An ill-formed program gets its
     well-formedness diagnostics and no translation; type diagnostics are
     aggregated instead of stopping at the first."""
     diags = fg.check_wellformed(prog)
     if diags:
         return Translation(None, None, diags, [])
-    tr = Translator(prog.table, hoist_helpers=hoist_helpers,
-                    inject_identity_upcasts=inject_identity_upcasts)
+    tr = Translator(prog.table, hoist_helpers=hoist_helpers)
     bindings = []
     for d in prog.decls:
         if not isinstance(d, fg.MethodDecl):
             continue
         try:
             bindings.append(tr.translate_method(d))
-        except _TypeErr as err:
-            diags.append(err.diag)
+        except FgError as err:
+            diags.extend(err.diagnostics)
     main_type = None
     main_code = None
     try:
         main_type, main_code = tr.translate_main(prog.main)
-    except _TypeErr as err:
-        diags.append(err.diag)
+    except FgError as err:
+        diags.extend(err.diagnostics)
     tr.count("td-prog")
     if diags:
         return Translation(None, None, diags, tr.warnings, tr.counts)

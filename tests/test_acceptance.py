@@ -190,17 +190,31 @@ def test_criterion_4_cast_preservation(harvested):
            ok, f"{checked} edges, {len(bad)} violations")
 
 
-def test_criterion_5_coherence():
-    mismatches = 0
-    for seed in range(100):
-        prog = gen_program(GenConfig(seed=seed))
-        plain = diff_run(prog, fuel=EVAL_FUEL, rel_fuel=REL_FUEL)
-        instrumented = diff_run(prog, fuel=EVAL_FUEL, rel_fuel=REL_FUEL,
-                                inject_identity_upcasts=True)
-        if plain.kind != instrumented.kind:
-            mismatches += 1
+def test_criterion_5_coherence(monkeypatch):
+    progs = [gen_program(GenConfig(seed=seed)) for seed in range(100)]
+
+    def run_all():
+        return [(diff_run(prog, fuel=EVAL_FUEL, rel_fuel=REL_FUEL).kind,
+                 tl.print_program(require_translation(prog).tl_program))
+                for prog in progs]
+
+    plain = run_all()
+    coerce_to = Translator.coerce_to
+
+    def coerce_with_identity_upcast(self, have, want, *args, **kwargs):
+        out = coerce_to(self, have, want, *args, **kwargs)
+        if self.decls.kind(want) == "interface":
+            out = tl.App(self.build_upcast(want, want), out)
+        return out
+
+    monkeypatch.setattr(Translator, "coerce_to", coerce_with_identity_upcast)
+    instrumented = run_all()
+    mismatches = sum(a[0] != b[0] for a, b in zip(plain, instrumented))
+    # A patch that injects nothing would pass the verdict check vacuously.
+    injected = sum(a[1] != b[1] for a, b in zip(plain, instrumented))
     report("criterion 5: identity upcast injection preserves verdicts",
-           mismatches == 0, f"{mismatches} mismatches over 100 seeds")
+           mismatches == 0 and injected > 0,
+           f"{mismatches} mismatches over 100 seeds, {injected} translations changed")
 
 
 def test_criterion_6_stuckness_fidelity():

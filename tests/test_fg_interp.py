@@ -73,8 +73,13 @@ def test_determinism(decls):
 
 
 def test_values_do_not_step(decls):
-    assert isinstance(fg_interp.fg_step(decls, parse_expr("Pair{A{}, A{}}")),
-                      fg_interp.AlreadyValue)
+    e = parse_expr("Pair{A{}, A{}}")
+    assert fg_interp.fg_step(decls, e) == fg_interp.Value(e, 0)
+
+
+def test_stuck_terms_do_not_step(decls):
+    r = fg_interp.fg_step(decls, parse_expr("A{}.nope()"))
+    assert r == fg_interp.StuckOutcome(fg_interp.NO_METHOD, "no method nope on A", 0)
 
 
 def test_out_of_fuel(decls):

@@ -14,13 +14,6 @@ def test_tuple_constructors():
     assert tl.tuple_arity("K_A") is None
 
 
-def test_values():
-    assert tl.is_value(Lam("x", TLVar("x")))
-    assert tl.is_value(CtorApp("K_A", (TLInt(1),)))
-    assert not tl.is_value(App(Lam("x", TLVar("x")), TLInt(1)))
-    assert not tl.is_value(CtorApp("K_A", (App(Lam("x", TLVar("x")), TLInt(1)),)))
-
-
 def test_print_parse_roundtrip_expr():
     e = Case(App(MethodVar("m_A"), CtorApp("K_A", (TLInt(1), TLBool(True)))),
              (Clause(Pattern("K_A", ("a", "b")), TLPrim("==", TLVar("a"), TLInt(0))),
@@ -58,6 +51,67 @@ def test_validate_catches_problems():
     # A clean program validates.
     ok = tl.TLProgram((), App(Lam("x", TLVar("x")), CtorApp("K_A", ())))
     assert tl.validate_program(ok) == []
+
+
+def _k(ctor, *args):
+    return CtorApp(ctor, args)
+
+
+def test_validate_problem_lists_are_pinned():
+    # Each program with the exact problem list, in order: structural
+    # problems in pre-order, then sorted free variables, then sorted unbound
+    # method variables, for main and then each binding.
+    table = [
+        (tl.TLProgram((), _k("Tup2", TLInt(1))),
+         ["main: tuple constructor Tup2 used with arity 1"]),
+        (tl.TLProgram((), _k("K_A", _k("K_A"))),
+         ["main: constructor K_A used with arity 0 and 1"]),
+        (tl.TLProgram((), Case(_k("K_A"), (Clause(Pattern("K_A", ()), TLInt(1)),
+                                           Clause(Pattern("K_B", ()), TLInt(2)),
+                                           Clause(Pattern("K_A", ()), TLInt(3))))),
+         ["main: duplicate clause constructors ['K_A', 'K_B', 'K_A']"]),
+        (tl.TLProgram((), Case(_k("K_A", TLInt(1), TLInt(2)),
+                               (Clause(Pattern("K_A", ("x", "x")), TLVar("x")),))),
+         ["main: non-linear pattern Pattern(ctor='K_A', vars=('x', 'x'))"]),
+        # Bound by a lambda in one subterm, free in its sibling.
+        (tl.TLProgram((), App(Lam("x", TLVar("x")), TLVar("x"))),
+         ["main: free variable x"]),
+        # A pattern variable used outside its clause.
+        (tl.TLProgram((), Case(_k("K_A", TLInt(1)),
+                               (Clause(Pattern("K_A", ("y",)), TLVar("y")),
+                                Clause(Pattern("K_B", ()), TLVar("y"))))),
+         ["main: free variable y"]),
+        (tl.TLProgram((("f", Lam("x", App(MethodVar("g"), TLVar("x")))),),
+                      App(MethodVar("f"), TLInt(0))),
+         ["f: unbound method variable g"]),
+        # All kinds at once; constructor arities carry over between bindings.
+        (tl.TLProgram(
+            (("f", Lam("x", Case(TLVar("x"), (
+                Clause(Pattern("K_A", ("a", "a")), App(MethodVar("h"), TLVar("z"))),
+                Clause(Pattern("K_A", ()), TLVar("a")))))),),
+            TLPrim("&&", App(MethodVar("g"), _k("Tup1", TLVar("w"), TLVar("b"))),
+                   App(Lam("b", TLVar("b")), _k("K_A", TLVar("b"), _k("Tup0"))))),
+         ["main: tuple constructor Tup1 used with arity 2",
+          "main: free variable b",
+          "main: free variable w",
+          "main: unbound method variable g",
+          "f: duplicate clause constructors ['K_A', 'K_A']",
+          "f: non-linear pattern Pattern(ctor='K_A', vars=('a', 'a'))",
+          "f: constructor K_A used with arity 0 and 2",
+          "f: free variable a",
+          "f: free variable z",
+          "f: unbound method variable h"]),
+    ]
+    assert [tl.validate_program(prog) for prog, _ in table] == \
+        [expected for _, expected in table]
+
+
+def test_validate_is_stack_safe():
+    deep = _k("K_Z")
+    for _ in range(20000):
+        deep = CtorApp("K_S", (deep,))
+    problems = tl.validate_program(tl.TLProgram((), deep))
+    assert problems == []
 
 
 def test_beta_costs_one_step():
@@ -101,6 +155,13 @@ def test_prim_eval():
     e = TLPrim("||", TLPrim("==", TLInt(1), TLInt(2)), TLBool(True))
     out = tl_interp.tl_eval({}, e, 10)
     assert out == tl_interp.Value(TLBool(True), 2)
+
+
+def test_values_and_stuck_terms_do_not_step():
+    for v in (CtorApp("K_A", (TLInt(1),)), Lam("x", TLVar("x"))):
+        assert tl_interp.tl_step({}, v) == tl_interp.Value(v, 0)
+    r = tl_interp.tl_step({}, App(TLInt(1), TLInt(2)))
+    assert r == tl_interp.StuckOutcome(tl_interp.NON_FUNCTION, "applying non-function 1", 0)
 
 
 def test_determinism():
