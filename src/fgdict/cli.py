@@ -157,7 +157,7 @@ def _cmd_run_fg(args):
 def _cmd_run_tl(args):
     with open(args.file, encoding="utf-8") as f:
         text = f.read()
-    prog = tl.parse_program(text)
+    prog = tl.parse_program(text, filename=args.file)
     problems = tl.validate_program(prog)
     if problems:
         for msg in problems:

@@ -1,8 +1,12 @@
-"""Source spans and diagnostics shared by the parser, checker and translator."""
+"""Source spans and diagnostics shared by the parsers, checker and
+translator, and the token reader both parsers are built on."""
 
 from __future__ import annotations
 
+import bisect
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -62,3 +66,65 @@ class FgError(Exception):
             diagnostics = [diagnostics]
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(str(d) for d in self.diagnostics))
+
+
+class TokenReader:
+    """The tokens of one source text and a cursor over them.
+
+    `token_re` has one named group per token kind and must match at every
+    offset; a match of its `bad` group is a lexical error, and `ws` matches
+    are dropped.  A token is (kind, text, offset); the last is
+    ("eof", "", len(text)).  Line and column are worked out only when a span
+    is asked for.
+    """
+
+    def __init__(self, token_re, text, filename="<input>"):
+        self.text = text
+        self.filename = filename
+        self.tokens = tokens = []
+        for m in token_re.finditer(text):
+            kind = m.lastgroup
+            if kind != "ws":
+                tokens.append((kind, m.group(), m.start()))
+                if kind == "bad":
+                    self.fail(f"unexpected character {m.group()!r}", tokens[-1])
+        tokens.append(("eof", "", len(text)))
+        self.i = 0
+        self.cur = tokens[0]
+
+    @cached_property
+    def _line_starts(self):
+        return [0] + [m.end() for m in re.finditer("\n", self.text)]
+
+    def span(self, tok):
+        kind, text, start = tok
+        line = bisect.bisect_right(self._line_starts, start)
+        column = start - self._line_starts[line - 1] + 1
+        return SourceSpan(self.filename, start, start + len(text), line, column)
+
+    def advance(self):
+        tok = self.cur
+        self.i += 1
+        self.cur = self.tokens[self.i]
+        return tok
+
+    def at(self, text):
+        return self.cur[1] == text  # the eof token's text is ""
+
+    def accept(self, text):
+        if self.cur[1] == text:
+            self.advance()
+            return True
+        return False
+
+    def expect(self, text):
+        if self.cur[1] != text:
+            self.fail_found(f"expected {text!r}")
+        return self.advance()
+
+    def fail(self, msg, tok=None):
+        """Raise a syntax error at `tok`, by default the current token."""
+        raise FgError(Diagnostic(SYNTAX, msg, self.span(tok or self.cur)))
+
+    def fail_found(self, msg):
+        self.fail(f"{msg}, found {self.cur[1]!r}")

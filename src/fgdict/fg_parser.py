@@ -13,11 +13,11 @@ import re
 import sys
 
 from . import fg_ast as fg
-from .diagnostics import SYNTAX, Diagnostic, FgError, SourceSpan
+from .diagnostics import TokenReader
 
-# The parser, the printer and the translation recurse once per level of
-# expression nesting; Python's default limit fails on a numeral a few
-# hundred levels deep.
+# Both parsers, `subst_expr`, the translator and the TL printer recurse once
+# per level of expression nesting; Python's default limit fails on a numeral
+# a few hundred levels deep.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 8000))
 
 KEYWORDS = {"type", "struct", "interface", "func", "return", "main", "var", "package"}
@@ -29,94 +29,32 @@ _TOKEN_RE = re.compile(
     | (?P<num>\d+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<op>==|&&|\|\||[{}().,;<=])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-
-class Token:
-    __slots__ = ("kind", "text", "span")
-
-    def __init__(self, kind, text, span):
-        self.kind = kind  # 'num' | 'ident' | 'op' | 'eof'
-        self.text = text
-        self.span = span
-
-    def __repr__(self):
-        return f"Token({self.kind!r}, {self.text!r})"
+# Binary operators by precedence; the comparisons (== and <) do not chain.
+_PREC = {"||": 1, "&&": 2, "==": 3, "<": 3}
+_PREC_CMP, _PREC_POSTFIX = 3, 4
 
 
-def _lex(text, filename):
-    tokens = []
-    pos = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            span = SourceSpan(filename, pos, pos + 1, line, pos - line_start + 1)
-            raise FgError(Diagnostic(SYNTAX, f"unexpected character {text[pos]!r}", span))
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind != "ws":
-            span = SourceSpan(filename, pos, m.end(), line, pos - line_start + 1)
-            tokens.append(Token(kind, chunk, span))
-        nl = chunk.count("\n")
-        if nl:
-            line += nl
-            line_start = pos + chunk.rfind("\n") + 1
-        pos = m.end()
-    tokens.append(Token("eof", "", SourceSpan(filename, n, n, line, n - line_start + 1)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens, mode, filename):
-        self.tokens = tokens
-        self.i = 0
+class _Parser(TokenReader):
+    def __init__(self, text, mode, filename):
+        super().__init__(_TOKEN_RE, text, filename)
         self.mode = mode
-        self.filename = filename
-
-    # -- token helpers
-
-    @property
-    def cur(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.cur
-        self.i += 1
-        return tok
-
-    def fail(self, msg, span=None):
-        raise FgError(Diagnostic(SYNTAX, msg, span or self.cur.span))
-
-    def expect(self, text):
-        if self.cur.text != text or self.cur.kind == "eof":
-            self.fail(f"expected {text!r}, found {self.cur.text!r}")
-        return self.advance()
-
-    def at(self, text):
-        return self.cur.kind != "eof" and self.cur.text == text
-
-    def accept(self, text):
-        if self.at(text):
-            self.advance()
-            return True
-        return False
 
     def ident(self, what="identifier"):
-        tok = self.cur
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            self.fail(f"expected {what}, found {tok.text!r}")
-        if tok.text.startswith("_"):
-            self.fail(f"identifiers starting with '_' are reserved, found {tok.text!r}")
-        if tok.text in fg.PRIMITIVES and self.mode == fg.CORE:
-            self.fail(f"{tok.text} requires extension mode")
-        if tok.text in EXT_KEYWORDS and self.mode == fg.EXT:
-            self.fail(f"expected {what}, found {tok.text!r}")
-        return self.advance().text
+        kind, text, _ = self.cur
+        if kind != "ident" or text in KEYWORDS or \
+                (text in EXT_KEYWORDS and self.mode == fg.EXT):
+            self.fail_found(f"expected {what}")
+        if text.startswith("_"):
+            self.fail_found("identifiers starting with '_' are reserved")
+        if text in fg.PRIMITIVES and self.mode == fg.CORE:
+            self.fail(f"{text} requires extension mode")
+        self.advance()
+        return text
 
     def type_name(self):
         return self.ident("type name")
@@ -129,7 +67,7 @@ class _Parser:
             self.accept(";")
         decls = []
         main = None
-        while self.cur.kind != "eof":
+        while self.cur[0] != "eof":
             if self.at("type"):
                 decls.append(self.type_decl())
             elif self.at("func"):
@@ -142,12 +80,12 @@ class _Parser:
                 self.fail("expected declaration")
         if main is None:
             self.fail("missing func main")
-        if self.cur.kind != "eof":
+        if self.cur[0] != "eof":
             self.fail("trailing input after func main")
         return fg.Program(tuple(decls), main, self.mode)
 
     def type_decl(self):
-        start = self.expect("type").span
+        start = self.span(self.expect("type"))
         name = self.type_name()
         if self.accept("struct"):
             lit = self.struct_literal()
@@ -165,7 +103,7 @@ class _Parser:
             t = self.type_name()
             fields.append((f, t))
             if not (self.accept(";") or self.accept(",")):
-                if not self.at("}") and self.cur.kind != "ident":
+                if not self.at("}") and self.cur[0] != "ident":
                     self.fail("expected field declaration or '}'")
         self.expect("}")
         return fg.StructType(tuple(fields))
@@ -195,7 +133,7 @@ class _Parser:
         return fg.MethodSig(tuple(params), ret)
 
     def func_decl(self):
-        start = self.expect("func").span
+        start = self.span(self.expect("func"))
         if self.at("main"):
             self.advance()
             self.expect("(")
@@ -245,51 +183,35 @@ class _Parser:
             e = subst_expr(e, x, rhs)
         return e
 
-    # -- expressions (precedence: || < && < (==|<) < postfix)
+    # -- expressions: binary operators by _PREC, then postfix
 
-    def expr(self):
-        e = self.and_expr()
-        while self.at("||"):
-            op = self.advance()
-            self.check_ext(op)
-            e = fg.BinOp("||", e, self.and_expr(), span=op.span)
-        return e
-
-    def and_expr(self):
-        e = self.cmp_expr()
-        while self.at("&&"):
-            op = self.advance()
-            self.check_ext(op)
-            e = fg.BinOp("&&", e, self.cmp_expr(), span=op.span)
-        return e
-
-    def cmp_expr(self):
+    def expr(self, min_prec=1):
         e = self.postfix_expr()
-        if self.at("==") or self.at("<"):
+        first = True
+        while (prec := _PREC.get(self.cur[1], 0)) >= min_prec and \
+                (first or prec != _PREC_CMP):
             op = self.advance()
-            self.check_ext(op)
-            e = fg.BinOp(op.text, e, self.postfix_expr(), span=op.span)
+            if self.mode != fg.EXT:
+                self.fail(f"operator {op[1]!r} requires extension mode", op)
+            e = fg.BinOp(op[1], e, self.expr(prec + 1), span=self.span(op))
+            first = False
         return e
-
-    def check_ext(self, tok):
-        if self.mode != fg.EXT:
-            self.fail(f"operator {tok.text!r} requires extension mode", tok.span)
 
     def postfix_expr(self):
         e = self.primary_expr()
         while self.at("."):
-            dot = self.advance()
+            dot = self.span(self.advance())
             if self.accept("("):
                 t = self.type_name()
                 self.expect(")")
-                e = fg.Assert(e, t, span=dot.span)
+                e = fg.Assert(e, t, span=dot)
             else:
                 name = self.ident("field or method name")
                 if self.accept("("):
                     args = self.call_args()
-                    e = fg.Call(e, name, tuple(args), span=dot.span)
+                    e = fg.Call(e, name, tuple(args), span=dot)
                 else:
-                    e = fg.Select(e, name, span=dot.span)
+                    e = fg.Select(e, name, span=dot)
         return e
 
     def call_args(self):
@@ -303,19 +225,20 @@ class _Parser:
 
     def primary_expr(self):
         tok = self.cur
-        if tok.kind == "num":
+        kind, text, _ = tok
+        if kind == "num":
             self.advance()
             if self.mode != fg.EXT:
-                self.fail("int literals require extension mode", tok.span)
-            return fg.IntLit(int(tok.text), span=tok.span)
-        if tok.text in ("true", "false") and self.mode == fg.EXT:
+                self.fail("int literals require extension mode", tok)
+            return fg.IntLit(int(text), span=self.span(tok))
+        if text in EXT_KEYWORDS and self.mode == fg.EXT:
             self.advance()
-            return fg.BoolLit(tok.text == "true", span=tok.span)
+            return fg.BoolLit(text == "true", span=self.span(tok))
         if self.accept("("):
             e = self.expr()
             self.expect(")")
             return e
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
+        if kind == "ident" and text not in KEYWORDS:
             name = self.ident()
             if self.accept("{"):
                 args = []
@@ -324,9 +247,9 @@ class _Parser:
                     if not self.accept(","):
                         break
                 self.expect("}")
-                return fg.StructLit(name, tuple(args), span=tok.span)
-            return fg.Var(name, span=tok.span)
-        self.fail(f"expected expression, found {tok.text!r}")
+                return fg.StructLit(name, tuple(args), span=self.span(tok))
+            return fg.Var(name, span=self.span(tok))
+        self.fail_found("expected expression")
 
 
 def subst_expr(e, x, replacement):
@@ -352,14 +275,13 @@ def subst_expr(e, x, replacement):
 def parse_program(text, mode=fg.CORE, filename="<input>"):
     """Parse FG source text into a Program.  Raises FgError with span-carrying
     diagnostics on lexical or syntactic failure."""
-    tokens = _lex(text, filename)
-    return _Parser(tokens, mode, filename).program()
+    return _Parser(text, mode, filename).program()
 
 
 def parse_expr(text, mode=fg.CORE, filename="<input>"):
-    p = _Parser(_lex(text, filename), mode, filename)
+    p = _Parser(text, mode, filename)
     e = p.expr()
-    if p.cur.kind != "eof":
+    if p.cur[0] != "eof":
         p.fail("trailing input after expression")
     return e
 
@@ -367,34 +289,60 @@ def parse_expr(text, mode=fg.CORE, filename="<input>"):
 # ---------------------------------------------------------------------------
 # Canonical printer
 
-_PREC_OR, _PREC_AND, _PREC_CMP, _PREC_POSTFIX = 1, 2, 3, 4
-
-
 def print_expr(e, prec=0):
-    if isinstance(e, fg.Var):
-        return e.name
-    if isinstance(e, fg.IntLit):
-        return str(e.value)
-    if isinstance(e, fg.BoolLit):
-        return "true" if e.value else "false"
-    if isinstance(e, fg.StructLit):
-        return f"{e.type_name}{{{', '.join(print_expr(a) for a in e.args)}}}"
-    if isinstance(e, fg.Select):
-        return f"{print_expr(e.recv, _PREC_POSTFIX)}.{e.fld}"
-    if isinstance(e, fg.Call):
-        args = ", ".join(print_expr(a) for a in e.args)
-        return f"{print_expr(e.recv, _PREC_POSTFIX)}.{e.method}({args})"
-    if isinstance(e, fg.Assert):
-        return f"{print_expr(e.expr, _PREC_POSTFIX)}.({e.type_name})"
-    if isinstance(e, fg.BinOp):
-        mine = {"||": _PREC_OR, "&&": _PREC_AND, "==": _PREC_CMP, "<": _PREC_CMP}[e.op]
-        # == and < are non-associative: operands print at postfix level.
-        sub = mine + 1 if e.op in ("==", "<") else mine
-        left = print_expr(e.left, sub if e.op in ("==", "<") else mine)
-        right = print_expr(e.right, sub if e.op in ("==", "<") else mine + 1)
-        s = f"{left} {e.op} {right}"
-        return f"({s})" if mine < prec else s
-    raise TypeError(f"not an FG expression: {e!r}")
+    """Canonical text of an expression printed where the context binds at
+    `prec`.  The stack holds text still to be written and (expression,
+    precedence) pairs still to be printed, so values of any depth print."""
+    out = []
+    stack = [(e, prec)]
+    push = stack.append
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        e, prec = item
+        if isinstance(e, fg.Var):
+            out.append(e.name)
+        elif isinstance(e, fg.StructLit):
+            out.append(f"{e.type_name}{{")
+            push("}")
+            _push_args(push, e.args)
+        elif isinstance(e, fg.Call):
+            push(")")
+            _push_args(push, e.args)
+            push(f".{e.method}(")
+            push((e.recv, _PREC_POSTFIX))
+        elif isinstance(e, fg.Select):
+            push(f".{e.fld}")
+            push((e.recv, _PREC_POSTFIX))
+        elif isinstance(e, fg.Assert):
+            push(f".({e.type_name})")
+            push((e.expr, _PREC_POSTFIX))
+        elif isinstance(e, fg.BinOp):
+            mine = _PREC[e.op]
+            if mine < prec:
+                out.append("(")
+                push(")")
+            push((e.right, mine + 1))
+            push(f" {e.op} ")
+            # Comparisons do not chain: their left operand binds tighter too.
+            push((e.left, mine + 1 if mine == _PREC_CMP else mine))
+        elif isinstance(e, fg.IntLit):
+            out.append(str(e.value))
+        elif isinstance(e, fg.BoolLit):
+            out.append("true" if e.value else "false")
+        else:
+            raise TypeError(f"not an FG expression: {e!r}")
+    return "".join(out)
+
+
+def _push_args(push, args):
+    """Push comma-separated arguments so that they pop in order."""
+    for i in range(len(args) - 1, -1, -1):
+        push((args[i], 0))
+        if i:
+            push(", ")
 
 
 def _print_sig(sig):

@@ -18,6 +18,8 @@ from . import fg_ast as fg
 from .diagnostics import FgError
 from .translate import translate_program
 
+ASSERT_PROBABILITY = 0.3
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -27,16 +29,12 @@ class GenConfig:
     max_methods_per_iface: int = 2
     max_fields: int = 3
     expr_depth: int = 4
-    assert_probability: float = 0.3
     mode: str = fg.CORE
-    allow_unimplemented: bool = False
 
     def __post_init__(self):
         if min(self.max_structs, self.max_ifaces + 1, self.max_methods_per_iface,
                self.max_fields + 1, self.expr_depth + 1) < 1:
             raise ValueError("generator bounds must be >= 1")
-        if not 0.0 <= self.assert_probability <= 1.0:
-            raise ValueError("assert_probability must be within [0, 1]")
 
 
 class _Gen:
@@ -53,8 +51,6 @@ class _Gen:
         n_ifaces = rng.randint(min(1, cfg.max_ifaces), cfg.max_ifaces)
         self.ifaces = [f"I{i}" for i in range(n_ifaces)]
         self.prims = (fg.INT, fg.BOOL) if self.ext else ()
-        self.unimpl = {I for I in self.ifaces
-                       if cfg.allow_unimplemented and rng.random() < 0.3}
 
         self._gen_templates()
         self._gen_iface_defs()
@@ -69,14 +65,13 @@ class _Gen:
         # index, so evaluation always terminates.
         self.call_ceiling = len(self.templates)
         main = self.gen_expr(
-            {}, rng.choice(self.structs + self._inhabited_ifaces()), cfg.expr_depth)
+            {}, rng.choice(self.structs + self.ifaces), cfg.expr_depth)
         return fg.Program(tuple(decls), main, cfg.mode)
 
     # -- declaration skeleton ---------------------------------------------
 
     def _sig_types(self):
-        usable = [I for I in self.ifaces if I not in self.unimpl]
-        return self.structs + usable + list(self.prims)
+        return self.structs + self.ifaces + list(self.prims)
 
     def _gen_templates(self):
         rng = self.rng
@@ -88,8 +83,7 @@ class _Gen:
             for j in range(n_params):
                 # Bias parameters toward interface types so interface-receiver
                 # calls show up in bodies.
-                pool = [I for I in self.ifaces if I not in self.unimpl] * 3 \
-                    + self._sig_types()
+                pool = self.ifaces * 3 + self._sig_types()
                 params.append((f"p{j}", rng.choice(pool)))
             ret = rng.choice(self._sig_types())
             self.templates.append(fg.MethodSpec(f"m{i}", fg.MethodSig(tuple(params), ret)))
@@ -107,15 +101,13 @@ class _Gen:
     def _gen_iface_defs(self):
         rng = self.rng
         self.iface_defs = {}
+        # Every template has a receiver, so some struct owns methods, and each
+        # interface is implemented at least by the struct its specs come from.
         owners = [s for s in self.structs if self.impls[s]]
         for name in self.ifaces:
-            if name in self.unimpl or not owners:
-                # Deliberately unimplementable: a spec matching no template.
-                specs = (fg.MethodSpec("never", fg.MethodSig((), rng.choice(self.structs))),)
-            else:
-                owned = self.impls[rng.choice(owners)]
-                k = rng.randint(1, min(len(owned), self.cfg.max_methods_per_iface))
-                specs = tuple(self.templates[i] for i in sorted(rng.sample(owned, k)))
+            owned = self.impls[rng.choice(owners)]
+            k = rng.randint(1, min(len(owned), self.cfg.max_methods_per_iface))
+            specs = tuple(self.templates[i] for i in sorted(rng.sample(owned, k)))
             self.iface_defs[name] = fg.InterfaceType(specs)
 
     def _gen_fields(self):
@@ -142,9 +134,6 @@ class _Gen:
                 decls.append(fg.MethodDecl("this", s, spec.name, spec.sig,
                                            fg.Var("this")))
         self.table = fg.Decls(decls, self.cfg.mode)
-
-    def _inhabited_ifaces(self):
-        return [I for I in self.ifaces if self.table.implementers[I]]
 
     def _declarations(self):
         """The table's declarations, with a generated body for each method."""
@@ -179,9 +168,8 @@ class _Gen:
         if kind == "struct":
             opts.append(("literal", want))
         elif kind == "interface":
-            impls = self.table.implementers[want]
-            if impls and depth > 0:
-                opts.append(("literal", rng.choice(impls)))
+            if depth > 0:
+                opts.append(("literal", rng.choice(self.table.implementers[want])))
             for I in self.ifaces:
                 if I != want and self._subtype(I, want):
                     for x, t in env.items():
@@ -206,15 +194,14 @@ class _Gen:
                 for f, t in self.fields[s]:
                     if self._fits(t, want, kind):
                         opts.append(("select", s, f))
-            if rng.random() < self.cfg.assert_probability:
+            if rng.random() < ASSERT_PROBABILITY:
                 if kind == "struct":
                     sources = [I for I in self.ifaces
                                if self._subtype(want, I) and
                                self._exact_iface_opts(env, I, depth - 1)]
                 elif kind == "interface":
                     sources = [I for I in self.ifaces
-                               if I != want and self.table.implementers[I] and
-                               self._exact_iface_opts(env, I, depth - 1)]
+                               if I != want and self._exact_iface_opts(env, I, depth - 1)]
                 else:
                     sources = []
                 if sources:

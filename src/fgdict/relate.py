@@ -131,9 +131,17 @@ def diff_run(prog: fg.Program, fuel=DEFAULT_EVAL_FUEL,
     fg_stuck = isinstance(fg_out, StuckOutcome)
     tl_stuck = isinstance(tl_out, StuckOutcome)
     if fg_stuck and tl_stuck:
-        return Verdict(BOTH_STUCK, main_type=res.main_type,
+        # A well-typed FG program gets stuck only at a failed type
+        # assertion, which the translation turns into a failed match.
+        if (fg_out.reason, tl_out.reason) == (fg_interp.ASSERT_FAILURE,
+                                              tl_interp.MATCH_FAILURE):
+            kind, detail = BOTH_STUCK, None
+        else:
+            kind = DISAGREE
+            detail = f"both sides stuck: fg {fg_out.reason}, tl {tl_out.reason}"
+        return Verdict(kind, main_type=res.main_type,
                        fg_reason=fg_out.reason, tl_reason=tl_out.reason,
-                       fg_steps=fg_out.steps, tl_steps=tl_out.steps)
+                       fg_steps=fg_out.steps, tl_steps=tl_out.steps, detail=detail)
     if fg_stuck != tl_stuck:
         stuck = "FG" if fg_stuck else "TL"
         return Verdict(DISAGREE, main_type=res.main_type,

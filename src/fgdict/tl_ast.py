@@ -27,7 +27,7 @@ import re
 
 from dataclasses import dataclass
 
-from .diagnostics import DUP_BINDING, SYNTAX, Diagnostic, FgError
+from .diagnostics import DUP_BINDING, Diagnostic, FgError, TokenReader
 
 MAX_TUPLE = 32
 
@@ -239,7 +239,9 @@ def validate_program(prog: TLProgram):
 # ---------------------------------------------------------------------------
 # Printer
 
-_PREC_LOW, _PREC_OR, _PREC_AND, _PREC_CMP, _PREC_APP, _PREC_ATOM = 0, 1, 2, 3, 4, 5
+# Binary operators by precedence; the comparisons (== and <) do not chain.
+_PREC = {"||": 1, "&&": 2, "==": 3, "<": 3}
+_PREC_LOW, _PREC_CMP, _PREC_APP, _PREC_ATOM = 0, 3, 4, 5
 
 
 def _print(e, prec):
@@ -272,12 +274,10 @@ def _print(e, prec):
             f"case {_print(e.scrut, _PREC_LOW)} of {{ }}"
         return f"({s})" if prec > _PREC_LOW else s
     if isinstance(e, TLPrim):
-        mine = {"||": _PREC_OR, "&&": _PREC_AND, "==": _PREC_CMP, "<": _PREC_CMP}[e.op]
-        if e.op in ("==", "<"):
-            left, right = _print(e.left, mine + 1), _print(e.right, mine + 1)
-        else:
-            left, right = _print(e.left, mine), _print(e.right, mine + 1)
-        s = f"{left} {e.op} {right}"
+        mine = _PREC[e.op]
+        # Comparisons do not chain: their left operand binds tighter too.
+        left = _print(e.left, mine + 1 if mine == _PREC_CMP else mine)
+        s = f"{left} {e.op} {_print(e.right, mine + 1)}"
         return f"({s})" if prec > mine else s
     raise TypeError(f"not a TL expression: {e!r}")
 
@@ -328,50 +328,16 @@ def _is_ctor_name(name):
     return name.startswith("K_") or tuple_arity(name) is not None
 
 
-class _TLParser:
-    def __init__(self, text):
-        self.tokens = []
-        for m in _TL_TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            if kind == "bad":
-                raise FgError(Diagnostic(
-                    SYNTAX, f"unexpected character {m.group()!r} at offset {m.start()}"))
-            if kind != "ws":
-                self.tokens.append((kind, m.group()))
-        self.tokens.append(("eof", ""))
-        self.i = 0
+class _TLParser(TokenReader):
+    def __init__(self, text, filename="<input>"):
+        super().__init__(_TL_TOKEN_RE, text, filename)
         self.let_bound = set()
         self.fresh = 0
 
-    @property
-    def cur(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        t = self.cur
-        self.i += 1
-        return t
-
-    def fail(self, msg):
-        raise FgError(Diagnostic(SYNTAX, f"{msg}, found {self.cur[1]!r}"))
-
-    def at(self, text):
-        return self.tokens[self.i][1] == text  # the eof token's text is ""
-
-    def accept(self, text):
-        if self.tokens[self.i][1] == text:
-            self.i += 1
-            return True
-        return False
-
-    def expect(self, text):
-        if not self.accept(text):
-            self.fail(f"expected {text!r}")
-
     def ident(self):
-        kind, text = self.cur
+        kind, text, _ = self.cur
         if kind != "ident" or text in _TL_KEYWORDS:
-            self.fail("expected identifier")
+            self.fail_found("expected identifier")
         self.advance()
         return text
 
@@ -394,14 +360,14 @@ class _TLParser:
                 self.expect("=")
                 e = self.expr(())
                 if not isinstance(e, Lam):
-                    self.fail(f"binding {name} must be a lambda")
+                    self.fail_found(f"binding {name} must be a lambda")
                 bindings.append((name, e))
                 if not self.accept(";"):
                     break
             self.expect("in")
         main = self.expr(())
         if self.cur[0] != "eof":
-            self.fail("trailing input")
+            self.fail_found("trailing input")
         return TLProgram(tuple(bindings), main)
 
     def expr(self, scope):
@@ -409,7 +375,7 @@ class _TLParser:
             return self.lam(scope)
         if self.at("case"):
             return self.case(scope)
-        return self.or_expr(scope)
+        return self.binary(scope, 1)
 
     def lam(self, scope):
         if self.at("("):
@@ -453,30 +419,21 @@ class _TLParser:
             return Pattern(tuple_ctor(len(vars_)), tuple(vars_))
         name = self.ident()
         if not _is_ctor_name(name):
-            self.fail(f"expected constructor pattern, got {name!r}")
+            self.fail_found(f"expected constructor pattern, got {name!r}")
         vars_ = []
         while self.cur[0] == "ident" and self.cur[1] not in _TL_KEYWORDS and \
                 not _is_ctor_name(self.cur[1]):
             vars_.append(self.ident())
         return Pattern(name, tuple(vars_))
 
-    def or_expr(self, scope):
-        e = self.and_expr(scope)
-        while self.accept("||"):
-            e = TLPrim("||", e, self.and_expr(scope))
-        return e
-
-    def and_expr(self, scope):
-        e = self.cmp_expr(scope)
-        while self.accept("&&"):
-            e = TLPrim("&&", e, self.cmp_expr(scope))
-        return e
-
-    def cmp_expr(self, scope):
+    def binary(self, scope, min_prec):
         e = self.app_expr(scope)
-        if self.at("==") or self.at("<"):
+        first = True
+        while (prec := _PREC.get(self.cur[1], 0)) >= min_prec and \
+                (first or prec != _PREC_CMP):
             op = self.advance()[1]
-            e = TLPrim(op, e, self.app_expr(scope))
+            e = TLPrim(op, e, self.binary(scope, prec + 1))
+            first = False
         return e
 
     def app_expr(self, scope):
@@ -492,7 +449,7 @@ class _TLParser:
         return head
 
     def _at_atom(self):
-        kind, text = self.cur
+        kind, text, _ = self.cur
         if kind in ("num",):
             return True
         if kind == "ident":
@@ -500,7 +457,7 @@ class _TLParser:
         return text == "(" or text == "\\"
 
     def atom(self, scope):
-        kind, text = self.cur
+        kind, text, _ = self.cur
         if kind == "num":
             self.advance()
             return TLInt(int(text))
@@ -533,11 +490,13 @@ class _TLParser:
             if name in self.let_bound:
                 return MethodVar(name)
             return TLVar(name)
-        self.fail("expected expression")
+        self.fail_found("expected expression")
 
 
-def parse_program(text: str) -> TLProgram:
-    return _TLParser(text).program()
+def parse_program(text: str, filename="<input>") -> TLProgram:
+    """Parse TL text.  Raises FgError with a span-carrying diagnostic on
+    lexical or syntactic failure."""
+    return _TLParser(text, filename).program()
 
 
 def parse_expr(text: str, let_bound=()):
@@ -545,5 +504,5 @@ def parse_expr(text: str, let_bound=()):
     p.let_bound = set(let_bound)
     e = p.expr(())
     if p.cur[0] != "eof":
-        p.fail("trailing input")
+        p.fail_found("trailing input")
     return e

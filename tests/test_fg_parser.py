@@ -1,5 +1,10 @@
 """Source parser and canonical printer."""
 
+import dataclasses
+import glob
+import hashlib
+import random
+
 import pytest
 
 from fgdict import fg_ast as fg
@@ -37,6 +42,32 @@ def test_expr_precedence_in_ext_mode():
     assert isinstance(e.left.left, fg.BinOp) and e.left.left.op == "=="
 
 
+# The same operator strings as in test_tl.py, with the same shapes.
+OPERATOR_SHAPES = [
+    ("a || b && c", "(a || (b && c))"),
+    ("a && b || c", "((a && b) || c)"),
+    ("a || b || c", "((a || b) || c)"),
+    ("a && b && c", "((a && b) && c)"),
+    ("a == b && c < d", "((a == b) && (c < d))"),
+    ("a < b || c == d && e", "((a < b) || ((c == d) && e))"),
+    ("(a || b) && c", "((a || b) && c)"),
+    ("a == (b == c)", "(a == (b == c))"),
+]
+
+
+def _shape(e):
+    if isinstance(e, fg.BinOp):
+        return f"({_shape(e.left)} {e.op} {_shape(e.right)})"
+    return e.name
+
+
+@pytest.mark.parametrize("text, shape", OPERATOR_SHAPES)
+def test_operator_precedence(text, shape):
+    e = parse_expr(text, mode=fg.EXT)
+    assert _shape(e) == shape
+    assert parse_expr(print_expr(e), mode=fg.EXT) == e
+
+
 def test_postfix_chain():
     e = parse_expr("a.f.m(b).(I)")
     assert isinstance(e, fg.Assert)
@@ -47,6 +78,9 @@ def test_postfix_chain():
 def test_comparison_is_non_associative():
     with pytest.raises(FgError):
         parse_expr("1 < 2 < 3", mode=fg.EXT)
+    with pytest.raises(FgError) as ei:
+        parse_expr("a == b == c", mode=fg.EXT)
+    assert str(ei.value.diagnostics[0].span) == "<input>:1:8"
 
 
 def test_underscore_identifiers_rejected():
@@ -107,3 +141,93 @@ def test_roundtrip_on_generated_ext_programs():
     for seed in range(50):
         prog = gen_program(GenConfig(seed=seed, mode=fg.EXT))
         assert parse_program(print_program(prog), mode=fg.EXT) == prog
+
+
+# sha256 over `_front_end_records`, recorded before both parsers shared one
+# token reader.
+FRONT_END_DIGEST = "4f827f3dbb75d14cbf97dcdd3acbcf1e0c3b5b54956dea47706733154845d097"
+
+ERROR_INPUTS = [
+    "type A struct {} func main() { _ = A{} } $",
+    "type A struct {}\nfunc main() {\n  _ = A{}.\n}",
+    "type A struct {}\n// comment\n\tfunc main() { _ = 1 == 2 == 3 }",
+    "type A struct {} func main() { _ = a || b == c == d }",
+    "type A struct {} func main() { _ = a < b < c }",
+    "type A struct {} func main() { _ = a && b }",
+    "type A struct {} func main() { _ = A{}.(A }",
+    "type A struct {} func main() { _ = A{} ",
+    "type A struct {} func main() { _ = A{} } trailing",
+    "type A struct {}",
+    "type _A struct {} func main() { _ = A{} }",
+    "type A blob {} func main() { _ = A{} }",
+    "type A struct { x A y } func main() { _ = A{} }",
+    "type A struct { x A; ; } func main() { _ = A{} }",
+    "type I interface { m(x A, ) A } func main() { _ = A{} }",
+    "func (this A) m() A { this } func main() { _ = A{} }",
+    "func (this A) m() A { return this.() } func main() { _ = A{} }",
+    "type A struct {} func main() { var x A = A{}; _ = x }",
+    "type A struct {} func main() { var int A = A{}; _ = int }",
+    "type A struct {} func main() { var true A = A{}; _ = true }",
+    "type A struct {} func main() { return A{} }",
+    "type A struct {} func main() { _ = (A{} }",
+    "type A struct {} func main() { _ = A{,} }",
+    "type A struct {} func main() { _ = A{}.m(,) }",
+    "package main; package main",
+    "package main\n\n\n  ;type A struct {} func main() { _ = 12 }",
+    "type A struct {} func main() { _ = A{} == }",
+    "type A struct {} func main() { _ = é }",
+    "type A struct {} func main() {\r\n _ = A{}\r\n}\r\n @",
+    "type A struct {} func main() { _ = A{}.f.g(x).(I) || (true && false) }",
+]
+
+
+def _dump(node):
+    """Every field of a parse tree, spans included."""
+    if dataclasses.is_dataclass(node):
+        inner = ", ".join(f"{f.name}={_dump(getattr(node, f.name))}"
+                          for f in dataclasses.fields(node))
+        return f"{type(node).__name__}({inner})"
+    if isinstance(node, tuple):
+        return "(" + ", ".join(_dump(x) for x in node) + ")"
+    return repr(node)
+
+
+def _mutants(name, text):
+    """Two one-character edits of `text`: a deletion and an insertion."""
+    rng = random.Random(name)
+    i, j = rng.randrange(len(text)), rng.randrange(len(text) + 1)
+    yield f"{name}-del", text[:i] + text[i + 1:]
+    yield f"{name}-ins", text[:j] + rng.choice("{}().,;<=|&_$ \nx1") + text[j:]
+
+
+def _front_end_texts():
+    texts = []
+    for path in sorted(glob.glob("corpus/**/*.fg", recursive=True)) + \
+            sorted(glob.glob("bench/ladder/*.fg")):
+        with open(path, encoding="utf-8") as f:
+            texts.append((path, f.read()))
+    for mode in (fg.CORE, fg.EXT):
+        for seed in range(300):
+            texts.append((f"gen-{mode}-{seed}",
+                          print_program(gen_program(GenConfig(seed=seed, mode=mode)))))
+    texts += [(f"error-{i}", text) for i, text in enumerate(ERROR_INPUTS)]
+    for name, text in texts:
+        yield name, text
+        yield from _mutants(name, text)
+
+
+def _front_end_records():
+    for name, text in _front_end_texts():
+        for mode in (fg.CORE, fg.EXT):
+            try:
+                rec = _dump(parse_program(text, mode=mode, filename=name))
+            except FgError as err:
+                rec = "\n".join(str(d) for d in err.diagnostics)
+            yield f"{name} {mode}\n{rec}\n"
+
+
+def test_front_end_is_pinned():
+    h = hashlib.sha256()
+    for rec in _front_end_records():
+        h.update(rec.encode())
+    assert h.hexdigest() == FRONT_END_DIGEST

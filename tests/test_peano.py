@@ -3,6 +3,7 @@ deep values that stay within fuel."""
 
 import pytest
 
+from fgdict.cli import EXIT_OK, cli_dispatch
 from fgdict.fg_parser import parse_program, print_expr
 from fgdict.relate import AGREE, diff_run
 
@@ -62,3 +63,12 @@ def test_deep_value_is_not_a_budget_verdict():
     v = diff_run(prog)
     assert v.kind == AGREE
     assert (v.fg_steps, v.tl_steps) == (0, 1100)
+
+
+def test_diff_prints_a_value_deeper_than_the_recursion_limit(tmp_path, capsys):
+    f = tmp_path / "mul100.fg"
+    f.write_text(NAT % f"{numeral(100)}.mul({numeral(100)})")
+    assert cli_dispatch(["diff", str(f)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("agree: S{S{")
+    assert out.count("S{") == 100 * 100

@@ -86,6 +86,29 @@ def test_diff_both_stuck():
     assert v.exit_code() == 0
 
 
+UNSOUND_CALL = """
+package main
+type I interface { m() A }
+type A struct {}
+type B struct {}
+func (this A) m() A { return this }
+func (this A) id(x I) A { return x.m() }
+func main() { _ = A{}.id(B{}) }
+"""
+
+
+def test_stuck_pair_other_than_assert_and_match_disagrees(monkeypatch):
+    # With a checker that takes every type for a subtype of every other, B{}
+    # is passed as an I that it does not implement, and both sides get stuck
+    # on the missing method.
+    monkeypatch.setattr(fg, "is_subtype", lambda decls, t, u: True)
+    v = diff_run(parse_program(UNSOUND_CALL))
+    assert v.kind == DISAGREE
+    assert (v.fg_reason, v.tl_reason) == (fg_interp.NO_METHOD, tl_interp.UNBOUND_METHOD)
+    assert v.detail == "both sides stuck: fg no-method, tl unbound-method"
+    assert v.exit_code() == 2
+
+
 def test_diff_budget():
     prog = parse_program("""
     package main

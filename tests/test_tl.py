@@ -1,6 +1,9 @@
 """Target language: terms, printer/parser, and the evaluator."""
 
+import pytest
+
 from fgdict import tl_ast as tl, tl_interp
+from fgdict.diagnostics import FgError
 from fgdict.tl_ast import (
     App, Case, Clause, CtorApp, Lam, MethodVar, Pattern, TLBool, TLInt,
     TLPrim, TLVar,
@@ -36,6 +39,58 @@ def test_pattern_lambda_sugar_parses():
     body = e.body
     assert isinstance(body, Case)
     assert body.clauses[0].pat.ctor == "Tup2"
+
+
+# The same operator strings as in test_fg_parser.py, with the same shapes.
+OPERATOR_SHAPES = [
+    ("a || b && c", "(a || (b && c))"),
+    ("a && b || c", "((a && b) || c)"),
+    ("a || b || c", "((a || b) || c)"),
+    ("a && b && c", "((a && b) && c)"),
+    ("a == b && c < d", "((a == b) && (c < d))"),
+    ("a < b || c == d && e", "((a < b) || ((c == d) && e))"),
+    ("(a || b) && c", "((a || b) && c)"),
+    ("a == (b == c)", "(a == (b == c))"),
+]
+
+
+def _shape(e):
+    if isinstance(e, TLPrim):
+        return f"({_shape(e.left)} {e.op} {_shape(e.right)})"
+    return e.name
+
+
+@pytest.mark.parametrize("text, shape", OPERATOR_SHAPES)
+def test_operator_precedence(text, shape):
+    e = tl.parse_expr(text)
+    assert _shape(e) == shape
+    assert tl.parse_expr(tl.print_expr(e)) == e
+
+
+# Malformed texts, each with its message and line:column.
+SYNTAX_ERRORS = [
+    ("a == b == c", "trailing input, found '=='", "1:8"),
+    ("a || b == c == d", "trailing input, found '=='", "1:13"),
+    ("let\n  f = \\x -> x\nin\nf @", "unexpected character '@'", "4:3"),
+    ("let\n  f = 1\nin\nf", "binding f must be a lambda, found 'in'", "3:1"),
+    ("let f = \\x -> x; in f", "expected identifier, found 'in'", "1:18"),
+    ("let\n  f = \\x -> x\n  g = \\y -> y\nin\nf", "expected 'in', found '='", "3:5"),
+    ("(1, 2", "expected ')', found ''", "1:6"),
+    ("\\x -> ", "expected expression, found ''", "1:7"),
+    ("case x { }", "expected 'of', found '{'", "1:8"),
+    ("case x of { K_A y -> y; z -> 1 }",
+     "expected constructor pattern, got 'z', found '->'", "1:27"),
+    ("\\(x, y -> x", "expected ')', found '->'", "1:8"),
+    ("K_A 1) ", "trailing input, found ')'", "1:6"),
+]
+
+
+@pytest.mark.parametrize("text, message, position", SYNTAX_ERRORS)
+def test_syntax_errors_have_positions(text, message, position):
+    with pytest.raises(FgError) as ei:
+        tl.parse_program(text, filename="t.tl")
+    [d] = ei.value.diagnostics
+    assert (d.message, str(d.span)) == (message, f"t.tl:{position}")
 
 
 def test_validate_catches_problems():
