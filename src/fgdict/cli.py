@@ -40,6 +40,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _non_negative(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
+
+
 def _build_parser():
     p = _Parser(prog="fgdict",
                 description="Compile a Go-like structurally-typed core language "
@@ -67,25 +74,25 @@ def _build_parser():
 
     sp = add("run-fg", help="evaluate main under the source semantics")
     sp.add_argument("file")
-    sp.add_argument("--steps", type=int, default=DEFAULT_EVAL_FUEL)
+    sp.add_argument("--steps", type=_non_negative, default=DEFAULT_EVAL_FUEL)
     sp.add_argument("--trace", action="store_true")
 
     sp = add("run-tl", help="evaluate a compiled target-language file")
     sp.add_argument("file")
-    sp.add_argument("--steps", type=int, default=DEFAULT_EVAL_FUEL)
+    sp.add_argument("--steps", type=_non_negative, default=DEFAULT_EVAL_FUEL)
     sp.add_argument("--trace", action="store_true")
 
     sp = add("diff", help="run both semantics and relate the results")
     sp.add_argument("file")
-    sp.add_argument("--steps", type=int, default=DEFAULT_EVAL_FUEL)
-    sp.add_argument("--rel-fuel", type=int, default=DEFAULT_RELATION_FUEL)
+    sp.add_argument("--steps", type=_non_negative, default=DEFAULT_EVAL_FUEL)
+    sp.add_argument("--rel-fuel", type=_non_negative, default=DEFAULT_RELATION_FUEL)
     sp.add_argument("--json", action="store_true")
 
     sp = add("fuzz", help="generate random programs and diff each one")
-    sp.add_argument("--count", type=int, default=100)
+    sp.add_argument("--count", type=_non_negative, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--steps", type=int, default=DEFAULT_EVAL_FUEL)
-    sp.add_argument("--rel-fuel", type=int, default=DEFAULT_RELATION_FUEL)
+    sp.add_argument("--steps", type=_non_negative, default=DEFAULT_EVAL_FUEL)
+    sp.add_argument("--rel-fuel", type=_non_negative, default=DEFAULT_RELATION_FUEL)
     sp.add_argument("--json", action="store_true")
     sp.add_argument("--keep-failures", metavar="DIR",
                     help="write programs with Disagree verdicts to DIR")

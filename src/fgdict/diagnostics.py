@@ -43,7 +43,6 @@ NOT_A_SUBTYPE = "not-a-subtype"
 NOT_A_STRUCT = "not-a-struct"
 ASSERT_ON_STRUCT = "assert-on-struct"
 PRIM_OP_TYPE = "prim-op-type"
-UNIMPLEMENTED_IFACE = "unimplemented-iface"
 DUP_BINDING = "dup-binding"
 
 
@@ -52,10 +51,9 @@ class Diagnostic:
     code: str
     message: str
     span: SourceSpan = field(default_factory=SourceSpan)
-    severity: str = "error"
 
     def __str__(self):
-        return f"{self.span}: {self.severity}: {self.message} [{self.code}]"
+        return f"{self.span}: error: {self.message} [{self.code}]"
 
 
 class FgError(Exception):

@@ -3,7 +3,7 @@ format for emitted .tl programs.
 
 Constructors are n-ary and saturated: `CtorApp` always carries exactly the
 constructor's arguments, and patterns bind one variable per argument.
-Tuples are the constructors Tup0..Tup32, printed with parenthesis syntax.
+Tuples are the constructors Tup0, Tup1, ..., printed with parenthesis syntax.
 
 Every TL spelling of an FG name is made here, one namespace per kind of
 name: constructors `K_T` and `Tup<n>`; method variables `m_T`; hoisted
@@ -28,8 +28,6 @@ import re
 from dataclasses import dataclass
 
 from .diagnostics import DUP_BINDING, Diagnostic, FgError, TokenReader
-
-MAX_TUPLE = 32
 
 _TL_KEYWORDS = {"let", "in", "case", "of", "true", "false"}
 
@@ -113,8 +111,6 @@ class TLProgram:
 
 
 def tuple_ctor(k: int) -> str:
-    if not 0 <= k <= MAX_TUPLE:
-        raise ValueError(f"tuple arity {k} out of range 0..{MAX_TUPLE}")
     return f"Tup{k}"
 
 
@@ -260,7 +256,7 @@ def _print(e, prec):
         if not e.args:
             return e.ctor
         s = e.ctor + " " + " ".join(_print(a, _PREC_ATOM) for a in e.args)
-        return f"({s})" if prec >= _PREC_ATOM else s
+        return f"({s})" if prec >= _PREC_APP else s
     if isinstance(e, Lam):
         s = f"\\{e.var} -> {_print(e.body, _PREC_LOW)}"
         return f"({s})" if prec > _PREC_LOW else s

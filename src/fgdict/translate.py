@@ -9,11 +9,14 @@ dictionary entries are method variables in the interface's spec order.
 Upcast and downcast helpers are emitted inline by default; with
 hoist_helpers=True they become named let bindings (to_I_T / from_I_U) after
 the method bindings, matching the presentation style of hand-written
-dictionary-passing code.  Every TL name is spelled by `tl_ast`.
+dictionary-passing code.  Either way each helper is built once per program:
+an inline use site shares the one lambda.  Every TL name is spelled by
+`tl_ast`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import fg_ast as fg
@@ -24,7 +27,6 @@ from .diagnostics import (
     NOT_A_STRUCT,
     NOT_A_SUBTYPE,
     PRIM_OP_TYPE,
-    UNIMPLEMENTED_IFACE,
     UNKNOWN_FIELD,
     UNKNOWN_METHOD,
     UNKNOWN_TYPE,
@@ -34,16 +36,14 @@ from .diagnostics import (
 )
 
 
-class _Fresh:
-    """Fresh TL variables, numbered from 0."""
+def _fresh():
+    """A supply of fresh TL variables, numbered from 0."""
+    return map(tl.fresh_var, itertools.count()).__next__
 
-    def __init__(self):
-        self.n = 0
 
-    def __call__(self):
-        name = tl.fresh_var(self.n)
-        self.n += 1
-        return name
+def _match(scrut, ctor, vars_, body):
+    """The single-clause `case scrut of { ctor vars -> body }`."""
+    return tl.Case(scrut, (tl.Clause(tl.Pattern(ctor, tuple(vars_)), body),))
 
 
 @dataclass
@@ -51,7 +51,6 @@ class Translation:
     tl_program: object  # TLProgram | None if diagnostics contains errors
     main_type: str | None
     diagnostics: list
-    warnings: list
     rule_counts: dict = field(default_factory=dict)
 
     @property
@@ -64,9 +63,8 @@ class Translator:
         self.decls = decls
         self.hoist = hoist_helpers
         self.counts = {}
-        self.helpers = {}  # name -> Lam, insertion ordered
-        self.warnings = []
-        self.fresh = _Fresh()
+        self.helpers = {}  # name -> Lam, in order of first use
+        self.fresh = _fresh()
 
     def count(self, rule):
         self.counts[rule] = self.counts.get(rule, 0) + 1
@@ -102,16 +100,15 @@ class Translator:
             if decls.kind(t_recv) != "struct":
                 raise FgError(Diagnostic(
                     NOT_A_STRUCT, f"field selection on non-struct type {t_recv}", e.span))
-            fields = decls.struct_fields(t_recv)
-            names = [f for f, _t in fields]
-            if e.fld not in names:
+            i = decls.field_index[t_recv].get(e.fld)
+            if i is None:
                 raise FgError(Diagnostic(
                     UNKNOWN_FIELD, f"no field {e.fld} on {t_recv}", e.span))
-            i = names.index(e.fld)
             self.count("td-access")
-            vars_ = tuple(self.fresh() for _ in fields)
-            clause = tl.Clause(tl.Pattern(tl.struct_ctor(t_recv), vars_), tl.TLVar(vars_[i]))
-            return fields[i][1], tl.Case(code, (clause,))
+            fields = decls.struct_fields(t_recv)
+            vars_ = [self.fresh() for _ in fields]
+            return fields[i][1], _match(code, tl.struct_ctor(t_recv), vars_,
+                                        tl.TLVar(vars_[i]))
 
         if isinstance(e, fg.Call):
             return self._infer_call(env, e)
@@ -161,8 +158,7 @@ class Translator:
         x = self.fresh()
         slots = tuple(self.fresh() for _ in specs)
         call = tl.App(tl.App(tl.TLVar(slots[idx]), tl.TLVar(x)), tl.make_tuple(args))
-        clause = tl.Clause(tl.Pattern(tl.struct_ctor(t_recv), (x,) + slots), call)
-        return sig.ret, tl.Case(code, (clause,))
+        return sig.ret, _match(code, tl.struct_ctor(t_recv), (x,) + slots, call)
 
     def _check_args(self, env, e, sig):
         if len(sig.params) != len(e.args):
@@ -211,109 +207,84 @@ class Translator:
 
     # -- interface-value constructors and destructors ----------------------
 
+    def _helper(self, name, build, *args):
+        """The helper `name`, built once by `build(fresh, *args)` with its own
+        fresh-variable supply: its binding when hoisting, else the lambda."""
+        lam = self.helpers.get(name)
+        if lam is None:
+            lam = self.helpers[name] = build(_fresh(), *args)
+        return tl.MethodVar(name) if self.hoist else lam
+
     def build_upcast(self, t, u_i):
+        return self._helper(tl.upcast_name(t, u_i), self._upcast, t, u_i)
+
+    def build_downcast(self, t_i, u):
+        return self._helper(tl.downcast_name(t_i, u), self._downcast, t_i, u)
+
+    def _upcast(self, fresh, t, u_i):
         decls = self.decls
         assert decls.kind(u_i) == "interface"
-        name = tl.upcast_name(t, u_i)
-        if self.hoist and name in self.helpers:
-            return tl.MethodVar(name)
-        fresh = _Fresh()
         specs = decls.iface_specs(u_i)
+        x = fresh()
         if decls.kind(t) == "struct":
             self.count("td-cons-struct-iface")
             assert fg.is_subtype(decls, t, u_i)
-            x = fresh()
             slots = tuple(tl.MethodVar(tl.method_var_name(s.name, t)) for s in specs)
-            lam = tl.Lam(x, tl.CtorApp(tl.struct_ctor(u_i), (tl.TLVar(x),) + slots))
-        else:
-            self.count("td-cons-iface-iface")
-            given = decls.iface_specs(t)
-            keys = [r.key() for r in given]
-            perm = [keys.index(s.key()) for s in specs]  # guaranteed by subtyping
-            x = fresh()
-            xv = fresh()
-            xs = tuple(fresh() for _ in given)
-            body = tl.CtorApp(tl.struct_ctor(u_i),
-                              (tl.TLVar(xv),) + tuple(tl.TLVar(xs[p]) for p in perm))
-            clause = tl.Clause(tl.Pattern(tl.struct_ctor(t), (xv,) + xs), body)
-            lam = tl.Lam(x, tl.Case(tl.TLVar(x), (clause,)))
-        if self.hoist:
-            self.helpers[name] = lam
-            return tl.MethodVar(name)
-        return lam
+            return tl.Lam(x, tl.CtorApp(tl.struct_ctor(u_i), (tl.TLVar(x),) + slots))
+        self.count("td-cons-iface-iface")
+        given = decls.iface_specs(t)
+        keys = [r.key() for r in given]
+        perm = [keys.index(s.key()) for s in specs]  # guaranteed by subtyping
+        xv = fresh()
+        xs = [fresh() for _ in given]
+        body = tl.CtorApp(tl.struct_ctor(u_i),
+                          (tl.TLVar(xv),) + tuple(tl.TLVar(xs[p]) for p in perm))
+        return tl.Lam(x, _match(tl.TLVar(x), tl.struct_ctor(t), [xv] + xs, body))
 
-    def build_downcast(self, t_i, u):
+    def _downcast(self, fresh, t_i, u):
         decls = self.decls
         assert decls.kind(t_i) == "interface"
-        name = tl.downcast_name(t_i, u)
-        if self.hoist and name in self.helpers:
-            return tl.MethodVar(name)
-        fresh = _Fresh()
-        n = len(decls.iface_specs(t_i))
         x = fresh()
+        y = fresh()
+        dict_vars = [fresh() for _ in decls.iface_specs(t_i)]
         if decls.kind(u) == "struct":
             self.count("td-destr-iface-struct")
             assert fg.is_subtype(decls, u, t_i)
-            z = fresh()
-            dict_vars = tuple(fresh() for _ in range(n))
-            ys = tuple(fresh() for _ in decls.struct_fields(u))
-            inner = tl.Case(tl.TLVar(z), (tl.Clause(
-                tl.Pattern(tl.struct_ctor(u), ys),
-                tl.CtorApp(tl.struct_ctor(u), tuple(tl.TLVar(y) for y in ys))),))
-            outer = tl.Case(tl.TLVar(x), (tl.Clause(
-                tl.Pattern(tl.struct_ctor(t_i), (z,) + dict_vars), inner),))
-            lam = tl.Lam(x, outer)
+            ys = [fresh() for _ in decls.struct_fields(u)]
+            inner = _match(tl.TLVar(y), tl.struct_ctor(u), ys,
+                           tl.CtorApp(tl.struct_ctor(u), tuple(map(tl.TLVar, ys))))
         else:
             self.count("td-destr-iface-iface")
             specs = decls.iface_specs(u)
-            y = fresh()
-            dict_vars = tuple(fresh() for _ in range(n))
             clauses = []
             for t_sj in decls.implementers[u]:
                 # Build the target interface value directly (the reduct of the
                 # struct upcast), so a successful destructor costs exactly one
                 # lambda plus two pattern matches.
                 ys = tuple(fresh() for _ in decls.struct_fields(t_sj))
-                repacked = tl.CtorApp(tl.struct_ctor(t_sj), tuple(tl.TLVar(v) for v in ys))
+                repacked = tl.CtorApp(tl.struct_ctor(t_sj), tuple(map(tl.TLVar, ys)))
                 slots = tuple(tl.MethodVar(tl.method_var_name(s.name, t_sj)) for s in specs)
                 clauses.append(tl.Clause(
                     tl.Pattern(tl.struct_ctor(t_sj), ys),
                     tl.CtorApp(tl.struct_ctor(u), (repacked,) + slots)))
-            if not clauses:
-                self.warnings.append(Diagnostic(
-                    UNIMPLEMENTED_IFACE,
-                    f"no struct implements {u}; assertion to it always fails",
-                    severity="warning"))
             inner = tl.Case(tl.TLVar(y), tuple(clauses))
-            outer = tl.Case(tl.TLVar(x), (tl.Clause(
-                tl.Pattern(tl.struct_ctor(t_i), (y,) + dict_vars), inner),))
-            lam = tl.Lam(x, outer)
-        if self.hoist:
-            self.helpers[name] = lam
-            return tl.MethodVar(name)
-        return lam
+        return tl.Lam(x, _match(tl.TLVar(x), tl.struct_ctor(t_i), [y] + dict_vars, inner))
 
     # -- methods and programs ----------------------------------------------
 
     def translate_method(self, d: fg.MethodDecl):
         """Curried lambda over the receiver, then a tuple-pattern lambda over
         the parameters, body coerced to the declared return type."""
-        self.fresh = _Fresh()
+        self.fresh = _fresh()
         env = {d.recv_var: d.recv_type}
         env.update({x: t for x, t in d.sig.params})
         body = self.check_expr(env, d.body, d.sig.ret)
         self.count("td-method")
         arg = self.fresh()
-        pat = tl.Pattern(tl.tuple_ctor(len(d.sig.params)),
-                         tuple(tl.fg_var(x) for x, _t in d.sig.params))
-        lam = tl.Lam(tl.fg_var(d.recv_var),
-                     tl.Lam(arg, tl.Case(tl.TLVar(arg), (tl.Clause(pat, body),))))
-        return tl.method_var_name(d.name, d.recv_type), lam
-
-    def translate_main(self, main):
-        self.fresh = _Fresh()
-        t, code = self.infer_expr({}, main)
-        return t, code
+        params = [tl.fg_var(x) for x, _t in d.sig.params]
+        body = _match(tl.TLVar(arg), tl.tuple_ctor(len(params)), params, body)
+        return tl.method_var_name(d.name, d.recv_type), \
+            tl.Lam(tl.fg_var(d.recv_var), tl.Lam(arg, body))
 
 
 def translate_method(decls: fg.Decls, d: fg.MethodDecl, hoist_helpers=False):
@@ -328,7 +299,7 @@ def translate_program(prog: fg.Program, hoist_helpers=False) -> Translation:
     aggregated instead of stopping at the first."""
     diags = fg.check_wellformed(prog)
     if diags:
-        return Translation(None, None, diags, [])
+        return Translation(None, None, diags)
     tr = Translator(prog.table, hoist_helpers=hoist_helpers)
     bindings = []
     for d in prog.decls:
@@ -338,18 +309,18 @@ def translate_program(prog: fg.Program, hoist_helpers=False) -> Translation:
             bindings.append(tr.translate_method(d))
         except FgError as err:
             diags.extend(err.diagnostics)
-    main_type = None
-    main_code = None
+    main_type = main_code = None
+    tr.fresh = _fresh()
     try:
-        main_type, main_code = tr.translate_main(prog.main)
+        main_type, main_code = tr.infer_expr({}, prog.main)
     except FgError as err:
         diags.extend(err.diagnostics)
     tr.count("td-prog")
     if diags:
-        return Translation(None, None, diags, tr.warnings, tr.counts)
-    bindings.extend(tr.helpers.items())
-    out = tl.TLProgram(tuple(bindings), main_code)
-    return Translation(out, main_type, [], tr.warnings, tr.counts)
+        return Translation(None, None, diags, tr.counts)
+    if tr.hoist:
+        bindings.extend(tr.helpers.items())
+    return Translation(tl.TLProgram(tuple(bindings), main_code), main_type, [], tr.counts)
 
 
 def require_translation(prog: fg.Program, **kw) -> Translation:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from fgdict.cli import (
     EXIT_BUDGET, EXIT_DIAGNOSTICS, EXIT_OK, EXIT_USAGE,
     cli_dispatch,
@@ -137,6 +139,40 @@ def test_usage_errors_exit_64(capsys):
     assert cli_dispatch([]) == EXIT_USAGE
     assert cli_dispatch(["frobnicate"]) == EXIT_USAGE
     assert cli_dispatch(["diff"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv", [
+    ["diff", EQ, "--ext", "--steps", "-1"],
+    ["diff", EQ, "--ext", "--rel-fuel", "-1"],
+    ["run-fg", EQ, "--ext", "--steps", "-5"],
+    ["run-tl", "eq.tl", "--steps", "-1"],
+    ["fuzz", "--count", "-1"],
+])
+def test_negative_fuel_is_a_usage_error(argv, capsys):
+    assert cli_dispatch(argv) == EXIT_USAGE
+    assert "must be non-negative" in capsys.readouterr().err
+
+
+def test_method_with_many_parameters(tmp_path, capsys):
+    # Tuples have no arity cap: 33 parameters make a Tup33 pattern.
+    params = ", ".join(f"p{i} A" for i in range(33))
+    args = ", ".join(["A{}"] * 33)
+    f = tmp_path / "wide.fg"
+    f.write_text("package main\ntype A struct {}\n"
+                 f"func (this A) m({params}) A {{ return this }}\n"
+                 f"func main() {{ _ = A{{}}.m({args}) }}\n")
+    assert cli_dispatch(["check", str(f)]) == EXIT_OK
+    assert cli_dispatch(["diff", str(f)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "agree: A{} (fg 1 steps, tl 4 steps)"
+
+
+def test_run_tl_wide_tuple(tmp_path, capsys):
+    text = "(" + ", ".join(["K_A"] * 40) + ")\n"
+    f = tmp_path / "wide.tl"
+    f.write_text(text)
+    assert cli_dispatch(["run-tl", str(f)]) == EXIT_OK
+    assert capsys.readouterr().out == text
 
 
 def test_missing_file_is_a_diagnostic(capsys):

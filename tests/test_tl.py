@@ -33,6 +33,16 @@ def test_print_parse_roundtrip_program():
     assert tl.parse_program(tl.print_program(prog)) == prog
 
 
+@pytest.mark.parametrize("text", [
+    "(K_A 1) 2",
+    "(" + ", ".join(["K_A"] * 40) + ")",
+], ids=["ctor-app-in-function-position", "40-tuple"])
+def test_print_parse_roundtrip_text(text):
+    e = tl.parse_expr(text)
+    assert tl.print_expr(e) == text
+    assert tl.parse_expr(tl.print_expr(e)) == e
+
+
 def test_pattern_lambda_sugar_parses():
     e = tl.parse_expr(r"\(x, y) -> x")
     assert isinstance(e, Lam)

@@ -2,9 +2,10 @@
 
 import pytest
 
-from fgdict import fg_ast as fg, tl_ast as tl, tl_interp
+from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
 from fgdict.fg_parser import parse_program
-from fgdict.relate import AGREE, diff_run
+from fgdict.gen import GenConfig, gen_program
+from fgdict.relate import AGREE, BOTH_STUCK, diff_run
 from fgdict.tl_ast import downcast_name, method_var_name, upcast_name
 from fgdict.translate import Translator, require_translation, translate_program
 
@@ -78,7 +79,8 @@ def test_downcast_to_iface_lists_implementing_structs(equality):
     assert [c.pat.ctor for c in inner.clauses] == ["K_Int"]
 
 
-def test_downcast_to_unimplemented_iface_warns():
+def test_downcast_to_unimplemented_iface_sticks():
+    # No struct implements K, so the downcast's inner case has no clauses.
     prog = parse_program("""
     package main
     type A struct {}
@@ -88,9 +90,34 @@ def test_downcast_to_unimplemented_iface_warns():
     func (this A) m() A { return A{} }
     func main() { _ = Box{A{}}.v.(K) }
     """)
-    res = translate_program(prog)
-    assert res.ok
-    assert res.warnings
+    assert translate_program(prog).ok
+    v = diff_run(prog)
+    assert (v.kind, v.fg_reason, v.tl_reason) == (
+        BOTH_STUCK, fg_interp.ASSERT_FAILURE, tl_interp.MATCH_FAILURE)
+    assert (v.fg_steps, v.tl_steps) == (1, 4)
+
+
+def test_helpers_are_built_once_per_program(equality):
+    tr = Translator(equality.table)
+    assert tr.build_upcast("Int", "Eq") is tr.build_upcast("Int", "Eq")
+    assert tr.build_downcast("Eq", "Int") is tr.build_downcast("Eq", "Int")
+    assert tr.counts == {"td-cons-struct-iface": 1, "td-destr-iface-struct": 1}
+    progs = [equality] + [gen_program(GenConfig(seed=s, mode=m))
+                          for s in range(40) for m in (fg.CORE, fg.EXT)]
+    reused = 0
+    for prog in progs:
+        inline = translate_program(prog)
+        hoisted = translate_program(prog, hoist_helpers=True)
+        assert inline.rule_counts == hoisted.rule_counts
+        if not inline.ok:
+            continue
+        helpers = len(hoisted.tl_program.bindings) - len(inline.tl_program.bindings)
+        built = sum(n for rule, n in inline.rule_counts.items()
+                    if rule.startswith(("td-cons-", "td-destr-")))
+        assert built == helpers
+        uses = inline.rule_counts.get("td-sub", 0) + inline.rule_counts.get("td-assert", 0)
+        reused += uses > helpers
+    assert reused > 0  # some program uses a helper more than once
 
 
 def test_translation_is_deterministic(equality):
