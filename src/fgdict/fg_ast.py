@@ -289,9 +289,15 @@ def method_lookup(decls: Decls, t_s: str, m: str) -> MethodDecl | None:
 
 def program_exprs(prog: Program):
     """Every expression node of the method bodies, then of main, in
-    pre-order, with an explicit stack."""
-    stack = [prog.main]
-    stack.extend(d.body for d in reversed(prog.decls) if isinstance(d, MethodDecl))
+    pre-order."""
+    bodies = [d.body for d in prog.decls if isinstance(d, MethodDecl)]
+    return expr_nodes(*bodies, prog.main)
+
+
+def expr_nodes(*roots):
+    """Every expression node of each root in turn, in pre-order, with an
+    explicit stack."""
+    stack = list(reversed(roots))
     while stack:
         e = stack.pop()
         yield e

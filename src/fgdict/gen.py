@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from . import fg_ast as fg
 from .diagnostics import FgError
-from .translate import translate_program
+from .translate import Translator, method_env, translate_program
 
 ASSERT_PROBABILITY = 0.3
 
@@ -317,43 +317,101 @@ def gen_program(cfg: GenConfig) -> fg.Program:
 
 
 def _subexprs(e):
-    out = []
-    for kids in (getattr(e, "args", ()),):
-        out.extend(kids)
+    out = list(getattr(e, "args", ()))
     for attr in ("recv", "expr", "left", "right"):
         if hasattr(e, attr):
             out.append(getattr(e, attr))
     return out
 
 
+def _named_types(node):
+    """The type names a declaration, or the expression `main`, names: field,
+    signature and receiver types, struct literals and asserted types."""
+    if isinstance(node, fg.TypeDecl):
+        if isinstance(node.literal, fg.StructType):
+            return {t for _f, t in node.literal.fields}
+        return {t for s in node.literal.specs for t in s.sig.param_types + (s.sig.ret,)}
+    names = set()
+    if isinstance(node, fg.MethodDecl):
+        names.update(node.sig.param_types, (node.recv_type, node.sig.ret))
+        node = node.body
+    names.update(e.type_name for e in fg.expr_nodes(node)
+                 if isinstance(e, (fg.StructLit, fg.Assert)))
+    return names
+
+
+def _uses(table, node):
+    """The (struct, method) pairs a method body, or the expression `main`,
+    relies on; none for a type declaration."""
+    tr = Translator(table)
+    if isinstance(node, fg.MethodDecl):
+        tr.check_expr(method_env(node), node.body, node.sig.ret)
+    elif not isinstance(node, fg.TypeDecl):
+        tr.infer_expr({}, node)
+    return tr.uses
+
+
 def _candidates(prog: fg.Program):
-    for i in range(len(prog.decls)):
-        yield fg.Program(prog.decls[:i] + prog.decls[i + 1:], prog.main, prog.mode)
+    """Each one-step reduction of the well-typed `prog`, in greedy order,
+    with whether it is well-typed.  FG expressions bind nothing, so the
+    typing of `prog` decides every candidate without checking it:
+
+    - removing a type declaration is well-typed iff nothing else names it;
+    - removing method (T, m) is well-typed iff no other method body and not
+      `main` relies on it (`Translator.uses`);
+    - a subexpression of `main` is always well-typed;
+    - a method body may become one of its subexpressions iff that one's type
+      is a subtype of the return type, the test `coerce_to` applies, or the
+      minimal value of the return type, which always fits.
+    """
+    table = prog.table
+    nodes = prog.decls + (prog.main,)
+    names = [_named_types(n) for n in nodes]
+    uses = [_uses(table, n) for n in nodes]
+
+    for i, d in enumerate(prog.decls):
+        if isinstance(d, fg.TypeDecl):
+            ok = not any(d.name in n for j, n in enumerate(names) if j != i)
+        else:
+            key = (d.recv_type, d.name)
+            ok = not any(key in u for j, u in enumerate(uses) if j != i)
+        yield fg.Program(prog.decls[:i] + prog.decls[i + 1:], prog.main, prog.mode), ok
     for sub in _subexprs(prog.main):
-        yield fg.Program(prog.decls, sub, prog.mode)
+        yield fg.Program(prog.decls, sub, prog.mode), True
     for i, d in enumerate(prog.decls):
         if isinstance(d, fg.MethodDecl):
             try:
-                small = minimal_value(prog.table, d.sig.ret)
+                small = minimal_value(table, d.sig.ret)
             except ValueError:
                 small = None
-            bodies = [b for b in _subexprs(d.body)]
+            env = method_env(d)
+            bodies = _subexprs(d.body)
             if small is not None and small != d.body:
                 bodies.append(small)
             for b in bodies:
                 d2 = replace(d, body=b)
+                ok = b is small or fg.is_subtype(
+                    table, Translator(table).infer_expr(env, b)[0], d.sig.ret)
                 yield fg.Program(prog.decls[:i] + (d2,) + prog.decls[i + 1:],
-                                 prog.main, prog.mode)
+                                 prog.main, prog.mode), ok
 
 
 def shrink(prog: fg.Program, failing) -> fg.Program:
     """Greedy fixpoint minimization preserving well-typedness and the
-    failure predicate.  A candidate whose check or predicate reports
-    diagnostics (FgError) is skipped; any other exception propagates."""
+    failure predicate.  The input must be well-formed and well-typed, or
+    FgError carries its diagnostics.  Only well-typed candidates, decided
+    from the typing of the current program, reach `failing`; a candidate on
+    which `failing` raises FgError is skipped, and any other exception
+    propagates."""
+    res = translate_program(prog)
+    if not res.ok:
+        raise FgError(res.diagnostics)
     while True:
-        for cand in _candidates(prog):
+        for cand, ok in _candidates(prog):
+            if not ok:
+                continue
             try:
-                if translate_program(cand).ok and failing(cand):
+                if failing(cand):
                     prog = cand
                     break
             except FgError:

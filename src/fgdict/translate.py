@@ -65,6 +65,12 @@ class Translator:
         self.counts = {}
         self.helpers = {}  # name -> Lam, in order of first use
         self.fresh = _fresh()
+        # (struct, method) pairs the code typed so far relies on: removing
+        # any one of those method declarations makes that code ill-typed.
+        # A struct call adds its own pair; a struct-to-interface upcast or
+        # an interface-to-struct downcast adds one pair per interface spec
+        # when its helper is built, on its first use.
+        self.uses = set()
 
     def count(self, rule):
         self.counts[rule] = self.counts.get(rule, 0) + 1
@@ -145,6 +151,7 @@ class Translator:
             sig = d.sig
             args = self._check_args(env, e, sig)
             self.count("td-call-struct")
+            self.uses.add((t_recv, e.method))
             fn = tl.MethodVar(tl.method_var_name(e.method, t_recv))
             return sig.ret, tl.App(tl.App(fn, code), tl.make_tuple(args))
         specs = decls.iface_specs(t_recv)
@@ -229,6 +236,7 @@ class Translator:
         if decls.kind(t) == "struct":
             self.count("td-cons-struct-iface")
             assert fg.is_subtype(decls, t, u_i)
+            self.uses.update((t, s.name) for s in specs)
             slots = tuple(tl.MethodVar(tl.method_var_name(s.name, t)) for s in specs)
             return tl.Lam(x, tl.CtorApp(tl.struct_ctor(u_i), (tl.TLVar(x),) + slots))
         self.count("td-cons-iface-iface")
@@ -250,6 +258,7 @@ class Translator:
         if decls.kind(u) == "struct":
             self.count("td-destr-iface-struct")
             assert fg.is_subtype(decls, u, t_i)
+            self.uses.update((u, s.name) for s in decls.iface_specs(t_i))
             ys = [fresh() for _ in decls.struct_fields(u)]
             inner = _match(tl.TLVar(y), tl.struct_ctor(u), ys,
                            tl.CtorApp(tl.struct_ctor(u), tuple(map(tl.TLVar, ys))))
@@ -276,15 +285,20 @@ class Translator:
         """Curried lambda over the receiver, then a tuple-pattern lambda over
         the parameters, body coerced to the declared return type."""
         self.fresh = _fresh()
-        env = {d.recv_var: d.recv_type}
-        env.update({x: t for x, t in d.sig.params})
-        body = self.check_expr(env, d.body, d.sig.ret)
+        body = self.check_expr(method_env(d), d.body, d.sig.ret)
         self.count("td-method")
         arg = self.fresh()
         params = [tl.fg_var(x) for x, _t in d.sig.params]
         body = _match(tl.TLVar(arg), tl.tuple_ctor(len(params)), params, body)
         return tl.method_var_name(d.name, d.recv_type), \
             tl.Lam(tl.fg_var(d.recv_var), tl.Lam(arg, body))
+
+
+def method_env(d: fg.MethodDecl):
+    """The environment a method body is typed in: receiver, then parameters."""
+    env = {d.recv_var: d.recv_type}
+    env.update(d.sig.params)
+    return env
 
 
 def translate_method(decls: fg.Decls, d: fg.MethodDecl, hoist_helpers=False):

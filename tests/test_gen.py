@@ -5,8 +5,9 @@ import hashlib
 import pytest
 
 from fgdict import fg_ast as fg
-from fgdict.fg_parser import print_program
-from fgdict.gen import GenConfig, gen_program, minimal_value, shrink
+from fgdict.diagnostics import FgError
+from fgdict.fg_parser import parse_program, print_program
+from fgdict.gen import GenConfig, _candidates, gen_program, minimal_value, shrink
 from fgdict.relate import BOTH_STUCK, diff_run
 from fgdict.translate import translate_program
 
@@ -101,7 +102,6 @@ def test_shrink_preserves_failure_and_reaches_fixpoint():
 
 
 def test_shrink_of_minimal_witness_is_identity():
-    from fgdict.fg_parser import parse_program
     prog = parse_program("""
     package main
     type A struct {}
@@ -121,3 +121,95 @@ def test_shrink_does_not_hide_crashes():
 
     with pytest.raises(RuntimeError, match="predicate bug"):
         shrink(prog, crashing)
+
+
+# -- the shrink workload's witnesses ------------------------------------------
+
+# sha256 over the printed shrink outputs of `shrink_runs`, recorded before
+# the shrinker decided candidates from the typing of the current program.
+SHRINK_DIGEST = "3fa74445f212b3cacb3caf9cff5149f56e123ef50b4f34960fc11c31987391e0"
+SHRINK_WITNESSES = 25
+
+
+def _program_nodes(prog):
+    return len(prog.decls) + sum(1 for _ in fg.program_exprs(prog))
+
+
+@pytest.fixture(scope="module")
+def shrink_runs():
+    """The inputs of the benchmark's shrink workload, the first both-stuck
+    default-config programs, each shrunk keeping "both stuck with the same
+    FG reason": (greedy path from input to output, output) per witness."""
+    runs = []
+    seed = 0
+    while len(runs) < SHRINK_WITNESSES:
+        prog = gen_program(GenConfig(seed=seed))
+        seed += 1
+        verdict = diff_run(prog)
+        if verdict.kind != BOTH_STUCK:
+            continue
+        path = [prog]
+
+        def failing(cand, reason=verdict.fg_reason, path=path):
+            v = diff_run(cand)
+            kept = v.kind == BOTH_STUCK and v.fg_reason == reason
+            if kept:
+                path.append(cand)
+            return kept
+
+        runs.append((path, shrink(prog, failing)))
+    return runs
+
+
+def test_shrink_outputs_are_pinned(shrink_runs):
+    h = hashlib.sha256()
+    for _path, out in shrink_runs:
+        h.update(print_program(out).encode() + b"\0")
+    assert h.hexdigest() == SHRINK_DIGEST
+    assert sum(_program_nodes(out) for _path, out in shrink_runs) == 629
+
+
+def test_candidate_decisions_match_the_checker(shrink_runs):
+    """The shrinker decides each candidate from the typing of the program it
+    was cut from; that must be exactly `translate_program(cand).ok`."""
+    programs = [p for path, _out in shrink_runs for p in path]
+    programs += [gen_program(GenConfig(seed=seed, mode=mode))
+                 for mode in (fg.CORE, fg.EXT) for seed in range(100)]
+    checked = rejected = 0
+    for prog in programs:
+        for cand, ok in _candidates(prog):
+            assert ok == translate_program(cand).ok, print_program(cand)
+            checked += 1
+            rejected += not ok
+    assert checked > 7000 and rejected > checked // 2
+
+
+def test_shrink_rejects_ill_typed_input():
+    prog = parse_program("""
+    package main
+    type A struct {}
+    func main() { _ = A{}.m() }
+    """)
+    with pytest.raises(FgError) as err:
+        shrink(prog, lambda p: True)
+    assert [d.code for d in err.value.diagnostics] == ["unknown-method"]
+
+
+def test_shrink_skips_candidates_whose_predicate_raises_fg_error(shrink_runs):
+    path, out = shrink_runs[0]
+    reason = diff_run(path[0]).fg_reason
+
+    def failing(cand):
+        v = diff_run(cand)
+        return v.kind == BOTH_STUCK and v.fg_reason == reason
+
+    def refusing(cand):
+        # Refuse every candidate that drops a declaration.
+        if len(cand.decls) < len(path[0].decls):
+            raise FgError([])
+        return failing(cand)
+
+    kept = shrink(path[0], refusing)
+    assert len(kept.decls) == len(path[0].decls)
+    assert failing(kept)
+    assert _program_nodes(kept) < _program_nodes(path[0])
