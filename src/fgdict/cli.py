@@ -55,6 +55,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, **kw):
+        """A subcommand on FG programs, in core or extension mode."""
         sp = sub.add_parser(name, **kw)
         sp.add_argument("--ext", action="store_true",
                         help="enable int/bool primitives and var bindings")
@@ -77,7 +78,7 @@ def _build_parser():
     sp.add_argument("--steps", type=_non_negative, default=DEFAULT_EVAL_FUEL)
     sp.add_argument("--trace", action="store_true")
 
-    sp = add("run-tl", help="evaluate a compiled target-language file")
+    sp = sub.add_parser("run-tl", help="evaluate a compiled target-language file")
     sp.add_argument("file")
     sp.add_argument("--steps", type=_non_negative, default=DEFAULT_EVAL_FUEL)
     sp.add_argument("--trace", action="store_true")

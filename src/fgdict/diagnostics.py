@@ -1,5 +1,6 @@
 """Source spans and diagnostics shared by the parsers, checker and
-translator, and the token reader both parsers are built on."""
+translator, and the token reader and operator table both parsers and both
+printers are built on."""
 
 from __future__ import annotations
 
@@ -66,6 +67,21 @@ class FgError(Exception):
         super().__init__("; ".join(str(d) for d in self.diagnostics))
 
 
+# Binary operators of FG and TL by precedence; the comparisons (== and <)
+# do not chain.
+PREC = {"||": 1, "&&": 2, "==": 3, "<": 3}
+PREC_CMP = 3
+
+
+def push_items(push, items, prec, sep):
+    """Push (item, `prec`) pairs split by `sep` onto a printer's stack of
+    work, so that they pop in order."""
+    for i in range(len(items) - 1, -1, -1):
+        push((items[i], prec))
+        if i:
+            push(sep)
+
+
 class TokenReader:
     """The tokens of one source text and a cursor over them.
 
@@ -119,6 +135,17 @@ class TokenReader:
         if self.cur[1] != text:
             self.fail_found(f"expected {text!r}")
         return self.advance()
+
+    def seq(self, close, item, sep=","):
+        """The results of `item()` until `close`, split by `sep`; consumes
+        `close`.  A separator may follow the last item."""
+        items = []
+        while not self.at(close):
+            items.append(item())
+            if not self.accept(sep):
+                break
+        self.expect(close)
+        return items
 
     def fail(self, msg, tok=None):
         """Raise a syntax error at `tok`, by default the current token."""

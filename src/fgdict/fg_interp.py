@@ -32,7 +32,7 @@ BAD_FIELD = "bad-field"
 FREE_VAR = "free-var"
 
 
-def value_type(decls, v) -> str:
+def value_type(v) -> str:
     """Dynamic type name of a value."""
     if isinstance(v, IntLit):
         return fg.INT
@@ -106,7 +106,7 @@ def _run(decls, e, fuel, on_step):
                     v = None
                     rule = "fg-call"
                 elif t is Assert:
-                    t_dyn = value_type(decls, v)
+                    t_dyn = value_type(v)
                     if not fg.is_subtype(decls, t_dyn, f.type_name):
                         raise _Stuck(ASSERT_FAILURE,
                                      f"{t_dyn} does not conform to {f.type_name}")

@@ -13,11 +13,11 @@ import re
 import sys
 
 from . import fg_ast as fg
-from .diagnostics import TokenReader
+from .diagnostics import PREC, PREC_CMP, TokenReader, push_items
 
-# Both parsers, `subst_expr`, the translator and the TL printer recurse once
-# per level of expression nesting; Python's default limit fails on a numeral
-# a few hundred levels deep.
+# Both parsers, `subst_expr` and the translator recurse once per level of
+# expression nesting; Python's default limit fails on a numeral a few
+# hundred levels deep.
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 8000))
 
 KEYWORDS = {"type", "struct", "interface", "func", "return", "main", "var", "package"}
@@ -34,9 +34,7 @@ _TOKEN_RE = re.compile(
     re.VERBOSE | re.DOTALL,
 )
 
-# Binary operators by precedence; the comparisons (== and <) do not chain.
-_PREC = {"||": 1, "&&": 2, "==": 3, "<": 3}
-_PREC_CMP, _PREC_POSTFIX = 3, 4
+_PREC_POSTFIX = 4
 
 
 class _Parser(TokenReader):
@@ -56,9 +54,6 @@ class _Parser(TokenReader):
         self.advance()
         return text
 
-    def type_name(self):
-        return self.ident("type name")
-
     # -- declarations
 
     def program(self):
@@ -66,27 +61,26 @@ class _Parser(TokenReader):
             self.expect("main")
             self.accept(";")
         decls = []
-        main = None
-        while self.cur[0] != "eof":
+        while True:
             if self.at("type"):
                 decls.append(self.type_decl())
             elif self.at("func"):
                 d = self.func_decl()
                 if d is None:  # main
-                    main = self.main_body()
                     break
                 decls.append(d)
+            elif self.cur[0] == "eof":
+                self.fail("missing func main")
             else:
                 self.fail("expected declaration")
-        if main is None:
-            self.fail("missing func main")
+        main = self.main_body()
         if self.cur[0] != "eof":
             self.fail("trailing input after func main")
         return fg.Program(tuple(decls), main, self.mode)
 
     def type_decl(self):
         start = self.span(self.expect("type"))
-        name = self.type_name()
+        name = self.ident("type name")
         if self.accept("struct"):
             lit = self.struct_literal()
         elif self.accept("interface"):
@@ -100,7 +94,7 @@ class _Parser(TokenReader):
         fields = []
         while not self.at("}"):
             f = self.ident("field name")
-            t = self.type_name()
+            t = self.ident("type name")
             fields.append((f, t))
             if not (self.accept(";") or self.accept(",")):
                 if not self.at("}") and self.cur[0] != "ident":
@@ -121,27 +115,20 @@ class _Parser(TokenReader):
 
     def signature(self):
         self.expect("(")
-        params = []
-        while not self.at(")"):
-            x = self.ident("parameter name")
-            t = self.type_name()
-            params.append((x, t))
-            if not self.accept(","):
-                break
-        self.expect(")")
-        ret = self.type_name()
+        params = self.seq(")", lambda: (self.ident("parameter name"),
+                                        self.ident("type name")))
+        ret = self.ident("type name")
         return fg.MethodSig(tuple(params), ret)
 
     def func_decl(self):
         start = self.span(self.expect("func"))
-        if self.at("main"):
-            self.advance()
+        if self.accept("main"):
             self.expect("(")
             self.expect(")")
             return None
         self.expect("(")
         recv_var = self.ident("receiver name")
-        recv_type = self.type_name()
+        recv_type = self.ident("type name")
         self.expect(")")
         name = self.ident("method name")
         sig = self.signature()
@@ -155,41 +142,35 @@ class _Parser(TokenReader):
     def main_body(self):
         self.expect("{")
         bindings = []
+        # `var x T = e` bindings until `var _ = e` or `_ = e`.
         while True:
-            if self.accept("var"):
-                if self.accept("_"):
-                    self.expect("=")
-                    e = self.expr()
-                    self.accept(";")
-                    break
+            if self.accept("var") and not self.at("_"):
                 if self.mode != fg.EXT:
                     self.fail("var bindings in main require extension mode")
-                x = self.ident("variable name")
-                t = self.type_name()
-                self.expect("=")
-                e = self.expr()
-                self.accept(";")
-                bindings.append((x, t, e))
+                lhs = (self.ident("variable name"), self.ident("type name"))
             elif self.accept("_"):
-                self.expect("=")
-                e = self.expr()
-                self.accept(";")
-                break
+                lhs = None
             else:
                 self.fail("expected 'var' binding or '_ = e' in main")
+            self.expect("=")
+            e = self.expr()
+            self.accept(";")
+            if lhs is None:
+                break
+            bindings.append((*lhs, e))
         self.expect("}")
         # Desugar var bindings by substitution, innermost last.
         for x, _t, rhs in reversed(bindings):
             e = subst_expr(e, x, rhs)
         return e
 
-    # -- expressions: binary operators by _PREC, then postfix
+    # -- expressions: binary operators by PREC, then postfix
 
     def expr(self, min_prec=1):
         e = self.postfix_expr()
         first = True
-        while (prec := _PREC.get(self.cur[1], 0)) >= min_prec and \
-                (first or prec != _PREC_CMP):
+        while (prec := PREC.get(self.cur[1], 0)) >= min_prec and \
+                (first or prec != PREC_CMP):
             op = self.advance()
             if self.mode != fg.EXT:
                 self.fail(f"operator {op[1]!r} requires extension mode", op)
@@ -202,26 +183,17 @@ class _Parser(TokenReader):
         while self.at("."):
             dot = self.span(self.advance())
             if self.accept("("):
-                t = self.type_name()
+                t = self.ident("type name")
                 self.expect(")")
                 e = fg.Assert(e, t, span=dot)
             else:
                 name = self.ident("field or method name")
                 if self.accept("("):
-                    args = self.call_args()
+                    args = self.seq(")", self.expr)
                     e = fg.Call(e, name, tuple(args), span=dot)
                 else:
                     e = fg.Select(e, name, span=dot)
         return e
-
-    def call_args(self):
-        args = []
-        while not self.at(")"):
-            args.append(self.expr())
-            if not self.accept(","):
-                break
-        self.expect(")")
-        return args
 
     def primary_expr(self):
         tok = self.cur
@@ -241,12 +213,7 @@ class _Parser(TokenReader):
         if kind == "ident" and text not in KEYWORDS:
             name = self.ident()
             if self.accept("{"):
-                args = []
-                while not self.at("}"):
-                    args.append(self.expr())
-                    if not self.accept(","):
-                        break
-                self.expect("}")
+                args = self.seq("}", self.expr)
                 return fg.StructLit(name, tuple(args), span=self.span(tok))
             return fg.Var(name, span=self.span(tok))
         self.fail_found("expected expression")
@@ -289,12 +256,12 @@ def parse_expr(text, mode=fg.CORE, filename="<input>"):
 # ---------------------------------------------------------------------------
 # Canonical printer
 
-def print_expr(e, prec=0):
-    """Canonical text of an expression printed where the context binds at
-    `prec`.  The stack holds text still to be written and (expression,
-    precedence) pairs still to be printed, so values of any depth print."""
+def print_expr(e):
+    """Canonical text of an expression.  The stack holds text still to be
+    written and (expression, precedence) pairs still to be printed, so values
+    of any depth print."""
     out = []
-    stack = [(e, prec)]
+    stack = [(e, 0)]
     push = stack.append
     while stack:
         item = stack.pop()
@@ -307,10 +274,10 @@ def print_expr(e, prec=0):
         elif isinstance(e, fg.StructLit):
             out.append(f"{e.type_name}{{")
             push("}")
-            _push_args(push, e.args)
+            push_items(push, e.args, 0, ", ")
         elif isinstance(e, fg.Call):
             push(")")
-            _push_args(push, e.args)
+            push_items(push, e.args, 0, ", ")
             push(f".{e.method}(")
             push((e.recv, _PREC_POSTFIX))
         elif isinstance(e, fg.Select):
@@ -320,14 +287,14 @@ def print_expr(e, prec=0):
             push(f".({e.type_name})")
             push((e.expr, _PREC_POSTFIX))
         elif isinstance(e, fg.BinOp):
-            mine = _PREC[e.op]
+            mine = PREC[e.op]
             if mine < prec:
                 out.append("(")
                 push(")")
             push((e.right, mine + 1))
             push(f" {e.op} ")
             # Comparisons do not chain: their left operand binds tighter too.
-            push((e.left, mine + 1 if mine == _PREC_CMP else mine))
+            push((e.left, mine + 1 if mine == PREC_CMP else mine))
         elif isinstance(e, fg.IntLit):
             out.append(str(e.value))
         elif isinstance(e, fg.BoolLit):
@@ -335,14 +302,6 @@ def print_expr(e, prec=0):
         else:
             raise TypeError(f"not an FG expression: {e!r}")
     return "".join(out)
-
-
-def _push_args(push, args):
-    """Push comma-separated arguments so that they pop in order."""
-    for i in range(len(args) - 1, -1, -1):
-        push((args[i], 0))
-        if i:
-            push(", ")
 
 
 def _print_sig(sig):

@@ -54,10 +54,6 @@ class _Gen:
 
         self._gen_templates()
         self._gen_iface_defs()
-        # Fields do not affect subtyping, so a table without them tells
-        # `_gen_fields` which interfaces earlier structs implement.
-        self.fields = dict.fromkeys(self.structs, ())
-        self._build_table()
         self._gen_fields()
         self._build_table()
         decls = self._declarations()
@@ -88,7 +84,6 @@ class _Gen:
             ret = rng.choice(self._sig_types())
             self.templates.append(fg.MethodSpec(f"m{i}", fg.MethodSig(tuple(params), ret)))
         self.template_index = {t.name: i for i, t in enumerate(self.templates)}
-        self.call_ceiling = len(self.templates)
         # Assign each template to a nonempty set of receivers.
         self.impls = {s: [] for s in self.structs}  # struct -> [template index]
         for i, _t in enumerate(self.templates):
@@ -112,11 +107,16 @@ class _Gen:
 
     def _gen_fields(self):
         rng = self.rng
-        impls = self.table.implementers
+        # Methods are instances of templates, so struct s implements
+        # interface I iff the templates of I's specs are among impls[s].
+        specs = {I: {self.template_index[sp.name] for sp in d.specs}
+                 for I, d in self.iface_defs.items()}
+        self.fields = {}
         for i, s in enumerate(self.structs):
             earlier = self.structs[:i]
             allowed = earlier + list(self.prims)
-            allowed += [I for I in self.ifaces if any(t in earlier for t in impls[I])]
+            allowed += [I for I in self.ifaces
+                        if any(specs[I].issubset(self.impls[t]) for t in earlier)]
             n = rng.randint(0, self.cfg.max_fields) if allowed else 0
             self.fields[s] = tuple((f"f{j}", rng.choice(allowed)) for j in range(n))
 
@@ -140,8 +140,7 @@ class _Gen:
         decls = []
         for d in self.table.decls:
             if isinstance(d, fg.MethodDecl):
-                env = {d.recv_var: d.recv_type}
-                env.update(d.sig.params)
+                env = method_env(d)
                 # Bodies may only call strictly earlier templates, which keeps
                 # the call graph acyclic and evaluation terminating.
                 self.call_ceiling = self.template_index[d.name]

@@ -81,14 +81,14 @@ def values_related(decls: fg.Decls, mu, t: str, v, V, k: int) -> bool:
     return True
 
 
-def methods_related(decls: fg.Decls, prog: tl.TLProgram, hoist_helpers=False) -> bool:
+def methods_related(decls: fg.Decls, prog: tl.TLProgram) -> bool:
     """Every FG method declaration must map, under the program's method
     substitution, to exactly the translation of that declaration."""
     mu = prog.method_subst()
     for d in decls.decls:
         if not isinstance(d, fg.MethodDecl):
             continue
-        name, lam = translate_method(decls, d, hoist_helpers=hoist_helpers)
+        name, lam = translate_method(decls, d)
         if mu.get(name) != lam:
             return False
     return True

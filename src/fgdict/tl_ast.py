@@ -27,7 +27,9 @@ import re
 
 from dataclasses import dataclass
 
-from .diagnostics import DUP_BINDING, Diagnostic, FgError, TokenReader
+from .diagnostics import (
+    DUP_BINDING, PREC, PREC_CMP, Diagnostic, FgError, TokenReader, push_items,
+)
 
 _TL_KEYWORDS = {"let", "in", "case", "of", "true", "false"}
 
@@ -235,47 +237,7 @@ def validate_program(prog: TLProgram):
 # ---------------------------------------------------------------------------
 # Printer
 
-# Binary operators by precedence; the comparisons (== and <) do not chain.
-_PREC = {"||": 1, "&&": 2, "==": 3, "<": 3}
-_PREC_LOW, _PREC_CMP, _PREC_APP, _PREC_ATOM = 0, 3, 4, 5
-
-
-def _print(e, prec):
-    if isinstance(e, (TLVar, MethodVar)):
-        return e.name
-    if isinstance(e, TLInt):
-        return str(e.value)
-    if isinstance(e, TLBool):
-        return "true" if e.value else "false"
-    if isinstance(e, CtorApp):
-        if tuple_arity(e.ctor) is not None:
-            inner = ", ".join(_print(a, _PREC_LOW) for a in e.args)
-            if len(e.args) == 1:
-                inner += ","
-            return f"({inner})"
-        if not e.args:
-            return e.ctor
-        s = e.ctor + " " + " ".join(_print(a, _PREC_ATOM) for a in e.args)
-        return f"({s})" if prec >= _PREC_APP else s
-    if isinstance(e, Lam):
-        s = f"\\{e.var} -> {_print(e.body, _PREC_LOW)}"
-        return f"({s})" if prec > _PREC_LOW else s
-    if isinstance(e, App):
-        s = f"{_print(e.fn, _PREC_APP)} {_print(e.arg, _PREC_ATOM)}"
-        return f"({s})" if prec >= _PREC_ATOM else s
-    if isinstance(e, Case):
-        clauses = "; ".join(
-            f"{_print_pat(c.pat)} -> {_print(c.body, _PREC_LOW)}" for c in e.clauses)
-        s = f"case {_print(e.scrut, _PREC_LOW)} of {{ {clauses} }}" if clauses else \
-            f"case {_print(e.scrut, _PREC_LOW)} of {{ }}"
-        return f"({s})" if prec > _PREC_LOW else s
-    if isinstance(e, TLPrim):
-        mine = _PREC[e.op]
-        # Comparisons do not chain: their left operand binds tighter too.
-        left = _print(e.left, mine + 1 if mine == _PREC_CMP else mine)
-        s = f"{left} {e.op} {_print(e.right, mine + 1)}"
-        return f"({s})" if prec > mine else s
-    raise TypeError(f"not a TL expression: {e!r}")
+_PREC_LOW, _PREC_APP, _PREC_ATOM = 0, 4, 5
 
 
 def _print_pat(p: Pattern):
@@ -288,7 +250,74 @@ def _print_pat(p: Pattern):
 
 
 def print_expr(e) -> str:
-    return _print(e, _PREC_LOW)
+    """The text of an expression.  The stack holds text still to be written
+    and (expression, precedence) pairs still to be printed, so values of any
+    depth print."""
+    out = []
+    stack = [(e, _PREC_LOW)]
+    push, write = stack.append, out.append
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            write(item)
+            continue
+        e, prec = item
+        t = type(e)
+        if t is TLVar or t is MethodVar:
+            write(e.name)
+        elif t is App:
+            _wrap(write, push, prec >= _PREC_ATOM)
+            push((e.arg, _PREC_ATOM))
+            push(" ")
+            push((e.fn, _PREC_APP))
+        elif t is Case:
+            _wrap(write, push, prec > _PREC_LOW)
+            write("case ")
+            push(" }")
+            for i in range(len(e.clauses) - 1, -1, -1):
+                c = e.clauses[i]
+                push((c.body, _PREC_LOW))
+                push(f"{_print_pat(c.pat)} -> ")
+                if i:
+                    push("; ")
+            push(" of { " if e.clauses else " of {")
+            push((e.scrut, _PREC_LOW))
+        elif t is CtorApp:
+            if tuple_arity(e.ctor) is not None:
+                write("(")
+                push(",)" if len(e.args) == 1 else ")")
+                push_items(push, e.args, _PREC_LOW, ", ")
+            elif not e.args:
+                write(e.ctor)
+            else:
+                _wrap(write, push, prec >= _PREC_APP)
+                write(e.ctor + " ")
+                push_items(push, e.args, _PREC_ATOM, " ")
+        elif t is Lam:
+            _wrap(write, push, prec > _PREC_LOW)
+            write(f"\\{e.var} -> ")
+            push((e.body, _PREC_LOW))
+        elif t is TLInt:
+            write(str(e.value))
+        elif t is TLBool:
+            write("true" if e.value else "false")
+        elif t is TLPrim:
+            mine = PREC[e.op]
+            _wrap(write, push, prec > mine)
+            push((e.right, mine + 1))
+            push(f" {e.op} ")
+            # Comparisons do not chain: their left operand binds tighter too.
+            push((e.left, mine + 1 if mine == PREC_CMP else mine))
+        else:
+            raise TypeError(f"not a TL expression: {e!r}")
+    return "".join(out)
+
+
+def _wrap(write, push, parens):
+    """Open a parenthesis now and push its closing one, if `parens`."""
+    if parens:
+        write("(")
+        push(")")
 
 
 def print_program(prog: TLProgram) -> str:
@@ -377,11 +406,9 @@ class _TLParser(TokenReader):
         if self.at("("):
             # Pattern-lambda sugar: \(x, y) -> e desugars to a fresh-variable
             # lambda over a tuple case.
-            pat = self.pattern()
-            self.expect("->")
-            body = self.expr(scope + pat.vars)
+            clause = self.clause(scope)
             x = self.fresh_var()
-            return Lam(x, Case(TLVar(x), (Clause(pat, body),)))
+            return Lam(x, Case(TLVar(x), (clause,)))
         x = self.ident()
         self.expect("->")
         return Lam(x, self.expr(scope + (x,)))
@@ -391,28 +418,17 @@ class _TLParser(TokenReader):
         scrut = self.expr(scope)
         self.expect("of")
         self.expect("{")
-        clauses = []
-        while not self.at("}"):
-            pat = self.pattern()
-            self.expect("->")
-            body = self.expr(scope + pat.vars)
-            clauses.append(Clause(pat, body))
-            if not self.accept(";"):
-                break
-        self.expect("}")
-        return Case(scrut, tuple(clauses))
+        return Case(scrut, tuple(self.seq("}", lambda: self.clause(scope), ";")))
+
+    def clause(self, scope):
+        pat = self.pattern()
+        self.expect("->")
+        return Clause(pat, self.expr(scope + pat.vars))
 
     def pattern(self):
         if self.accept("("):
-            vars_ = []
-            trailing = False
-            while not self.at(")"):
-                vars_.append(self.ident())
-                trailing = self.accept(",")
-                if not trailing:
-                    break
-            self.expect(")")
-            return Pattern(tuple_ctor(len(vars_)), tuple(vars_))
+            vars_ = tuple(self.seq(")", self.ident))
+            return Pattern(tuple_ctor(len(vars_)), vars_)
         name = self.ident()
         if not _is_ctor_name(name):
             self.fail_found(f"expected constructor pattern, got {name!r}")
@@ -425,16 +441,15 @@ class _TLParser(TokenReader):
     def binary(self, scope, min_prec):
         e = self.app_expr(scope)
         first = True
-        while (prec := _PREC.get(self.cur[1], 0)) >= min_prec and \
-                (first or prec != _PREC_CMP):
+        while (prec := PREC.get(self.cur[1], 0)) >= min_prec and \
+                (first or prec != PREC_CMP):
             op = self.advance()[1]
             e = TLPrim(op, e, self.binary(scope, prec + 1))
             first = False
         return e
 
     def app_expr(self, scope):
-        e = self.atom(scope)
-        parts = [e]
+        parts = [self.atom(scope)]
         while self._at_atom():
             parts.append(self.atom(scope))
         head = parts[0]
@@ -446,11 +461,9 @@ class _TLParser(TokenReader):
 
     def _at_atom(self):
         kind, text, _ = self.cur
-        if kind in ("num",):
-            return True
         if kind == "ident":
-            return text not in (_TL_KEYWORDS - {"true", "false"})
-        return text == "(" or text == "\\"
+            return text not in _TL_KEYWORDS or text in ("true", "false")
+        return kind == "num" or text in ("(", "\\")
 
     def atom(self, scope):
         kind, text, _ = self.cur
@@ -460,32 +473,23 @@ class _TLParser(TokenReader):
         if text == "true" or text == "false":
             self.advance()
             return TLBool(text == "true")
+        if kind == "ident":
+            name = self.ident()
+            if _is_ctor_name(name):
+                return CtorApp(name, ())
+            if name in self.let_bound and name not in scope:
+                return MethodVar(name)
+            return TLVar(name)
         if self.accept("("):
             if self.accept(")"):
                 return CtorApp(tuple_ctor(0), ())
             first = self.expr(scope)
             if self.accept(","):
-                items = [first]
-                while not self.at(")"):
-                    items.append(self.expr(scope))
-                    if not self.accept(","):
-                        break
-                self.expect(")")
-                return make_tuple(items)
+                return make_tuple([first, *self.seq(")", lambda: self.expr(scope))])
             self.expect(")")
             return first
-        if text == "\\":
-            self.advance()
+        if self.accept("\\"):
             return self.lam(scope)
-        if kind == "ident":
-            name = self.ident()
-            if _is_ctor_name(name):
-                return CtorApp(name, ())
-            if name in scope:
-                return TLVar(name)
-            if name in self.let_bound:
-                return MethodVar(name)
-            return TLVar(name)
         self.fail_found("expected expression")
 
 

@@ -200,9 +200,9 @@ class Translator:
     def check_expr(self, env, e, want, code=NOT_A_SUBTYPE):
         """Infer then coerce: the single place where subsumption applies."""
         have, out = self.infer_expr(env, e)
-        return self.coerce_to(have, want, out, span=e.span, diag_code=code)
+        return self.coerce_to(have, want, out, e.span, code)
 
-    def coerce_to(self, have, want, code, span=None, diag_code=NOT_A_SUBTYPE):
+    def coerce_to(self, have, want, code, span, diag_code):
         decls = self.decls
         if have == want:
             return code
@@ -210,7 +210,7 @@ class Translator:
             self.count("td-sub")
             return tl.App(self.build_upcast(have, want), code)
         raise FgError(Diagnostic(
-            diag_code, f"{have} is not a subtype of {want}", span or fg._NO_SPAN))
+            diag_code, f"{have} is not a subtype of {want}", span))
 
     # -- interface-value constructors and destructors ----------------------
 
@@ -301,10 +301,9 @@ def method_env(d: fg.MethodDecl):
     return env
 
 
-def translate_method(decls: fg.Decls, d: fg.MethodDecl, hoist_helpers=False):
+def translate_method(decls: fg.Decls, d: fg.MethodDecl):
     """Standalone, deterministic translation of one method declaration."""
-    tr = Translator(decls, hoist_helpers=hoist_helpers)
-    return tr.translate_method(d)
+    return Translator(decls).translate_method(d)
 
 
 def translate_program(prog: fg.Program, hoist_helpers=False) -> Translation:

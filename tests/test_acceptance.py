@@ -173,7 +173,7 @@ def test_criterion_4_cast_preservation(harvested):
             continue
         targets = [s for s in decls.struct_names if fg.is_subtype(decls, s, t)]
         targets += list(decls.iface_names)
-        dyn = fg_interp.value_type(decls, v)
+        dyn = fg_interp.value_type(v)
         for u in targets:
             out = tl_interp.tl_eval(mu, tl.App(tr.build_downcast(t, u), V), 10)
             if fg.is_subtype(decls, dyn, u):

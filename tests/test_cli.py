@@ -72,8 +72,16 @@ def test_run_tl_reproduces_diff_value(tmp_path, capsys):
     out = tmp_path / "eq.tl"
     cli_dispatch(["compile", EQ, "--ext", "-o", str(out)])
     capsys.readouterr()
-    assert cli_dispatch(["run-tl", str(out), "--ext"]) == EXIT_OK
+    assert cli_dispatch(["run-tl", str(out)]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "true"
+
+
+def test_run_tl_has_no_mode(tmp_path, capsys):
+    # TL text has no core or extension mode, so only FG readers take --ext.
+    out = tmp_path / "eq.tl"
+    cli_dispatch(["compile", EQ, "--ext", "-o", str(out)])
+    assert cli_dispatch(["run-tl", str(out), "--ext"]) == EXIT_USAGE
+    assert "unrecognized arguments: --ext" in capsys.readouterr().err
 
 
 def test_run_fg_trace(capsys):

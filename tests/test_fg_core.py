@@ -4,10 +4,11 @@ import pytest
 
 from fgdict import fg_ast as fg
 from fgdict.diagnostics import (
-    ASSERT_ON_STRUCT, FG1_RECURSIVE_STRUCT, FG2_DUP_FIELD, FG3_DUP_SPEC,
-    FG4_DUP_METHOD, UNKNOWN_TYPE, FgError,
+    ASSERT_ON_STRUCT, EXT_NODE_IN_CORE, FG1_RECURSIVE_STRUCT, FG2_DUP_FIELD,
+    FG3_DUP_SPEC, FG4_DUP_METHOD, UNKNOWN_TYPE, FgError,
 )
 from fgdict.fg_parser import parse_program
+from fgdict.translate import require_translation
 
 GOOD = """
 package main
@@ -238,3 +239,13 @@ def test_prims_never_subtype_interfaces():
     assert fg.is_subtype(decls, "A", "I")  # empty interface: everything declared
     assert not fg.is_subtype(decls, fg.INT, "I")
     assert not fg.is_subtype(decls, fg.BOOL, "I")
+
+
+def test_ext_node_in_core_mode_is_ill_formed():
+    # The core-mode parser never builds an extension node; a program built
+    # directly can hold one, and the checked pipeline rejects it.
+    prog = fg.Program((), fg.IntLit(1), fg.CORE)
+    assert codes(prog) == [EXT_NODE_IN_CORE]
+    with pytest.raises(FgError) as ei:
+        require_translation(prog)
+    assert [d.code for d in ei.value.diagnostics] == [EXT_NODE_IN_CORE]

@@ -113,6 +113,14 @@ def test_var_bindings_are_ext_only():
     parse_program(src, mode=fg.EXT)
 
 
+@pytest.mark.parametrize("mode", [fg.CORE, fg.EXT])
+def test_var_blank_binds_main(mode):
+    src = "type A struct {}\nfunc main() { %s = A{}; }"
+    prog = parse_program(src % "var _", mode=mode)
+    assert prog == parse_program(src % "_", mode=mode)
+    assert str(prog.main.span) == "<input>:2:23"
+
+
 def test_primitives_are_ext_only():
     with pytest.raises(FgError):
         parse_expr("1", mode=fg.CORE)

@@ -72,3 +72,12 @@ def test_diff_prints_a_value_deeper_than_the_recursion_limit(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("agree: S{S{")
     assert out.count("S{") == 100 * 100
+
+
+def test_run_tl_prints_a_value_deeper_than_the_recursion_limit(tmp_path, capsys):
+    f, out = tmp_path / "mul100.fg", tmp_path / "mul100.tl"
+    f.write_text(NAT % f"{numeral(100)}.mul({numeral(100)})")
+    assert cli_dispatch(["compile", str(f), "-o", str(out)]) == EXIT_OK
+    assert cli_dispatch(["run-tl", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == "K_Nat (K_S (" * 10000 + \
+        "K_Nat K_Z add_Z mul_Z" + ")) add_S mul_S" * 10000 + "\n"

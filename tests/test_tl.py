@@ -1,13 +1,21 @@
 """Target language: terms, printer/parser, and the evaluator."""
 
+import glob
+import hashlib
+import json
+import random
+
 import pytest
 
-from fgdict import tl_ast as tl, tl_interp
+from fgdict import fg_ast as fg, tl_ast as tl, tl_interp
 from fgdict.diagnostics import FgError
+from fgdict.fg_parser import parse_program as parse_fg
+from fgdict.gen import GenConfig, gen_program
 from fgdict.tl_ast import (
     App, Case, Clause, CtorApp, Lam, MethodVar, Pattern, TLBool, TLInt,
     TLPrim, TLVar,
 )
+from fgdict.translate import translate_program
 
 
 def test_tuple_constructors():
@@ -248,3 +256,70 @@ def test_run_program_builds_substitution():
     out = tl_interp.run_program(prog, 10)
     assert out.value == TLInt(9)
     assert out.steps == 2  # tl-method then tl-lambda
+
+
+# sha256 over `_reader_records`, recorded before every delimited list in the
+# TL parser went through `TokenReader.seq`.
+TL_READER_DIGEST = "918f0466f6490fcfe656877af6324957ca127a4136b208d1af2a494d4d53cf13"
+
+
+# Hand-written forms the translator never prints: pattern-lambda sugar
+# (nested, so the order of its fresh variables shows), empty and trailing
+# separators, one-tuples.
+READER_TEXTS = [
+    "\\(x, y) -> \\(z,) -> \\() -> (x, y, z,)",
+    "let f = \\(a) -> \\(b, c) -> a in f (1,) ()",
+    "case K_A of { }",
+    "case (1, 2) of { (a, b,) -> a; () -> 0; (c,) -> c; }",
+    "case K_A 1 of { K_A x -> \\(y) -> x; K_B -> (K_B, (), ((1)),) }",
+]
+
+
+def _reader_texts():
+    """TL texts with their names: inline and hoisted translations of the
+    corpus, the ladder and generated programs, four one-character deletions
+    and insertions of some of them, and the texts above."""
+    with open("corpus/manifest.json", encoding="utf-8") as f:
+        manifest = json.load(f)["files"]
+    sources = []
+    for entry in manifest:
+        path = "corpus/" + entry["path"]
+        with open(path, encoding="utf-8") as f:
+            sources.append((path, parse_fg(f.read(), mode=entry["mode"]), True))
+    for path in sorted(glob.glob("bench/ladder/*.fg")):
+        with open(path, encoding="utf-8") as f:
+            sources.append((path, parse_fg(f.read()), True))
+    for mode in (fg.CORE, fg.EXT):
+        sources += [(f"gen-{mode}-{seed}", gen_program(GenConfig(seed=seed, mode=mode)),
+                     seed < 10) for seed in range(100)]
+    texts = []
+    for name, prog, mutate in sources:
+        for hoist in (False, True):
+            text = tl.print_program(translate_program(prog, hoist_helpers=hoist).tl_program)
+            texts.append((f"{name}-{hoist}", text))
+            if mutate:
+                rng = random.Random(texts[-1][0])
+                for k in range(4):
+                    i, j = rng.randrange(len(text)), rng.randrange(len(text) + 1)
+                    texts.append((f"{name}-{hoist}-del{k}", text[:i] + text[i + 1:]))
+                    texts.append((f"{name}-{hoist}-ins{k}", text[:j] +
+                                  rng.choice("\\(){},;<=|&->_$ \nxK1") + text[j:]))
+    texts += [(f"form-{i}", text) for i, text in enumerate(READER_TEXTS)]
+    texts += [(f"error-{i}", text) for i, (text, _m, _p) in enumerate(SYNTAX_ERRORS)]
+    return texts
+
+
+def _reader_records():
+    for name, text in _reader_texts():
+        try:
+            rec = repr(tl.parse_program(text, filename=name))
+        except FgError as err:
+            rec = "\n".join(str(d) for d in err.diagnostics)
+        yield f"{name}\n{rec}\n"
+
+
+def test_tl_reader_is_pinned():
+    h = hashlib.sha256()
+    for rec in _reader_records():
+        h.update(rec.encode())
+    assert h.hexdigest() == TL_READER_DIGEST
