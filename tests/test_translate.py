@@ -1,10 +1,14 @@
 """Dictionary-passing translation: shapes, determinism, and coercion costs."""
 
+import glob
+import hashlib
+import json
+
 import pytest
 
 from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
 from fgdict.fg_parser import parse_program
-from fgdict.gen import GenConfig, gen_program
+from fgdict.gen import GenConfig, _candidates, gen_program
 from fgdict.relate import AGREE, BOTH_STUCK, diff_run
 from fgdict.tl_ast import downcast_name, method_var_name, upcast_name
 from fgdict.translate import Translator, require_translation, translate_program
@@ -288,3 +292,48 @@ def test_var_annotation_is_checked():
 @pytest.mark.xfail(strict=True, reason="defect (g): var annotations are dropped")
 def test_var_annotation_types_the_body():
     assert translate_program(_with_vars("var x I = A{}\n_ = x.(A)")).ok
+
+
+# sha256 over `_translation_records`, recorded before the translator kept
+# its work on an explicit stack.
+TRANSLATION_DIGEST = "9a215db51008d24de91c7a19d62337230de95467a1a0a640fbb6c439db363a95"
+
+
+def _translation_programs():
+    """The corpus, the ladder, generated programs in both modes, and every
+    shrink candidate, well-typed or not, of the first 100 of each mode."""
+    with open("corpus/manifest.json", encoding="utf-8") as f:
+        manifest = json.load(f)["files"]
+    for entry in manifest:
+        path = "corpus/" + entry["path"]
+        with open(path, encoding="utf-8") as f:
+            yield path, parse_program(f.read(), mode=entry["mode"], filename=path)
+    for path in sorted(glob.glob("bench/ladder/*.fg")):
+        with open(path, encoding="utf-8") as f:
+            yield path, parse_program(f.read(), filename=path)
+    for mode in (fg.CORE, fg.EXT):
+        for seed in range(300):
+            prog = gen_program(GenConfig(seed=seed, mode=mode))
+            yield f"gen-{mode}-{seed}", prog
+            if seed < 100:
+                for i, (cand, _ok) in enumerate(_candidates(prog)):
+                    yield f"gen-{mode}-{seed}-cand{i}", cand
+
+
+def _translation_records():
+    for name, prog in _translation_programs():
+        for hoist in (False, True):
+            res = translate_program(prog, hoist_helpers=hoist)
+            if res.diagnostics:
+                rec = repr([(d.code, d.message, d.span) for d in res.diagnostics])
+            else:
+                rec = f"{res.main_type} {res.rule_counts!r}\n" + \
+                    tl.print_program(res.tl_program)
+            yield f"{name} {hoist}\n{rec}\n"
+
+
+def test_translation_is_pinned():
+    h = hashlib.sha256()
+    for rec in _translation_records():
+        h.update(rec.encode())
+    assert h.hexdigest() == TRANSLATION_DIGEST
