@@ -21,13 +21,12 @@ from .relate import (
     methods_related, monotonicity_violations, values_related,
 )
 from .gen import GenConfig, gen_program, shrink
-from .cli import cli_dispatch
 
 __all__ = [
     "AGREE", "BOTH_STUCK", "BUDGET", "CORE", "DISAGREE", "EXT",
     "Decls", "Diagnostic", "FgError", "GenConfig", "Program", "SourceSpan",
     "TLProgram", "Translation", "Verdict",
-    "check_wellformed", "cli_dispatch", "diff_run",
+    "check_wellformed", "diff_run",
     "fg_eval", "fg_step", "gen_program", "harvest_related", "is_subtype",
     "method_lookup", "methods", "methods_related", "monotonicity_violations",
     "parse_expr", "parse_program", "print_expr", "print_program",

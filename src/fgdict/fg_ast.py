@@ -365,28 +365,32 @@ def check_wellformed(prog: Program):
             _check_sig(d.sig, d.span, diags, check_type_name, recv=d.recv_var)
 
     # FG1: the struct -> struct field graph must be acyclic.  Interface-typed
-    # fields contribute no edges.
+    # fields contribute no edges.  A cycle is a strongly connected component
+    # with an edge inside it: for a struct that reaches itself, the structs
+    # it reaches that reach it back.  Each is reported once, at its
+    # first-declared member, naming its members in declaration order.
     edges = {
         name: [t for _, t in table.struct_fields(name)
                if t in table.types and isinstance(table.types[t].literal, StructType)]
         for name in table.struct_names
     }
-    state = {}
-
-    def dfs(n):
-        state[n] = 1
-        for m in edges.get(n, ()):
-            if state.get(m) == 1:
-                return True
-            if state.get(m) is None and dfs(m):
-                return True
-        state[n] = 2
-        return False
-
+    reach = {}  # struct -> the structs reachable from it by one edge or more
     for name in table.struct_names:
-        if state.get(name) is None and dfs(name):
+        seen = reach[name] = set()
+        stack = list(edges[name])
+        while stack:
+            m = stack.pop()
+            if m not in seen:
+                seen.add(m)
+                stack.extend(edges[m])
+    reported = set()
+    for name in table.struct_names:
+        if name in reach[name] and name not in reported:
+            cycle = [m for m in table.struct_names if m in reach[name] and name in reach[m]]
+            reported.update(cycle)
             diags.append(Diagnostic(
-                FG1_RECURSIVE_STRUCT, f"recursive struct declaration involving {name}",
+                FG1_RECURSIVE_STRUCT,
+                f"recursive struct declaration involving {', '.join(cycle)}",
                 table.types[name].span))
 
     for e in program_exprs(prog):

@@ -5,20 +5,19 @@ structs and interfaces, method declarations with a single return statement,
 and a main function whose body is `_ = e`.  Extension mode additionally
 accepts int/bool literals, the infix operators `== < && ||` and
 `var x t = e` bindings in main, which are desugared by substitution.
+
+An expression is read in one loop that keeps the constructs still open on
+an explicit stack, and `subst_expr` keeps its work on one too, so input of
+any nesting depth parses at Python's default recursion limit; importing
+this module leaves that limit alone.
 """
 
 from __future__ import annotations
 
 import re
-import sys
 
 from . import fg_ast as fg
 from .diagnostics import PREC, PREC_CMP, TokenReader, push_items
-
-# Both parsers, `subst_expr` and the translator recurse once per level of
-# expression nesting; Python's default limit fails on a numeral a few
-# hundred levels deep.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 8000))
 
 KEYWORDS = {"type", "struct", "interface", "func", "return", "main", "var", "package"}
 EXT_KEYWORDS = {"true", "false"}
@@ -35,6 +34,10 @@ _TOKEN_RE = re.compile(
 )
 
 _PREC_POSTFIX = 4
+
+# Frames of the expression reader: (tag, binding power of the interrupted
+# expression, ...); see `_Parser.expr`.
+_BIN, _PAREN, _STRUCT, _CALL = "bin", "paren", "struct", "call"
 
 
 class _Parser(TokenReader):
@@ -164,79 +167,142 @@ class _Parser(TokenReader):
             e = subst_expr(e, x, rhs)
         return e
 
-    # -- expressions: binary operators by PREC, then postfix
+    # -- expressions
 
-    def expr(self, min_prec=1):
-        e = self.postfix_expr()
-        first = True
-        while (prec := PREC.get(self.cur[1], 0)) >= min_prec and \
-                (first or prec != PREC_CMP):
-            op = self.advance()
-            if self.mode != fg.EXT:
-                self.fail(f"operator {op[1]!r} requires extension mode", op)
-            e = fg.BinOp(op[1], e, self.expr(prec + 1), span=self.span(op))
-            first = False
-        return e
-
-    def postfix_expr(self):
-        e = self.primary_expr()
-        while self.at("."):
-            dot = self.span(self.advance())
-            if self.accept("("):
-                t = self.ident("type name")
-                self.expect(")")
-                e = fg.Assert(e, t, span=dot)
-            else:
-                name = self.ident("field or method name")
-                if self.accept("("):
-                    args = self.seq(")", self.expr)
-                    e = fg.Call(e, name, tuple(args), span=dot)
+    def expr(self):
+        """An expression: binary operators by PREC over postfix chains over
+        primary expressions, read in one loop.  `frames` holds the
+        constructs still open, each waiting for an expression and holding
+        the binding power of the one it interrupts: a binary operator's right
+        operand, a parenthesised expression, and a struct literal's or a
+        call's next argument.  So input of any depth parses."""
+        frames = []
+        push, pop = frames.append, frames.pop
+        min_prec, e = 1, None  # of the innermost expression being read
+        while True:
+            if e is None:  # a primary expression, or a construct it opens
+                tok = self.cur
+                kind, text, _ = tok
+                if kind == "num":
+                    self.advance()
+                    if self.mode != fg.EXT:
+                        self.fail("int literals require extension mode", tok)
+                    e = fg.IntLit(int(text), span=self.span(tok))
+                elif text in EXT_KEYWORDS and self.mode == fg.EXT:
+                    self.advance()
+                    e = fg.BoolLit(text == "true", span=self.span(tok))
+                elif self.accept("("):
+                    push((_PAREN, min_prec))
+                    min_prec = 1
+                    continue
+                elif kind == "ident" and text not in KEYWORDS:
+                    name = self.ident()
+                    if not self.accept("{"):
+                        e = fg.Var(name, span=self.span(tok))
+                    elif self.accept("}"):
+                        e = fg.StructLit(name, (), span=self.span(tok))
+                    else:
+                        push((_STRUCT, min_prec, [], name, self.span(tok)))
+                        min_prec = 1
+                        continue
                 else:
+                    self.fail_found("expected expression")
+            while self.at("."):
+                dot = self.span(self.advance())
+                if self.accept("("):
+                    t = self.ident("type name")
+                    self.expect(")")
+                    e = fg.Assert(e, t, span=dot)
+                    continue
+                name = self.ident("field or method name")
+                if not self.accept("("):
                     e = fg.Select(e, name, span=dot)
-        return e
-
-    def primary_expr(self):
-        tok = self.cur
-        kind, text, _ = tok
-        if kind == "num":
-            self.advance()
-            if self.mode != fg.EXT:
-                self.fail("int literals require extension mode", tok)
-            return fg.IntLit(int(text), span=self.span(tok))
-        if text in EXT_KEYWORDS and self.mode == fg.EXT:
-            self.advance()
-            return fg.BoolLit(text == "true", span=self.span(tok))
-        if self.accept("("):
-            e = self.expr()
-            self.expect(")")
-            return e
-        if kind == "ident" and text not in KEYWORDS:
-            name = self.ident()
-            if self.accept("{"):
-                args = self.seq("}", self.expr)
-                return fg.StructLit(name, tuple(args), span=self.span(tok))
-            return fg.Var(name, span=self.span(tok))
-        self.fail_found("expected expression")
+                elif self.accept(")"):
+                    e = fg.Call(e, name, (), span=dot)
+                else:
+                    push((_CALL, min_prec, [], e, name, dot))
+                    min_prec, e = 1, None
+                    break
+            else:
+                # Binary operators; then hand each finished expression to
+                # the innermost open construct.
+                first = True
+                while True:
+                    prec = PREC.get(self.cur[1], 0)
+                    if prec >= min_prec and (first or prec != PREC_CMP):
+                        op = self.advance()
+                        if self.mode != fg.EXT:
+                            self.fail(f"operator {op[1]!r} requires extension mode", op)
+                        push((_BIN, min_prec, e, op))
+                        min_prec, e = prec + 1, None
+                        break
+                    if not frames:
+                        return e
+                    f = pop()
+                    tag, min_prec = f[0], f[1]
+                    if tag is _BIN:
+                        op = f[3]
+                        e = fg.BinOp(op[1], f[2], e, span=self.span(op))
+                        first = False
+                        continue
+                    if tag is _PAREN:
+                        self.expect(")")
+                        break
+                    args = f[2]
+                    args.append(e)
+                    close = "}" if tag is _STRUCT else ")"
+                    if self.accept(",") and not self.at(close):
+                        push(f)
+                        min_prec, e = 1, None
+                        break
+                    self.expect(close)
+                    if tag is _STRUCT:
+                        e = fg.StructLit(f[3], tuple(args), span=f[4])
+                    else:
+                        e = fg.Call(f[3], f[4], tuple(args), span=f[5])
+                    break
 
 
 def subst_expr(e, x, replacement):
     """Capture-free substitution of a variable inside an FG expression
-    (FG expressions contain no binders)."""
-    if isinstance(e, fg.Var):
-        return replacement if e.name == x else e
-    if isinstance(e, fg.StructLit):
-        return fg.StructLit(e.type_name, tuple(subst_expr(a, x, replacement) for a in e.args), span=e.span)
-    if isinstance(e, fg.Select):
-        return fg.Select(subst_expr(e.recv, x, replacement), e.fld, span=e.span)
-    if isinstance(e, fg.Call):
-        return fg.Call(subst_expr(e.recv, x, replacement), e.method,
-                       tuple(subst_expr(a, x, replacement) for a in e.args), span=e.span)
-    if isinstance(e, fg.Assert):
-        return fg.Assert(subst_expr(e.expr, x, replacement), e.type_name, span=e.span)
-    if isinstance(e, fg.BinOp):
-        return fg.BinOp(e.op, subst_expr(e.left, x, replacement),
-                        subst_expr(e.right, x, replacement), span=e.span)
-    return e
+    (FG expressions contain no binders).  Nodes are rebuilt bottom-up from
+    an explicit stack, so terms of any depth substitute."""
+    done = []  # substituted subterms, in order
+    todo = [(e, None)]  # (node, None) to visit; (node, n) to rebuild from n subterms
+    while todo:
+        e, n = todo.pop()
+        t = type(e)
+        if n is not None:
+            subs = done[len(done) - n:]
+            del done[len(done) - n:]
+            if t is fg.StructLit:
+                e = fg.StructLit(e.type_name, tuple(subs), span=e.span)
+            elif t is fg.Select:
+                e = fg.Select(subs[0], e.fld, span=e.span)
+            elif t is fg.Call:
+                e = fg.Call(subs[0], e.method, tuple(subs[1:]), span=e.span)
+            elif t is fg.Assert:
+                e = fg.Assert(subs[0], e.type_name, span=e.span)
+            else:
+                e = fg.BinOp(e.op, subs[0], subs[1], span=e.span)
+            done.append(e)
+            continue
+        if t is fg.StructLit:
+            subs = e.args
+        elif t is fg.Select:
+            subs = (e.recv,)
+        elif t is fg.Call:
+            subs = (e.recv, *e.args)
+        elif t is fg.Assert:
+            subs = (e.expr,)
+        elif t is fg.BinOp:
+            subs = (e.left, e.right)
+        else:
+            done.append(replacement if t is fg.Var and e.name == x else e)
+            continue
+        todo.append((e, len(subs)))
+        todo.extend((s, None) for s in reversed(subs))
+    return done[0]
 
 
 def parse_program(text, mode=fg.CORE, filename="<input>"):

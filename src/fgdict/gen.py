@@ -286,24 +286,40 @@ class _Gen:
         return minimal_value(self.table, want, rng)
 
 
-def minimal_value(decls: fg.Decls, t: str, rng=None, _seen=frozenset()):
+def minimal_value(decls: fg.Decls, t: str, rng=None):
     """Smallest closed value expression of a type; deterministic when rng is
-    None (0 / false for primitives)."""
-    kind = decls.kind(t)
-    if kind == "prim":
-        if t == fg.INT:
-            return fg.IntLit(rng.randint(0, 9) if rng else 0)
-        return fg.BoolLit(bool(rng and rng.random() < 0.5))
-    if t in _seen:
-        raise ValueError(f"cannot build a finite value of {t}")
-    if kind == "interface":
-        impls = decls.implementers[t]
-        if not impls:
-            raise ValueError(f"no struct implements {t}")
-        return minimal_value(decls, impls[0], rng, _seen | {t})
-    args = tuple(minimal_value(decls, ft, rng, _seen | {t})
-                 for _f, ft in decls.struct_fields(t))
-    return fg.StructLit(t, args)
+    None (0 / false for primitives).  Built bottom-up from an explicit stack
+    of (type, the types on the way to it), or (struct, None) once its field
+    values are built; ValueError if the way meets a type again."""
+    done = []  # the values built, in order
+    todo = [(t, frozenset())]
+    while todo:
+        t, seen = todo.pop()
+        if seen is None:
+            n = len(decls.struct_fields(t))
+            args = tuple(done[len(done) - n:])
+            del done[len(done) - n:]
+            done.append(fg.StructLit(t, args))
+            continue
+        kind = decls.kind(t)
+        if kind == "prim":
+            if t == fg.INT:
+                done.append(fg.IntLit(rng.randint(0, 9) if rng else 0))
+            else:
+                done.append(fg.BoolLit(bool(rng and rng.random() < 0.5)))
+            continue
+        if t in seen:
+            raise ValueError(f"cannot build a finite value of {t}")
+        seen |= {t}
+        if kind == "interface":
+            impls = decls.implementers[t]
+            if not impls:
+                raise ValueError(f"no struct implements {t}")
+            todo.append((impls[0], seen))
+        else:
+            todo.append((t, None))
+            todo.extend((ft, seen) for _f, ft in reversed(decls.struct_fields(t)))
+    return done[0]
 
 
 def gen_program(cfg: GenConfig) -> fg.Program:

@@ -38,46 +38,48 @@ BUDGET = "budget"
 
 
 def values_related(decls: fg.Decls, mu, t: str, v, V, k: int) -> bool:
-    """Decidable witness for the value relation at type t and index k."""
-    if k <= 0:
-        return True
-    kind = decls.kind(t)
-    if kind == "prim":
-        if t == fg.INT:
-            return isinstance(v, fg.IntLit) and isinstance(V, tl.TLInt) and \
-                v.value == V.value
-        return isinstance(v, fg.BoolLit) and isinstance(V, tl.TLBool) and \
-            v.value == V.value
-    if kind == "struct":
-        if not (isinstance(v, fg.StructLit) and v.type_name == t):
-            return False
-        if not (isinstance(V, tl.CtorApp) and V.ctor == tl.struct_ctor(t)):
-            return False
-        fields = decls.struct_fields(t)
-        if len(V.args) != len(fields) or len(v.args) != len(fields):
-            return False
-        return all(values_related(decls, mu, ft, va, Va, k)
-                   for (_f, ft), va, Va in zip(fields, v.args, V.args))
-    # interface type
-    specs = decls.iface_specs(t)
-    if not (isinstance(V, tl.CtorApp) and V.ctor == tl.struct_ctor(t)):
-        return False
-    if len(V.args) != 1 + len(specs):
-        return False
-    payload = V.args[0]
-    if not isinstance(payload, tl.CtorApp):
-        return False
-    u_s = tl.ctor_type(payload.ctor)
-    if u_s not in decls.types or decls.kind(u_s) != "struct":
-        return False
-    if not values_related(decls, mu, u_s, v, payload, k - 1):
-        return False
-    for spec, slot in zip(specs, V.args[1:]):
-        name = tl.method_var_name(spec.name, u_s)
-        if not (isinstance(slot, tl.MethodVar) and slot.name == name):
-            return False
-        if (u_s, spec.name) not in decls.method_decls or name not in mu:
-            return False
+    """Decidable witness for the value relation at type t and index k.  The
+    pairs still to relate wait on an explicit stack, in pre-order, so values
+    of any depth relate."""
+    todo = [(t, v, V, k)]
+    while todo:
+        t, v, V, k = todo.pop()
+        if k <= 0:
+            continue
+        kind = decls.kind(t)
+        if kind == "prim":
+            lit, tl_lit = (fg.IntLit, tl.TLInt) if t == fg.INT else (fg.BoolLit, tl.TLBool)
+            if not (isinstance(v, lit) and isinstance(V, tl_lit) and v.value == V.value):
+                return False
+        elif kind == "struct":
+            if not (isinstance(v, fg.StructLit) and v.type_name == t):
+                return False
+            if not (isinstance(V, tl.CtorApp) and V.ctor == tl.struct_ctor(t)):
+                return False
+            fields = decls.struct_fields(t)
+            if len(V.args) != len(fields) or len(v.args) != len(fields):
+                return False
+            todo.extend((fields[i][1], v.args[i], V.args[i], k)
+                        for i in range(len(fields) - 1, -1, -1))
+        else:  # interface type
+            specs = decls.iface_specs(t)
+            if not (isinstance(V, tl.CtorApp) and V.ctor == tl.struct_ctor(t)):
+                return False
+            if len(V.args) != 1 + len(specs):
+                return False
+            payload = V.args[0]
+            if not isinstance(payload, tl.CtorApp):
+                return False
+            u_s = tl.ctor_type(payload.ctor)
+            if u_s not in decls.types or decls.kind(u_s) != "struct":
+                return False
+            for spec, slot in zip(specs, V.args[1:]):
+                name = tl.method_var_name(spec.name, u_s)
+                if not (isinstance(slot, tl.MethodVar) and slot.name == name):
+                    return False
+                if (u_s, spec.name) not in decls.method_decls or name not in mu:
+                    return False
+            todo.append((u_s, v, payload, k - 1))
     return True
 
 
@@ -159,21 +161,23 @@ def diff_run(prog: fg.Program, fuel=DEFAULT_EVAL_FUEL,
                    detail=f"values unrelated at type {res.main_type}")
 
 
-def harvest_related(decls: fg.Decls, t: str, v, V, out=None):
-    """Recursively collect (type, fg value, tl value) triples below a related
-    root pair, for the monotonicity/preservation suites."""
-    if out is None:
-        out = []
-    out.append((t, v, V))
-    kind = decls.kind(t)
-    if kind == "struct" and isinstance(V, tl.CtorApp):
-        for (_f, ft), va, Va in zip(decls.struct_fields(t), v.args, V.args):
-            harvest_related(decls, ft, va, Va, out)
-    elif kind == "interface" and isinstance(V, tl.CtorApp) and V.args:
-        payload = V.args[0]
-        u_s = isinstance(payload, tl.CtorApp) and tl.ctor_type(payload.ctor)
-        if u_s:
-            harvest_related(decls, u_s, v, payload, out)
+def harvest_related(decls: fg.Decls, t: str, v, V):
+    """Collect, in pre-order, the (type, fg value, tl value) triples below a
+    related root pair, for the monotonicity/preservation suites."""
+    out = []
+    todo = [(t, v, V)]
+    while todo:
+        t, v, V = todo.pop()
+        out.append((t, v, V))
+        kind = decls.kind(t)
+        if kind == "struct" and isinstance(V, tl.CtorApp):
+            todo.extend(reversed([(ft, va, Va) for (_f, ft), va, Va
+                                  in zip(decls.struct_fields(t), v.args, V.args)]))
+        elif kind == "interface" and isinstance(V, tl.CtorApp) and V.args:
+            payload = V.args[0]
+            u_s = isinstance(payload, tl.CtorApp) and tl.ctor_type(payload.ctor)
+            if u_s:
+                todo.append((u_s, v, payload))
     return out
 
 

@@ -116,13 +116,12 @@ def tuple_ctor(k: int) -> str:
     return f"Tup{k}"
 
 
-_TUPLE_RE = re.compile(r"^Tup(\d+)$")
-
-
 def tuple_arity(ctor: str):
-    """Arity if `ctor` is a tuple constructor, else None."""
-    m = _TUPLE_RE.match(ctor)
-    return int(m.group(1)) if m else None
+    """Arity if `ctor` is a tuple constructor, `Tup` then decimal digits,
+    else None."""
+    if ctor.startswith("Tup") and ctor[3:].isdecimal():
+        return int(ctor[3:])
+    return None
 
 
 def make_tuple(args) -> CtorApp:
@@ -349,6 +348,10 @@ _TL_TOKEN_RE = re.compile(
 )
 
 
+# Frames of the expression reader; see `_TLParser.expr`.
+_BIN, _APP, _LAM, _PAREN, _CASE = "bin", "app", "lam", "paren", "case"
+
+
 def _is_ctor_name(name):
     return name.startswith("K_") or tuple_arity(name) is not None
 
@@ -396,34 +399,131 @@ class _TLParser(TokenReader):
         return TLProgram(tuple(bindings), main)
 
     def expr(self, scope):
-        if self.accept("\\"):
-            return self.lam(scope)
-        if self.at("case"):
-            return self.case(scope)
-        return self.binary(scope, 1)
-
-    def lam(self, scope):
-        if self.at("("):
-            # Pattern-lambda sugar: \(x, y) -> e desugars to a fresh-variable
-            # lambda over a tuple case.
-            clause = self.clause(scope)
-            x = self.fresh_var()
-            return Lam(x, Case(TLVar(x), (clause,)))
-        x = self.ident()
-        self.expect("->")
-        return Lam(x, self.expr(scope + (x,)))
-
-    def case(self, scope):
-        self.expect("case")
-        scrut = self.expr(scope)
-        self.expect("of")
-        self.expect("{")
-        return Case(scrut, tuple(self.seq("}", lambda: self.clause(scope), ";")))
-
-    def clause(self, scope):
-        pat = self.pattern()
-        self.expect("->")
-        return Clause(pat, self.expr(scope + pat.vars))
+        """An expression in `scope`, read in one loop.  `frames` holds the
+        constructs still open, each waiting for an expression: a lambda's
+        body, a case's scrutinee or clause body, a parenthesis or tuple, a
+        binary expression at its binding power (its left operand and
+        operator once read), and an application whose next atom opens with
+        `(` or `\\`.  A frame that binds variables holds the scope outside
+        them, so the scope is the binders of the open frames, and input of
+        any depth parses."""
+        frames = []
+        push, pop = frames.append, frames.pop
+        start, parts = True, None
+        while True:
+            if start:  # `\` and `case` open only a whole expression
+                if self.accept("\\"):
+                    if self.at("("):
+                        # Pattern-lambda sugar: \(x, y) -> e desugars to a
+                        # fresh-variable lambda over a tuple case.
+                        binder = self.pattern()
+                        bound = binder.vars
+                    else:
+                        binder = self.ident()
+                        bound = (binder,)
+                    self.expect("->")
+                    push((_LAM, scope, binder))
+                    scope += bound
+                    continue
+                if self.accept("case"):
+                    push([_CASE, scope, None, [], None])
+                    continue
+                push([_BIN, 1, None, None])
+                start, parts = False, []
+            if not parts or self._at_atom():  # the atoms of an application
+                kind, text, _ = self.cur
+                if kind == "num":
+                    self.advance()
+                    parts.append(TLInt(int(text)))
+                elif text == "true" or text == "false":
+                    self.advance()
+                    parts.append(TLBool(text == "true"))
+                elif kind == "ident":
+                    name = self.ident()
+                    if _is_ctor_name(name):
+                        parts.append(CtorApp(name, ()))
+                    elif name in self.let_bound and name not in scope:
+                        parts.append(MethodVar(name))
+                    else:
+                        parts.append(TLVar(name))
+                elif self.accept("("):
+                    if self.accept(")"):
+                        parts.append(CtorApp(tuple_ctor(0), ()))
+                    else:
+                        push((_APP, parts))
+                        push((_PAREN, []))
+                        start = True
+                elif self.at("\\"):
+                    push((_APP, parts))
+                    start = True
+                else:
+                    self.fail_found("expected expression")
+                continue
+            head = parts[0]
+            if type(head) is CtorApp and not head.args and tuple_arity(head.ctor) is None:
+                e = CtorApp(head.ctor, tuple(parts[1:]))
+            else:
+                e = head
+                for p in parts[1:]:
+                    e = App(e, p)
+            # Hand the finished expression to the innermost open construct,
+            # until one reads on.
+            while frames:
+                f = pop()
+                tag = f[0]
+                if tag is _BIN:
+                    if f[3] is not None:
+                        e = TLPrim(f[3], f[2], e)
+                    prec = PREC.get(self.cur[1], 0)
+                    if prec >= f[1] and (f[3] is None or prec != PREC_CMP):
+                        f[2], f[3] = e, self.advance()[1]
+                        push(f)
+                        push([_BIN, prec + 1, None, None])
+                        parts = []
+                        break
+                elif tag is _APP:
+                    parts = f[1]
+                    parts.append(e)
+                    break
+                elif tag is _LAM:
+                    scope, binder = f[1], f[2]
+                    if type(binder) is str:
+                        e = Lam(binder, e)
+                    else:
+                        x = self.fresh_var()
+                        e = Lam(x, Case(TLVar(x), (Clause(binder, e),)))
+                elif tag is _PAREN:
+                    items = f[1]
+                    items.append(e)
+                    comma = self.accept(",")
+                    if comma and not self.at(")"):
+                        push(f)
+                        start = True
+                        break
+                    self.expect(")")
+                    if comma or len(items) > 1:
+                        e = make_tuple(items)
+                else:
+                    if f[2] is None:  # the scrutinee
+                        f[2] = e
+                        self.expect("of")
+                        self.expect("{")
+                        more = True
+                    else:
+                        scope = f[1]
+                        f[3].append(Clause(f[4], e))
+                        more = self.accept(";")
+                    if more and not self.at("}"):
+                        f[4] = pat = self.pattern()
+                        self.expect("->")
+                        push(f)
+                        scope = f[1] + pat.vars
+                        start = True
+                        break
+                    self.expect("}")
+                    e = Case(f[2], tuple(f[3]))
+            else:
+                return e
 
     def pattern(self):
         if self.accept("("):
@@ -438,59 +538,11 @@ class _TLParser(TokenReader):
             vars_.append(self.ident())
         return Pattern(name, tuple(vars_))
 
-    def binary(self, scope, min_prec):
-        e = self.app_expr(scope)
-        first = True
-        while (prec := PREC.get(self.cur[1], 0)) >= min_prec and \
-                (first or prec != PREC_CMP):
-            op = self.advance()[1]
-            e = TLPrim(op, e, self.binary(scope, prec + 1))
-            first = False
-        return e
-
-    def app_expr(self, scope):
-        parts = [self.atom(scope)]
-        while self._at_atom():
-            parts.append(self.atom(scope))
-        head = parts[0]
-        if isinstance(head, CtorApp) and not head.args and tuple_arity(head.ctor) is None:
-            return CtorApp(head.ctor, tuple(parts[1:]))
-        for p in parts[1:]:
-            head = App(head, p)
-        return head
-
     def _at_atom(self):
         kind, text, _ = self.cur
         if kind == "ident":
             return text not in _TL_KEYWORDS or text in ("true", "false")
         return kind == "num" or text in ("(", "\\")
-
-    def atom(self, scope):
-        kind, text, _ = self.cur
-        if kind == "num":
-            self.advance()
-            return TLInt(int(text))
-        if text == "true" or text == "false":
-            self.advance()
-            return TLBool(text == "true")
-        if kind == "ident":
-            name = self.ident()
-            if _is_ctor_name(name):
-                return CtorApp(name, ())
-            if name in self.let_bound and name not in scope:
-                return MethodVar(name)
-            return TLVar(name)
-        if self.accept("("):
-            if self.accept(")"):
-                return CtorApp(tuple_ctor(0), ())
-            first = self.expr(scope)
-            if self.accept(","):
-                return make_tuple([first, *self.seq(")", lambda: self.expr(scope))])
-            self.expect(")")
-            return first
-        if self.accept("\\"):
-            return self.lam(scope)
-        self.fail_found("expected expression")
 
 
 def parse_program(text: str, filename="<input>") -> TLProgram:

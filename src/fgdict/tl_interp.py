@@ -33,27 +33,54 @@ UNBOUND_VAR = "unbound-variable"
 
 
 def subst(e, x, v):
-    """Substitute value v for variable x; binders shadow."""
-    if isinstance(e, TLVar):
-        return v if e.name == x else e
-    if isinstance(e, (MethodVar, TLInt, TLBool)):
-        return e
-    if isinstance(e, CtorApp):
-        return CtorApp(e.ctor, tuple(subst(a, x, v) for a in e.args))
-    if isinstance(e, Lam):
-        if e.var == x:
-            return e
-        return Lam(e.var, subst(e.body, x, v))
-    if isinstance(e, App):
-        return App(subst(e.fn, x, v), subst(e.arg, x, v))
-    if isinstance(e, Case):
-        clauses = tuple(
-            c if x in c.pat.vars else Clause(c.pat, subst(c.body, x, v))
-            for c in e.clauses)
-        return Case(subst(e.scrut, x, v), clauses)
-    if isinstance(e, TLPrim):
-        return TLPrim(e.op, subst(e.left, x, v), subst(e.right, x, v))
-    raise TypeError(f"not a TL expression: {e!r}")
+    """Substitute value v for variable x; binders shadow.  Nodes are rebuilt
+    bottom-up from an explicit stack, so terms of any depth substitute."""
+    done = []  # substituted subterms, in order
+    todo = [(e, None)]  # (node, None) to visit; (node, n) to rebuild from n subterms
+    while todo:
+        e, n = todo.pop()
+        t = type(e)
+        if n is not None:
+            subs = done[len(done) - n:]
+            del done[len(done) - n:]
+            if t is CtorApp:
+                e = CtorApp(e.ctor, tuple(subs))
+            elif t is Lam:
+                e = Lam(e.var, subs[0])
+            elif t is App:
+                e = App(subs[0], subs[1])
+            elif t is TLPrim:
+                e = TLPrim(e.op, subs[0], subs[1])
+            else:
+                bodies = iter(subs[1:])
+                e = Case(subs[0], tuple(c if x in c.pat.vars else Clause(c.pat, next(bodies))
+                                        for c in e.clauses))
+            done.append(e)
+            continue
+        if t is CtorApp:
+            subs = e.args
+        elif t is Lam:
+            subs = () if e.var == x else (e.body,)
+        elif t is App:
+            subs = (e.fn, e.arg)
+        elif t is Case:
+            subs = (e.scrut, *(c.body for c in e.clauses if x not in c.pat.vars))
+        elif t is TLPrim:
+            subs = (e.left, e.right)
+        elif t is TLVar:
+            done.append(v if e.name == x else e)
+            continue
+        elif t is MethodVar or t is TLInt or t is TLBool:
+            done.append(e)
+            continue
+        else:
+            raise TypeError(f"not a TL expression: {e!r}")
+        if not subs:
+            done.append(e)
+            continue
+        todo.append((e, len(subs)))
+        todo.extend((s, None) for s in reversed(subs))
+    return done[0]
 
 
 class _Closure:
@@ -191,25 +218,34 @@ def _match(node, env, v):
 
 
 def _value_term(v):
-    """Read a machine value back as a term.  Constructor values nest as deep
-    as evaluation builds them, so they are rebuilt with an explicit stack."""
+    """Read a machine value back as a term.  Constructor values, and closures
+    through their environments, nest as deep as evaluation builds them, so
+    they are rebuilt with an explicit stack."""
     done = []  # read-back terms, in order
     todo = [(v, False)]
     while todo:
         w, children_done = todo.pop()
         t = type(w)
         if children_done:
-            n = len(w.args)
-            args = tuple(done[len(done) - n:])
+            parts = w.args if t is CtorApp else w.env
+            n = len(parts)
+            subs = done[len(done) - n:]
             del done[len(done) - n:]
-            done.append(CtorApp(w.ctor, args))
+            if t is CtorApp:
+                done.append(CtorApp(w.ctor, tuple(subs)))
+            else:
+                e = w.lam
+                for x, s in zip(parts, subs):
+                    e = subst(e, x, s)
+                done.append(e)
         elif t is CtorApp and w.args:
             todo.append((w, True))
             todo.extend((a, False) for a in reversed(w.args))
-        elif t is _Closure:
-            done.append(_term(w.lam, w.env))
+        elif t is _Closure and w.env:
+            todo.append((w, True))
+            todo.extend((a, False) for a in reversed(w.env.values()))
         else:
-            done.append(w)
+            done.append(w.lam if t is _Closure else w)
     return done[0]
 
 

@@ -58,6 +58,15 @@ class Translation:
         return not self.diagnostics
 
 
+# Frames of `Translator.infer_expr`.  A Select, an Assert, or a Call waiting
+# for its receiver is its own frame.  The others are sequences:
+#   (_ARGS, struct literal, fields, argument codes so far)
+#   (_ARGS, call, signature params, argument codes so far, receiver type,
+#    receiver code, signature, interface spec index or None)
+#   [_BIN, node, operand type, left code or None]
+_ARGS, _BIN = "args", "bin"
+
+
 class Translator:
     def __init__(self, decls: fg.Decls, hoist_helpers=False):
         self.decls = decls
@@ -78,67 +87,121 @@ class Translator:
     # -- expressions -------------------------------------------------------
 
     def infer_expr(self, env, e):
-        """Syntax-directed synthesis: returns (minimal type, TL code)."""
+        """Syntax-directed synthesis: returns (minimal type, TL code).
+
+        Subexpressions are typed in the FG machine's order: struct arguments
+        left to right, then receiver, then call arguments left to right.
+        Each node waiting for a subexpression is a frame on an explicit
+        stack, so terms of any depth check."""
         decls = self.decls
+        stack = []
+        push, pop = stack.append, stack.pop
+        while True:
+            # Descend to the next subexpression in order, until one is typed.
+            while True:
+                t = type(e)
+                if t is fg.Var:
+                    if e.name not in env:
+                        raise FgError(Diagnostic(
+                            UNKNOWN_VAR, f"unknown variable {e.name}", e.span))
+                    self.count("td-var")
+                    res = env[e.name], tl.TLVar(tl.fg_var(e.name))
+                    break
+                if t is fg.StructLit:
+                    if decls.kind(e.type_name) != "struct":
+                        raise FgError(Diagnostic(
+                            UNKNOWN_TYPE, f"{e.type_name} is not a declared struct", e.span))
+                    fields = decls.struct_fields(e.type_name)
+                    if len(fields) != len(e.args):
+                        raise FgError(Diagnostic(
+                            ARITY_MISMATCH,
+                            f"struct {e.type_name} has {len(fields)} fields, got {len(e.args)}",
+                            e.span))
+                    if not e.args:
+                        self.count("td-struct")
+                        res = e.type_name, tl.CtorApp(tl.struct_ctor(e.type_name), ())
+                        break
+                    push((_ARGS, e, fields, []))
+                    e = e.args[0]
+                elif t is fg.Select or t is fg.Call:
+                    push(e)
+                    e = e.recv
+                elif t is fg.Assert:
+                    push(e)
+                    e = e.expr
+                elif t is fg.IntLit:
+                    res = fg.INT, tl.TLInt(e.value)
+                    break
+                elif t is fg.BoolLit:
+                    res = fg.BOOL, tl.TLBool(e.value)
+                    break
+                elif t is fg.BinOp:
+                    push([_BIN, e, fg.BINOPS[e.op][0], None])
+                    e = e.left
+                else:
+                    raise TypeError(f"not an FG expression: {e!r}")
+            # Return the typed subexpression to the nodes waiting for it.
+            while stack:
+                f = pop()
+                t = type(f)
+                if t is fg.Select:
+                    res = self._select(f, *res)
+                elif t is fg.Call:
+                    sig, idx = self._call_sig(f, res[0])
+                    if f.args:
+                        push((_ARGS, f, sig.params, [], *res, sig, idx))
+                        e = f.args[0]
+                        break
+                    res = self._call(f, *res, sig, idx, ())
+                elif t is fg.Assert:
+                    res = self._assert(f, *res)
+                elif f[0] is _ARGS:
+                    node, wants, codes = f[1], f[2], f[3]
+                    a = node.args[len(codes)]
+                    codes.append(self.coerce_to(
+                        res[0], wants[len(codes)][1], res[1], a.span, NOT_A_SUBTYPE))
+                    if len(codes) < len(node.args):
+                        push(f)
+                        e = node.args[len(codes)]
+                        break
+                    if type(node) is fg.Call:
+                        res = self._call(node, *f[4:], tuple(codes))
+                    else:
+                        self.count("td-struct")
+                        res = node.type_name, tl.CtorApp(
+                            tl.struct_ctor(node.type_name), tuple(codes))
+                else:
+                    _tag, node, operand, left = f
+                    side = node.left if left is None else node.right
+                    code = self.coerce_to(res[0], operand, res[1], side.span, PRIM_OP_TYPE)
+                    if left is None:
+                        f[3] = code
+                        push(f)
+                        e = node.right
+                        break
+                    res = fg.BINOPS[node.op][1], tl.TLPrim(node.op, left, code)
+            else:
+                return res
 
-        if isinstance(e, fg.Var):
-            if e.name not in env:
-                raise FgError(Diagnostic(UNKNOWN_VAR, f"unknown variable {e.name}", e.span))
-            self.count("td-var")
-            return env[e.name], tl.TLVar(tl.fg_var(e.name))
-
-        if isinstance(e, fg.StructLit):
-            if decls.kind(e.type_name) != "struct":
-                raise FgError(Diagnostic(
-                    UNKNOWN_TYPE, f"{e.type_name} is not a declared struct", e.span))
-            fields = decls.struct_fields(e.type_name)
-            if len(fields) != len(e.args):
-                raise FgError(Diagnostic(
-                    ARITY_MISMATCH,
-                    f"struct {e.type_name} has {len(fields)} fields, got {len(e.args)}",
-                    e.span))
-            args = tuple(self.check_expr(env, a, t) for a, (_f, t) in zip(e.args, fields))
-            self.count("td-struct")
-            return e.type_name, tl.CtorApp(tl.struct_ctor(e.type_name), args)
-
-        if isinstance(e, fg.Select):
-            t_recv, code = self.infer_expr(env, e.recv)
-            if decls.kind(t_recv) != "struct":
-                raise FgError(Diagnostic(
-                    NOT_A_STRUCT, f"field selection on non-struct type {t_recv}", e.span))
-            i = decls.field_index[t_recv].get(e.fld)
-            if i is None:
-                raise FgError(Diagnostic(
-                    UNKNOWN_FIELD, f"no field {e.fld} on {t_recv}", e.span))
-            self.count("td-access")
-            fields = decls.struct_fields(t_recv)
-            vars_ = [self.fresh() for _ in fields]
-            return fields[i][1], _match(code, tl.struct_ctor(t_recv), vars_,
-                                        tl.TLVar(vars_[i]))
-
-        if isinstance(e, fg.Call):
-            return self._infer_call(env, e)
-
-        if isinstance(e, fg.Assert):
-            return self._infer_assert(env, e)
-
-        if isinstance(e, fg.IntLit):
-            return fg.INT, tl.TLInt(e.value)
-
-        if isinstance(e, fg.BoolLit):
-            return fg.BOOL, tl.TLBool(e.value)
-
-        if isinstance(e, fg.BinOp):
-            operand, result = fg.BINOPS[e.op]
-            left = self.check_expr(env, e.left, operand, code=PRIM_OP_TYPE)
-            right = self.check_expr(env, e.right, operand, code=PRIM_OP_TYPE)
-            return result, tl.TLPrim(e.op, left, right)
-
-        raise TypeError(f"not an FG expression: {e!r}")
-
-    def _infer_call(self, env, e):
+    def _select(self, e, t_recv, code):
         decls = self.decls
-        t_recv, code = self.infer_expr(env, e.recv)
+        if decls.kind(t_recv) != "struct":
+            raise FgError(Diagnostic(
+                NOT_A_STRUCT, f"field selection on non-struct type {t_recv}", e.span))
+        i = decls.field_index[t_recv].get(e.fld)
+        if i is None:
+            raise FgError(Diagnostic(
+                UNKNOWN_FIELD, f"no field {e.fld} on {t_recv}", e.span))
+        self.count("td-access")
+        fields = decls.struct_fields(t_recv)
+        vars_ = [self.fresh() for _ in fields]
+        return fields[i][1], _match(code, tl.struct_ctor(t_recv), vars_,
+                                    tl.TLVar(vars_[i]))
+
+    def _call_sig(self, e, t_recv):
+        """The signature of the method `e` calls on `t_recv`, and the index of
+        its spec if `t_recv` is an interface, else None."""
+        decls = self.decls
         kind = decls.kind(t_recv)
         if kind == "prim":
             raise FgError(Diagnostic(
@@ -148,37 +211,35 @@ class Translator:
             if d is None:
                 raise FgError(Diagnostic(
                     UNKNOWN_METHOD, f"no method {e.method} on {t_recv}", e.span))
-            sig = d.sig
-            args = self._check_args(env, e, sig)
-            self.count("td-call-struct")
-            self.uses.add((t_recv, e.method))
-            fn = tl.MethodVar(tl.method_var_name(e.method, t_recv))
-            return sig.ret, tl.App(tl.App(fn, code), tl.make_tuple(args))
-        specs = decls.iface_specs(t_recv)
-        idx = next((j for j, s in enumerate(specs) if s.name == e.method), None)
-        if idx is None:
-            raise FgError(Diagnostic(
-                UNKNOWN_METHOD, f"interface {t_recv} has no method {e.method}", e.span))
-        sig = specs[idx].sig
-        args = self._check_args(env, e, sig)
-        self.count("td-call-iface")
-        x = self.fresh()
-        slots = tuple(self.fresh() for _ in specs)
-        call = tl.App(tl.App(tl.TLVar(slots[idx]), tl.TLVar(x)), tl.make_tuple(args))
-        return sig.ret, _match(code, tl.struct_ctor(t_recv), (x,) + slots, call)
-
-    def _check_args(self, env, e, sig):
+            sig, idx = d.sig, None
+        else:
+            specs = decls.iface_specs(t_recv)
+            idx = next((j for j, s in enumerate(specs) if s.name == e.method), None)
+            if idx is None:
+                raise FgError(Diagnostic(
+                    UNKNOWN_METHOD, f"interface {t_recv} has no method {e.method}", e.span))
+            sig = specs[idx].sig
         if len(sig.params) != len(e.args):
             raise FgError(Diagnostic(
                 ARITY_MISMATCH,
                 f"method {e.method} expects {len(sig.params)} arguments, got {len(e.args)}",
                 e.span))
-        return tuple(self.check_expr(env, a, t)
-                     for a, (_x, t) in zip(e.args, sig.params))
+        return sig, idx
 
-    def _infer_assert(self, env, e):
+    def _call(self, e, t_recv, code, sig, idx, args):
+        if idx is None:
+            self.count("td-call-struct")
+            self.uses.add((t_recv, e.method))
+            fn = tl.MethodVar(tl.method_var_name(e.method, t_recv))
+            return sig.ret, tl.App(tl.App(fn, code), tl.make_tuple(args))
+        self.count("td-call-iface")
+        x = self.fresh()
+        slots = tuple(self.fresh() for _ in self.decls.iface_specs(t_recv))
+        call = tl.App(tl.App(tl.TLVar(slots[idx]), tl.TLVar(x)), tl.make_tuple(args))
+        return sig.ret, _match(code, tl.struct_ctor(t_recv), (x,) + slots, call)
+
+    def _assert(self, e, t_expr, code):
         decls = self.decls
-        t_expr, code = self.infer_expr(env, e.expr)
         if decls.kind(t_expr) != "interface":
             raise FgError(Diagnostic(
                 ASSERT_ON_STRUCT,
@@ -198,11 +259,12 @@ class Translator:
         return e.type_name, tl.App(self.build_downcast(t_expr, e.type_name), code)
 
     def check_expr(self, env, e, want, code=NOT_A_SUBTYPE):
-        """Infer then coerce: the single place where subsumption applies."""
+        """Infer then coerce."""
         have, out = self.infer_expr(env, e)
         return self.coerce_to(have, want, out, e.span, code)
 
     def coerce_to(self, have, want, code, span, diag_code):
+        """The single place where subsumption applies."""
         decls = self.decls
         if have == want:
             return code

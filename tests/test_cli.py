@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, flags, exit codes, JSON output."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -190,3 +193,23 @@ def test_missing_file_is_a_diagnostic(capsys):
 def test_core_mode_rejects_ext_syntax(tmp_path, capsys):
     # equality.fg uses primitives, so core-mode parsing must fail cleanly.
     assert cli_dispatch(["parse", EQ]) == EXIT_DIAGNOSTICS
+
+
+def _python(*args):
+    """Run a fresh interpreter on `args` with the package on its path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_run_as_module_is_quiet():
+    res = _python("-m", "fgdict.cli", "parse", "corpus/dispatch.fg")
+    assert (res.returncode, res.stderr) == (EXIT_OK, "")
+    assert res.stdout.startswith("type ")
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    res = _python("-c", "import sys; before = sys.getrecursionlimit(); import fgdict; "
+                        "print(before, sys.getrecursionlimit())")
+    before, after = res.stdout.split()
+    assert res.returncode == 0 and before == after

@@ -148,6 +148,25 @@ def test_self_recursive_struct_rejected():
     assert FG1_RECURSIVE_STRUCT in codes(prog)
 
 
+@pytest.mark.parametrize("structs, cycles", [
+    # B is the only recursive struct; A and C only reach it.
+    ("type A struct { b B }\ntype B struct { b B }\ntype C struct { a A }", [("B", 3)]),
+    ("type B struct { b B }\ntype A struct { b B }", [("B", 2)]),
+    # One cycle through two structs, named in declaration order.
+    ("type C struct { a A }\ntype B struct { a A }\ntype A struct { b B }",
+     [("B, A", 3)]),
+    # Two cycles, each reported once, at its first-declared member.
+    ("type A struct { a A; c C }\ntype C struct { d D }\ntype D struct { c C }",
+     [("A", 2), ("C, D", 3)]),
+])
+def test_one_diagnostic_per_struct_cycle(structs, cycles):
+    prog = parse_program(f"package main\n{structs}\nfunc main() {{ _ = A{{}} }}\n")
+    got = [(d.message, d.span.line) for d in fg.check_wellformed(prog)
+           if d.code == FG1_RECURSIVE_STRUCT]
+    assert got == [(f"recursive struct declaration involving {names}", line)
+                   for names, line in cycles]
+
+
 def test_interface_fields_do_not_make_structs_recursive():
     # A struct may hold an interface implemented by that same struct.
     prog = parse_program("""

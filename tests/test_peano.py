@@ -1,6 +1,11 @@
 """Peano numerals: step counts of both interpreters on large terms, and
 deep values that stay within fuel."""
 
+import os
+import subprocess
+import sys
+import time
+
 import pytest
 
 from fgdict.cli import EXIT_OK, cli_dispatch
@@ -81,3 +86,64 @@ def test_run_tl_prints_a_value_deeper_than_the_recursion_limit(tmp_path, capsys)
     assert cli_dispatch(["run-tl", str(out)]) == EXIT_OK
     assert capsys.readouterr().out == "K_Nat (K_S (" * 10000 + \
         "K_Nat K_Z add_Z mul_Z" + ")) add_S mul_S" * 10000 + "\n"
+
+
+def test_relation_fuel_deeper_than_the_recursion_limit(tmp_path, capsys):
+    f = tmp_path / "mul100.fg"
+    f.write_text(NAT % f"{numeral(100)}.mul({numeral(100)})")
+    assert cli_dispatch(["diff", str(f), "--rel-fuel", "5000"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("agree: S{S{")
+
+
+# Runs in a fresh interpreter, at Python's default recursion limit, on a
+# program whose main is a numeral 20,000 levels deep.  Deep trees are
+# compared by their printed text: dataclass `==` recurses.
+DEEP_SCRIPT = """
+import contextlib, io, sys
+from fgdict import tl_ast as tl
+from fgdict.cli import cli_dispatch
+from fgdict.fg_parser import parse_program, print_program
+
+limit = sys.getrecursionlimit()
+fg_file, tl_file, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_dispatch(list(argv))
+    assert code == 0, (argv, code, err.getvalue())
+    return out.getvalue()
+
+def compile_tl(*flags):
+    run("compile", fg_file, *flags, "-o", tl_file)
+    with open(tl_file, encoding="utf-8") as f:
+        text = f.read()
+    prog = tl.parse_program(text)
+    assert tl.validate_program(prog) == []
+    assert tl.print_program(prog) == text
+
+assert run("check", fg_file) == "ok: main has type S\\n"
+compile_tl()
+compile_tl("--hoist-helpers")
+assert run("run-tl", tl_file) == (
+    "K_S (" + "K_Nat (K_S (" * (n - 1) + "K_Nat K_Z add_Z mul_Z" +
+    ")) add_S mul_S" * (n - 1) + ")\\n")
+numeral = "S{" * n + "Z{}" + "}" * n
+assert run("diff", fg_file).startswith(f"agree: {numeral} (")
+text = run("parse", fg_file)
+assert print_program(parse_program(text)) == text
+assert sys.getrecursionlimit() == limit
+"""
+
+
+def test_deep_numeral_at_the_default_recursion_limit(tmp_path):
+    n = 20000
+    fg_file = tmp_path / "deep.fg"
+    fg_file.write_text(NAT % numeral(n))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    start = time.monotonic()
+    subprocess.run([sys.executable, "-c", DEEP_SCRIPT, str(fg_file),
+                    str(tmp_path / "deep.tl"), str(n)],
+                   env=env, check=True, timeout=60)
+    assert time.monotonic() - start < 10

@@ -22,7 +22,17 @@ def test_tuple_constructors():
     assert tl.make_tuple(()) == CtorApp("Tup0", ())
     assert tl.make_tuple((TLVar("x"),)) == CtorApp("Tup1", (TLVar("x"),))
     assert tl.tuple_arity("Tup7") == 7
-    assert tl.tuple_arity("K_A") is None
+    assert tl.tuple_arity("Tup01") == 1
+    for name in ("K_A", "Tup", "TupX", "K_Tup1", "tup1"):
+        assert tl.tuple_arity(name) is None
+
+
+def test_closure_chain_deeper_than_the_recursion_limit():
+    n = 3000
+    e = tl.parse_expr("(\\x -> \\y -> x) (" * n + "K_A" + ")" * n)
+    out = tl_interp.tl_eval({}, e, 10 ** 5)
+    assert out.steps == n
+    assert tl.print_expr(out.value) == "\\y -> " * n + "K_A"
 
 
 def test_print_parse_roundtrip_expr():
