@@ -352,6 +352,12 @@ _TL_TOKEN_RE = re.compile(
 _BIN, _APP, _LAM, _PAREN, _CASE = "bin", "app", "lam", "paren", "case"
 
 
+def _bind(scope, names, by):
+    """Count each of `names` as bound by `by` more open frames."""
+    for x in names:
+        scope[x] = scope.get(x, 0) + by
+
+
 def _is_ctor_name(name):
     return name.startswith("K_") or tuple_arity(name) is not None
 
@@ -386,29 +392,29 @@ class _TLParser(TokenReader):
             while True:
                 name = self.ident()
                 self.expect("=")
-                e = self.expr(())
+                e = self.expr()
                 if not isinstance(e, Lam):
                     self.fail_found(f"binding {name} must be a lambda")
                 bindings.append((name, e))
                 if not self.accept(";"):
                     break
             self.expect("in")
-        main = self.expr(())
+        main = self.expr()
         if self.cur[0] != "eof":
             self.fail_found("trailing input")
         return TLProgram(tuple(bindings), main)
 
-    def expr(self, scope):
-        """An expression in `scope`, read in one loop.  `frames` holds the
-        constructs still open, each waiting for an expression: a lambda's
-        body, a case's scrutinee or clause body, a parenthesis or tuple, a
-        binary expression at its binding power (its left operand and
-        operator once read), and an application whose next atom opens with
-        `(` or `\\`.  A frame that binds variables holds the scope outside
-        them, so the scope is the binders of the open frames, and input of
-        any depth parses."""
+    def expr(self):
+        """An expression, read in one loop.  `frames` holds the constructs
+        still open, each waiting for an expression: a lambda's body, a
+        case's scrutinee or clause body, a parenthesis or tuple, a binary
+        expression at its binding power (its left operand and operator once
+        read), and an application whose next atom opens with `(` or `\\`.
+        So input of any depth parses.  The scope is the binders of the open
+        frames: `scope` counts, for each variable, the frames binding it."""
         frames = []
         push, pop = frames.append, frames.pop
+        scope = {}
         start, parts = True, None
         while True:
             if start:  # `\` and `case` open only a whole expression
@@ -422,11 +428,11 @@ class _TLParser(TokenReader):
                         binder = self.ident()
                         bound = (binder,)
                     self.expect("->")
-                    push((_LAM, scope, binder))
-                    scope += bound
+                    push((_LAM, binder, bound))
+                    _bind(scope, bound, 1)
                     continue
                 if self.accept("case"):
-                    push([_CASE, scope, None, [], None])
+                    push([_CASE, None, [], None])
                     continue
                 push([_BIN, 1, None, None])
                 start, parts = False, []
@@ -442,7 +448,7 @@ class _TLParser(TokenReader):
                     name = self.ident()
                     if _is_ctor_name(name):
                         parts.append(CtorApp(name, ()))
-                    elif name in self.let_bound and name not in scope:
+                    elif name in self.let_bound and not scope.get(name):
                         parts.append(MethodVar(name))
                     else:
                         parts.append(TLVar(name))
@@ -486,7 +492,8 @@ class _TLParser(TokenReader):
                     parts.append(e)
                     break
                 elif tag is _LAM:
-                    scope, binder = f[1], f[2]
+                    binder = f[1]
+                    _bind(scope, f[2], -1)
                     if type(binder) is str:
                         e = Lam(binder, e)
                     else:
@@ -504,24 +511,24 @@ class _TLParser(TokenReader):
                     if comma or len(items) > 1:
                         e = make_tuple(items)
                 else:
-                    if f[2] is None:  # the scrutinee
-                        f[2] = e
+                    if f[1] is None:  # the scrutinee
+                        f[1] = e
                         self.expect("of")
                         self.expect("{")
                         more = True
                     else:
-                        scope = f[1]
-                        f[3].append(Clause(f[4], e))
+                        _bind(scope, f[3].vars, -1)
+                        f[2].append(Clause(f[3], e))
                         more = self.accept(";")
                     if more and not self.at("}"):
-                        f[4] = pat = self.pattern()
+                        f[3] = pat = self.pattern()
                         self.expect("->")
                         push(f)
-                        scope = f[1] + pat.vars
+                        _bind(scope, pat.vars, 1)
                         start = True
                         break
                     self.expect("}")
-                    e = Case(f[2], tuple(f[3]))
+                    e = Case(f[1], tuple(f[2]))
             else:
                 return e
 
@@ -554,7 +561,7 @@ def parse_program(text: str, filename="<input>") -> TLProgram:
 def parse_expr(text: str, let_bound=()):
     p = _TLParser(text)
     p.let_bound = set(let_bound)
-    e = p.expr(())
+    e = p.expr()
     if p.cur[0] != "eof":
         p.fail_found("trailing input")
     return e

@@ -27,6 +27,13 @@ def test_tuple_constructors():
         assert tl.tuple_arity(name) is None
 
 
+def test_reader_takes_any_depth():
+    n = 20000
+    for text in ("\\x -> " * n + "x", "(" * n + "1" + ",)" * n,
+                 "case " * n + "K_A" + " of { K_A -> K_A }" * n):
+        assert tl.print_expr(tl.parse_expr(text)) == text
+
+
 def test_closure_chain_deeper_than_the_recursion_limit():
     n = 3000
     e = tl.parse_expr("(\\x -> \\y -> x) (" * n + "K_A" + ")" * n)
