@@ -1,6 +1,7 @@
 """Source spans and diagnostics shared by the parsers, checker and
-translator, and the token reader and operator table both parsers and both
-printers are built on."""
+translator, the token reader and operator table both parsers and both
+printers are built on, and the bottom-up tree rebuild the substitutions and
+value builders share."""
 
 from __future__ import annotations
 
@@ -82,6 +83,30 @@ def push_items(push, items, prec, sep):
             push(sep)
 
 
+def rebuild(root, children, build):
+    """Rebuild a tree bottom-up from an explicit stack, so that trees of any
+    depth rebuild.  `children(node)` gives the subtrees to rebuild first, or
+    None for a leaf; `build(node, subs)` makes the new node from their
+    results in order (`()` when there are none), with `subs` None for a
+    leaf."""
+    done = []  # rebuilt subtrees, in order
+    todo = [(root, None)]  # (node, None) to visit; (node, subtrees) to build
+    while todo:
+        node, subs = todo.pop()
+        if subs is None:
+            subs = children(node)
+            if subs:
+                todo.append((node, subs))
+                todo.extend((s, None) for s in reversed(subs))
+                continue
+        else:
+            n = len(done) - len(subs)
+            subs = done[n:]
+            del done[n:]
+        done.append(build(node, subs))
+    return done[0]
+
+
 class TokenReader:
     """The tokens of one source text and a cursor over them.
 
@@ -136,13 +161,13 @@ class TokenReader:
             self.fail_found(f"expected {text!r}")
         return self.advance()
 
-    def seq(self, close, item, sep=","):
-        """The results of `item()` until `close`, split by `sep`; consumes
-        `close`.  A separator may follow the last item."""
+    def seq(self, close, item):
+        """The results of `item()` until `close`, split by commas; consumes
+        `close`.  A comma may follow the last item."""
         items = []
         while not self.at(close):
             items.append(item())
-            if not self.accept(sep):
+            if not self.accept(","):
                 break
         self.expect(close)
         return items

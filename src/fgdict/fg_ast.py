@@ -366,31 +366,24 @@ def check_wellformed(prog: Program):
 
     # FG1: the struct -> struct field graph must be acyclic.  Interface-typed
     # fields contribute no edges.  A cycle is a strongly connected component
-    # with an edge inside it: for a struct that reaches itself, the structs
-    # it reaches that reach it back.  Each is reported once, at its
-    # first-declared member, naming its members in declaration order.
+    # with an edge inside it.  Each is reported once, at its first-declared
+    # member, naming its members in declaration order.
+    order = {name: i for i, name in enumerate(table.struct_names)}
     edges = {
         name: [t for _, t in table.struct_fields(name)
                if t in table.types and isinstance(table.types[t].literal, StructType)]
         for name in table.struct_names
     }
-    reach = {}  # struct -> the structs reachable from it by one edge or more
+    cycles = {}  # first-declared member -> the members of its cycle
+    for comp in _components(table.struct_names, edges):
+        if len(comp) > 1 or comp[0] in edges[comp[0]]:
+            comp.sort(key=order.__getitem__)
+            cycles[comp[0]] = comp
     for name in table.struct_names:
-        seen = reach[name] = set()
-        stack = list(edges[name])
-        while stack:
-            m = stack.pop()
-            if m not in seen:
-                seen.add(m)
-                stack.extend(edges[m])
-    reported = set()
-    for name in table.struct_names:
-        if name in reach[name] and name not in reported:
-            cycle = [m for m in table.struct_names if m in reach[name] and name in reach[m]]
-            reported.update(cycle)
+        if name in cycles:
             diags.append(Diagnostic(
                 FG1_RECURSIVE_STRUCT,
-                f"recursive struct declaration involving {', '.join(cycle)}",
+                f"recursive struct declaration involving {', '.join(cycles[name])}",
                 table.types[name].span))
 
     for e in program_exprs(prog):
@@ -403,6 +396,48 @@ def check_wellformed(prog: Program):
             check_type_name(e.type_name, e.span, "struct type")
 
     return diags
+
+
+def _components(nodes, edges):
+    """The strongly connected components of a graph, as lists, by Tarjan's
+    algorithm with the depth-first search kept on an explicit stack."""
+    index = {}  # node -> its depth-first number
+    low = {}  # node -> the lowest number it reaches within its component
+    open_nodes = []  # visited nodes whose component is not yet complete
+    on_stack = set()
+    work = []  # the search path: (node, its successors not yet looked at)
+
+    def visit(n):
+        index[n] = low[n] = len(index)
+        open_nodes.append(n)
+        on_stack.add(n)
+        work.append((n, iter(edges[n])))
+
+    for root in nodes:
+        if root not in index:
+            visit(root)
+        while work:
+            n, succ = work[-1]
+            for m in succ:
+                if m not in index:
+                    visit(m)
+                    break
+                if m in on_stack:
+                    low[n] = min(low[n], index[m])
+            else:
+                work.pop()
+                if work:
+                    p = work[-1][0]
+                    low[p] = min(low[p], low[n])
+                if low[n] == index[n]:
+                    comp = []
+                    while True:
+                        m = open_nodes.pop()
+                        on_stack.discard(m)
+                        comp.append(m)
+                        if m == n:
+                            break
+                    yield comp
 
 
 def _check_sig(sig, span, diags, check_type_name, recv):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 
 from . import fg_ast as fg
-from .diagnostics import PREC, PREC_CMP, TokenReader, push_items
+from .diagnostics import PREC, PREC_CMP, TokenReader, push_items, rebuild
 
 KEYWORDS = {"type", "struct", "interface", "func", "return", "main", "var", "package"}
 EXT_KEYWORDS = {"true", "false"}
@@ -265,44 +265,37 @@ class _Parser(TokenReader):
 
 def subst_expr(e, x, replacement):
     """Capture-free substitution of a variable inside an FG expression
-    (FG expressions contain no binders).  Nodes are rebuilt bottom-up from
-    an explicit stack, so terms of any depth substitute."""
-    done = []  # substituted subterms, in order
-    todo = [(e, None)]  # (node, None) to visit; (node, n) to rebuild from n subterms
-    while todo:
-        e, n = todo.pop()
+    (FG expressions contain no binders).  Terms of any depth substitute (see
+    `rebuild`)."""
+    def children(e):
         t = type(e)
-        if n is not None:
-            subs = done[len(done) - n:]
-            del done[len(done) - n:]
-            if t is fg.StructLit:
-                e = fg.StructLit(e.type_name, tuple(subs), span=e.span)
-            elif t is fg.Select:
-                e = fg.Select(subs[0], e.fld, span=e.span)
-            elif t is fg.Call:
-                e = fg.Call(subs[0], e.method, tuple(subs[1:]), span=e.span)
-            elif t is fg.Assert:
-                e = fg.Assert(subs[0], e.type_name, span=e.span)
-            else:
-                e = fg.BinOp(e.op, subs[0], subs[1], span=e.span)
-            done.append(e)
-            continue
         if t is fg.StructLit:
-            subs = e.args
-        elif t is fg.Select:
-            subs = (e.recv,)
-        elif t is fg.Call:
-            subs = (e.recv, *e.args)
-        elif t is fg.Assert:
-            subs = (e.expr,)
-        elif t is fg.BinOp:
-            subs = (e.left, e.right)
-        else:
-            done.append(replacement if t is fg.Var and e.name == x else e)
-            continue
-        todo.append((e, len(subs)))
-        todo.extend((s, None) for s in reversed(subs))
-    return done[0]
+            return e.args
+        if t is fg.Select:
+            return (e.recv,)
+        if t is fg.Call:
+            return (e.recv, *e.args)
+        if t is fg.Assert:
+            return (e.expr,)
+        if t is fg.BinOp:
+            return (e.left, e.right)
+        return None
+
+    def build(e, subs):
+        t = type(e)
+        if not subs:
+            return replacement if t is fg.Var and e.name == x else e
+        if t is fg.StructLit:
+            return fg.StructLit(e.type_name, tuple(subs), span=e.span)
+        if t is fg.Select:
+            return fg.Select(subs[0], e.fld, span=e.span)
+        if t is fg.Call:
+            return fg.Call(subs[0], e.method, tuple(subs[1:]), span=e.span)
+        if t is fg.Assert:
+            return fg.Assert(subs[0], e.type_name, span=e.span)
+        return fg.BinOp(e.op, subs[0], subs[1], span=e.span)
+
+    return rebuild(e, children, build)
 
 
 def parse_program(text, mode=fg.CORE, filename="<input>"):

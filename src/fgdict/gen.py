@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, replace
 
 from . import fg_ast as fg
-from .diagnostics import FgError
+from .diagnostics import FgError, rebuild
 from .translate import Translator, method_env, translate_program
 
 ASSERT_PROBABILITY = 0.3
@@ -288,26 +288,14 @@ class _Gen:
 
 def minimal_value(decls: fg.Decls, t: str, rng=None):
     """Smallest closed value expression of a type; deterministic when rng is
-    None (0 / false for primitives).  Built bottom-up from an explicit stack
-    of (type, the types on the way to it), or (struct, None) once its field
-    values are built; ValueError if the way meets a type again."""
-    done = []  # the values built, in order
-    todo = [(t, frozenset())]
-    while todo:
-        t, seen = todo.pop()
-        if seen is None:
-            n = len(decls.struct_fields(t))
-            args = tuple(done[len(done) - n:])
-            del done[len(done) - n:]
-            done.append(fg.StructLit(t, args))
-            continue
+    None (0 / false for primitives).  Built bottom-up (see `rebuild`) over
+    (type, the types on the way to it); ValueError if the way meets a type
+    again."""
+    def children(node):
+        t, seen = node
         kind = decls.kind(t)
         if kind == "prim":
-            if t == fg.INT:
-                done.append(fg.IntLit(rng.randint(0, 9) if rng else 0))
-            else:
-                done.append(fg.BoolLit(bool(rng and rng.random() < 0.5)))
-            continue
+            return None
         if t in seen:
             raise ValueError(f"cannot build a finite value of {t}")
         seen |= {t}
@@ -315,11 +303,20 @@ def minimal_value(decls: fg.Decls, t: str, rng=None):
             impls = decls.implementers[t]
             if not impls:
                 raise ValueError(f"no struct implements {t}")
-            todo.append((impls[0], seen))
-        else:
-            todo.append((t, None))
-            todo.extend((ft, seen) for _f, ft in reversed(decls.struct_fields(t)))
-    return done[0]
+            return ((impls[0], seen),)
+        return tuple((ft, seen) for _f, ft in decls.struct_fields(t))
+
+    def build(node, subs):
+        t = node[0]
+        if subs is None:
+            if t == fg.INT:
+                return fg.IntLit(rng.randint(0, 9) if rng else 0)
+            return fg.BoolLit(bool(rng and rng.random() < 0.5))
+        if decls.kind(t) == "interface":
+            return subs[0]
+        return fg.StructLit(t, tuple(subs))
+
+    return rebuild((t, frozenset()), children, build)
 
 
 def gen_program(cfg: GenConfig) -> fg.Program:

@@ -91,7 +91,26 @@ def methods_related(decls: fg.Decls, prog: tl.TLProgram) -> bool:
         if not isinstance(d, fg.MethodDecl):
             continue
         name, lam = translate_method(decls, d)
-        if mu.get(name) != lam:
+        if not _same_term(mu.get(name), lam):
+            return False
+    return True
+
+
+def _same_term(a, b) -> bool:
+    """`a == b` for TL terms, compared pairwise from an explicit stack
+    (dataclass `==` recurses once per nesting level)."""
+    todo = [(a, b)]
+    while todo:
+        a, b = todo.pop()
+        if type(a) is not type(b):
+            return False
+        if type(a) is tuple:
+            if len(a) != len(b):
+                return False
+            todo.extend(zip(a, b))
+        elif hasattr(a, "__dataclass_fields__"):
+            todo.extend((getattr(a, f), getattr(b, f)) for f in a.__dataclass_fields__)
+        elif a != b:
             return False
     return True
 

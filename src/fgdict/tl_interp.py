@@ -20,6 +20,7 @@ does.
 from __future__ import annotations
 
 from . import tl_ast as tl
+from .diagnostics import rebuild
 from .outcome import (  # noqa: F401  (re-exported outcome vocabulary)
     BAD_PRIM, OutOfFuel, Stepped, StuckOutcome, Value,
     _Stuck, check_fuel, prim, step_once, tracer,
@@ -33,54 +34,41 @@ UNBOUND_VAR = "unbound-variable"
 
 
 def subst(e, x, v):
-    """Substitute value v for variable x; binders shadow.  Nodes are rebuilt
-    bottom-up from an explicit stack, so terms of any depth substitute."""
-    done = []  # substituted subterms, in order
-    todo = [(e, None)]  # (node, None) to visit; (node, n) to rebuild from n subterms
-    while todo:
-        e, n = todo.pop()
+    """Substitute value v for variable x; binders shadow.  Terms of any
+    depth substitute (see `rebuild`)."""
+    def children(e):
         t = type(e)
-        if n is not None:
-            subs = done[len(done) - n:]
-            del done[len(done) - n:]
-            if t is CtorApp:
-                e = CtorApp(e.ctor, tuple(subs))
-            elif t is Lam:
-                e = Lam(e.var, subs[0])
-            elif t is App:
-                e = App(subs[0], subs[1])
-            elif t is TLPrim:
-                e = TLPrim(e.op, subs[0], subs[1])
-            else:
-                bodies = iter(subs[1:])
-                e = Case(subs[0], tuple(c if x in c.pat.vars else Clause(c.pat, next(bodies))
-                                        for c in e.clauses))
-            done.append(e)
-            continue
         if t is CtorApp:
-            subs = e.args
-        elif t is Lam:
-            subs = () if e.var == x else (e.body,)
-        elif t is App:
-            subs = (e.fn, e.arg)
-        elif t is Case:
-            subs = (e.scrut, *(c.body for c in e.clauses if x not in c.pat.vars))
-        elif t is TLPrim:
-            subs = (e.left, e.right)
-        elif t is TLVar:
-            done.append(v if e.name == x else e)
-            continue
-        elif t is MethodVar or t is TLInt or t is TLBool:
-            done.append(e)
-            continue
-        else:
-            raise TypeError(f"not a TL expression: {e!r}")
+            return e.args
+        if t is Lam:
+            return None if e.var == x else (e.body,)
+        if t is App:
+            return (e.fn, e.arg)
+        if t is Case:
+            return (e.scrut, *(c.body for c in e.clauses if x not in c.pat.vars))
+        if t is TLPrim:
+            return (e.left, e.right)
+        if t is TLVar or t is MethodVar or t is TLInt or t is TLBool:
+            return None
+        raise TypeError(f"not a TL expression: {e!r}")
+
+    def build(e, subs):
+        t = type(e)
         if not subs:
-            done.append(e)
-            continue
-        todo.append((e, len(subs)))
-        todo.extend((s, None) for s in reversed(subs))
-    return done[0]
+            return v if t is TLVar and e.name == x else e
+        if t is CtorApp:
+            return CtorApp(e.ctor, tuple(subs))
+        if t is Lam:
+            return Lam(e.var, subs[0])
+        if t is App:
+            return App(subs[0], subs[1])
+        if t is TLPrim:
+            return TLPrim(e.op, subs[0], subs[1])
+        bodies = iter(subs[1:])
+        return Case(subs[0], tuple(c if x in c.pat.vars else Clause(c.pat, next(bodies))
+                                   for c in e.clauses))
+
+    return rebuild(e, children, build)
 
 
 class _Closure:
@@ -219,34 +207,27 @@ def _match(node, env, v):
 
 def _value_term(v):
     """Read a machine value back as a term.  Constructor values, and closures
-    through their environments, nest as deep as evaluation builds them, so
-    they are rebuilt with an explicit stack."""
-    done = []  # read-back terms, in order
-    todo = [(v, False)]
-    while todo:
-        w, children_done = todo.pop()
+    through their environments, nest as deep as evaluation builds them (see
+    `rebuild`)."""
+    def children(w):
         t = type(w)
-        if children_done:
-            parts = w.args if t is CtorApp else w.env
-            n = len(parts)
-            subs = done[len(done) - n:]
-            del done[len(done) - n:]
-            if t is CtorApp:
-                done.append(CtorApp(w.ctor, tuple(subs)))
-            else:
-                e = w.lam
-                for x, s in zip(parts, subs):
-                    e = subst(e, x, s)
-                done.append(e)
-        elif t is CtorApp and w.args:
-            todo.append((w, True))
-            todo.extend((a, False) for a in reversed(w.args))
-        elif t is _Closure and w.env:
-            todo.append((w, True))
-            todo.extend((a, False) for a in reversed(w.env.values()))
-        else:
-            done.append(w.lam if t is _Closure else w)
-    return done[0]
+        if t is CtorApp:
+            return w.args
+        if t is _Closure:
+            return tuple(w.env.values())
+        return None
+
+    def build(w, subs):
+        if type(w) is CtorApp:
+            return CtorApp(w.ctor, tuple(subs)) if subs else w
+        if type(w) is _Closure:
+            e = w.lam
+            for x, s in zip(w.env, subs):
+                e = subst(e, x, s)
+            return e
+        return w
+
+    return rebuild(v, children, build)
 
 
 def _term(e, env):

@@ -1,5 +1,7 @@
 """Declaration table, structural subtyping, and well-formedness checks."""
 
+import time
+
 import pytest
 
 from fgdict import fg_ast as fg
@@ -165,6 +167,26 @@ def test_one_diagnostic_per_struct_cycle(structs, cycles):
            if d.code == FG1_RECURSIVE_STRUCT]
     assert got == [(f"recursive struct declaration involving {names}", line)
                    for names, line in cycles]
+
+
+@pytest.mark.parametrize("ring", [False, True])
+def test_struct_cycle_search_is_linear(ring):
+    # A chain A0{a A1} ... A2999{} has 3,000 structs, each reaching all
+    # later ones; closing it into a ring makes one cycle of all of them.
+    n = 3000
+    last = "a A0" if ring else ""
+    structs = "\n".join(f"type A{i} struct {{ a A{i + 1} }}" for i in range(n - 1))
+    prog = parse_program(f"package main\n{structs}\ntype A{n - 1} struct {{ {last} }}\n"
+                         "func main() { _ = A0{} }\n")
+    start = time.perf_counter()
+    got = [d for d in fg.check_wellformed(prog) if d.code == FG1_RECURSIVE_STRUCT]
+    assert time.perf_counter() - start < 1.0
+    if ring:
+        assert [(d.message, d.span.line) for d in got] == [
+            ("recursive struct declaration involving "
+             + ", ".join(f"A{i}" for i in range(n)), 2)]
+    else:
+        assert got == []
 
 
 def test_interface_fields_do_not_make_structs_recursive():

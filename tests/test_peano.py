@@ -96,13 +96,15 @@ def test_relation_fuel_deeper_than_the_recursion_limit(tmp_path, capsys):
 
 
 # Runs in a fresh interpreter, at Python's default recursion limit, on a
-# program whose main is a numeral 20,000 levels deep.  Deep trees are
-# compared by their printed text: dataclass `==` recurses.
+# program whose main is a numeral 20,000 levels deep and one of whose
+# methods returns one 2,000 deep.  Deep trees are compared by their printed
+# text or by `methods_related`: dataclass `==` recurses.
 DEEP_SCRIPT = """
 import contextlib, io, sys
 from fgdict import tl_ast as tl
 from fgdict.cli import cli_dispatch
 from fgdict.fg_parser import parse_program, print_program
+from fgdict.relate import methods_related
 
 limit = sys.getrecursionlimit()
 fg_file, tl_file, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
@@ -121,9 +123,12 @@ def compile_tl(*flags):
     prog = tl.parse_program(text)
     assert tl.validate_program(prog) == []
     assert tl.print_program(prog) == text
+    return prog
 
+with open(fg_file, encoding="utf-8") as f:
+    decls = parse_program(f.read()).table
 assert run("check", fg_file) == "ok: main has type S\\n"
-compile_tl()
+assert methods_related(decls, compile_tl())
 compile_tl("--hoist-helpers")
 assert run("run-tl", tl_file) == (
     "K_S (" + "K_Nat (K_S (" * (n - 1) + "K_Nat K_Z add_Z mul_Z" +
@@ -139,7 +144,8 @@ assert sys.getrecursionlimit() == limit
 def test_deep_numeral_at_the_default_recursion_limit(tmp_path):
     n = 20000
     fg_file = tmp_path / "deep.fg"
-    fg_file.write_text(NAT % numeral(n))
+    fg_file.write_text((NAT % numeral(n)).replace(
+        "func main", f"func (this Z) deep() Nat {{ return {numeral(2000)} }}\nfunc main"))
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     start = time.monotonic()
