@@ -23,6 +23,7 @@ from .diagnostics import (
     Diagnostic,
     FgError,
     SourceSpan,
+    rebuild,
 )
 
 CORE = "core"
@@ -174,6 +175,52 @@ class BinOp:
 EXT_NODES = (IntLit, BoolLit, BinOp)
 
 
+def children(e):
+    """The subexpressions of `e` in evaluation order: struct arguments left
+    to right, then receiver, then call arguments left to right, and the
+    left operand before the right."""
+    t = type(e)
+    if t is Call:
+        return (e.recv, *e.args)
+    if t is StructLit:
+        return e.args
+    if t is Select:
+        return (e.recv,)
+    if t is Assert:
+        return (e.expr,)
+    if t is BinOp:
+        return (e.left, e.right)
+    if t is Var or t is IntLit or t is BoolLit:
+        return ()
+    raise TypeError(f"not an FG expression: {e!r}")
+
+
+def remake(e, subs):
+    """`e` with its subexpressions, in `children` order, replaced by `subs`."""
+    t = type(e)
+    if t is Call:
+        return Call(subs[0], e.method, tuple(subs[1:]), span=e.span)
+    if t is StructLit:
+        return StructLit(e.type_name, tuple(subs), span=e.span)
+    if t is Select:
+        return Select(subs[0], e.fld, span=e.span)
+    if t is Assert:
+        return Assert(subs[0], e.type_name, span=e.span)
+    return BinOp(e.op, subs[0], subs[1], span=e.span)
+
+
+def subst(e, env):
+    """`e` with each variable bound in `env` replaced by its binding, all at
+    once; FG expressions bind nothing, so no capture can happen.  Terms of
+    any depth substitute (see `rebuild`)."""
+    def build(e, subs):
+        if subs:
+            return remake(e, subs)
+        return env.get(e.name, e) if type(e) is Var else e
+
+    return rebuild(e, children, build)
+
+
 @dataclass(frozen=True)
 class Program:
     decls: tuple
@@ -301,18 +348,7 @@ def expr_nodes(*roots):
     while stack:
         e = stack.pop()
         yield e
-        if isinstance(e, StructLit):
-            stack.extend(reversed(e.args))
-        elif isinstance(e, Call):
-            stack.extend(reversed(e.args))
-            stack.append(e.recv)
-        elif isinstance(e, Select):
-            stack.append(e.recv)
-        elif isinstance(e, Assert):
-            stack.append(e.expr)
-        elif isinstance(e, BinOp):
-            stack.append(e.right)
-            stack.append(e.left)
+        stack.extend(reversed(children(e)))
 
 
 def check_wellformed(prog: Program):

@@ -3,23 +3,25 @@ machine.
 
 Only the axiom rules (field projection, method call, assertion, and the
 extension's primitive operators) cost a step; descending through an
-evaluation context is free.  Evaluation order follows the context grammar:
-struct arguments left to right, then receiver, then call arguments left to
-right.
+evaluation context is free.  Evaluation order follows the context grammar,
+as `fg_ast.children` states it: struct arguments left to right, then
+receiver, then call arguments left to right.
 
 The machine holds a control expression, an environment binding the
 enclosing method's receiver and parameters, and the evaluation context as
-an explicit stack of frames.  A method call binds its receiver and
-arguments in a fresh environment instead of substituting them into the
-body, so a value, once built, is never walked again.  `fg_step` and traces
-plug the stack back into the term the substitution semantics shows.
+an explicit stack of frames, one shape for every node: the node, its
+environment, its subexpressions and the values of those evaluated so far.
+A method call binds its receiver and arguments in a fresh environment
+instead of substituting them into the body, so a value, once built, is
+never walked again.  `fg_step` and traces plug the stack back into the term
+the substitution semantics shows.
 """
 
 from __future__ import annotations
 
 from . import fg_ast as fg
 from .fg_ast import Assert, BinOp, BoolLit, Call, IntLit, Select, StructLit, Var
-from .fg_parser import print_expr, subst_expr
+from .fg_parser import print_expr
 from .outcome import (  # noqa: F401  (re-exported outcome vocabulary)
     BAD_PRIM, OutOfFuel, Stepped, StuckOutcome, Value,
     _Stuck, check_fuel, prim, step_once, tracer,
@@ -41,17 +43,12 @@ def value_type(v) -> str:
     return v.type_name
 
 
-# Continuation frames.  A Select, an Assert or an argument-less Call node is
-# its own frame, waiting for its subject.  The other frames are lists:
-#   [_STRUCT, node, env, argument values so far]
-#   [_CALL, node, env, receiver value and argument values so far]
-#   [_BIN, node, env, left value or None]
-_STRUCT, _CALL, _BIN = "struct", "call", "bin"
+_NODES = (StructLit, Select, Call, Assert, BinOp, IntLit, BoolLit)
 
 
 def _run(decls, e, fuel, on_step):
     methods = decls.method_decls
-    stack = []
+    stack = []  # frames [node, env, subexpressions, values so far]
     push, pop = stack.append, stack.pop
     steps = 0
     c, env = e, {}
@@ -61,85 +58,53 @@ def _run(decls, e, fuel, on_step):
             # a value v.
             while True:
                 t = type(c)
-                if t is Call:
-                    push([_CALL, c, env, []] if c.args else c)
-                    c = c.recv
-                elif t is Var:
+                if t is Var:
                     v = env.get(c.name)
                     if v is None:
                         raise _Stuck(FREE_VAR, f"free variable {c.name}")
                     break
-                elif t is Select:
-                    push(c)
-                    c = c.recv
-                elif t is StructLit:
-                    if not c.args:
-                        v = c
-                        break
-                    push([_STRUCT, c, env, []])
-                    c = c.args[0]
-                elif t is Assert:
-                    push(c)
-                    c = c.expr
-                elif t is IntLit or t is BoolLit:
+                if t not in _NODES:
+                    raise _Stuck(BAD_PRIM, f"cannot reduce {c!r}")
+                subs = fg.children(c)
+                if not subs:  # a literal or a struct value with no fields
                     v = c
                     break
-                elif t is BinOp:
-                    push([_BIN, c, env, None])
-                    c = c.left
-                else:
-                    raise _Stuck(BAD_PRIM, f"cannot reduce {c!r}")
-            # Return v to the innermost frame; fire an axiom when one applies.
+                push([c, env, subs, []])
+                c = subs[0]
+            # Return v to the innermost frame; once it has every value, fire
+            # its axiom or build its struct value.
             while stack:
-                f = pop()
-                t = type(f)
+                node, fenv, subs, done = stack[-1]
+                done.append(v)
+                if len(done) < len(subs):
+                    c, env = subs[len(done)], fenv
+                    break
+                pop()
+                t = type(node)
+                if t is StructLit:
+                    v = StructLit(node.type_name, tuple(done), span=node.span)
+                    continue
                 if t is Select:
                     if not isinstance(v, StructLit):
-                        raise _Stuck(BAD_FIELD, f"selecting {f.fld} from non-struct value")
-                    i = decls.field_index.get(v.type_name, {}).get(f.fld)
+                        raise _Stuck(BAD_FIELD, f"selecting {node.fld} from non-struct value")
+                    i = decls.field_index.get(v.type_name, {}).get(node.fld)
                     if i is None:
-                        raise _Stuck(BAD_FIELD, f"no field {f.fld} on {v.type_name}")
+                        raise _Stuck(BAD_FIELD, f"no field {node.fld} on {v.type_name}")
                     v = v.args[i]
                     rule = "fg-field"
                 elif t is Call:
-                    c, env = _call(methods, f, v, ())
+                    c, env = _call(methods, node, done[0], tuple(done[1:]))
                     v = None
                     rule = "fg-call"
                 elif t is Assert:
                     t_dyn = value_type(v)
-                    if not fg.is_subtype(decls, t_dyn, f.type_name):
+                    if not fg.is_subtype(decls, t_dyn, node.type_name):
                         raise _Stuck(ASSERT_FAILURE,
-                                     f"{t_dyn} does not conform to {f.type_name}")
+                                     f"{t_dyn} does not conform to {node.type_name}")
                     rule = "fg-assert"
                 else:
-                    tag, node = f[0], f[1]
-                    if tag == _STRUCT:
-                        done = f[3]
-                        done.append(v)
-                        if len(done) < len(node.args):
-                            push(f)
-                            c, env = node.args[len(done)], f[2]
-                            break
-                        v = StructLit(node.type_name, tuple(done), span=node.span)
-                        continue
-                    if tag == _CALL:
-                        done = f[3]
-                        done.append(v)
-                        if len(done) <= len(node.args):
-                            push(f)
-                            c, env = node.args[len(done) - 1], f[2]
-                            break
-                        c, env = _call(methods, node, done[0], tuple(done[1:]))
-                        v = None
-                        rule = "fg-call"
-                    else:
-                        if f[3] is None:
-                            f[3] = v
-                            push(f)
-                            c, env = node.right, f[2]
-                            break
-                        v = prim(node.op, f[3], v, IntLit, BoolLit)
-                        rule = "fg-prim"
+                    v = prim(node.op, done[0], v, IntLit, BoolLit)
+                    rule = "fg-prim"
                 if steps >= fuel:
                     return OutOfFuel(steps)
                 steps += 1
@@ -170,43 +135,20 @@ def _call(methods, node, recv, args):
     return d.body, env
 
 
-def _term(e, env):
-    for x, v in env.items():
-        e = subst_expr(e, x, v)
-    return e
-
-
 def _plug(state):
     """The term a machine state stands for."""
     v, c, env, stack = state
-    e = v if v is not None else _term(c, env)
+    e = v if v is not None else fg.subst(c, env)
     for f in reversed(stack):
         e = _plug_frame(f, e)
     return e
 
 
 def _plug_frame(f, e):
-    t = type(f)
-    if t is Select:
-        return Select(e, f.fld, span=f.span)
-    if t is Assert:
-        return Assert(e, f.type_name, span=f.span)
-    if t is Call:
-        return Call(e, f.method, f.args, span=f.span)
-    tag, node, env, done = f
-    if tag == _BIN:
-        if done is None:
-            return BinOp(node.op, e, _term(node.right, env), span=node.span)
-        return BinOp(node.op, done, e, span=node.span)
-    if tag == _STRUCT:
-        rest = node.args[len(done) + 1:]
-        args = tuple(done) + (e,) + tuple(_term(a, env) for a in rest)
-        return StructLit(node.type_name, args, span=node.span)
-    if not done:
-        return Call(e, node.method, tuple(_term(a, env) for a in node.args),
-                    span=node.span)
-    args = tuple(done[1:]) + (e,) + tuple(_term(a, env) for a in node.args[len(done):])
-    return Call(done[0], node.method, args, span=node.span)
+    """The node of frame `f` with `e` in the hole: the values before it, the
+    rest of its subexpressions under the frame's environment after."""
+    node, env, subs, done = f
+    return fg.remake(node, [*done, e, *(fg.subst(s, env) for s in subs[len(done) + 1:])])
 
 
 def fg_step(decls: fg.Decls, e):

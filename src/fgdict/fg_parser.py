@@ -7,9 +7,10 @@ accepts int/bool literals, the infix operators `== < && ||` and
 `var x t = e` bindings in main, which are desugared by substitution.
 
 An expression is read in one loop that keeps the constructs still open on
-an explicit stack, and `subst_expr` keeps its work on one too, so input of
-any nesting depth parses at Python's default recursion limit; importing
-this module leaves that limit alone.
+an explicit stack, and the desugaring substitutes with `fg_ast.subst`,
+which keeps its work on one too, so input of any nesting depth parses at
+Python's default recursion limit; importing this module leaves that limit
+alone.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import re
 
 from . import fg_ast as fg
-from .diagnostics import PREC, PREC_CMP, TokenReader, push_items, rebuild
+from .diagnostics import PREC, PREC_CMP, TokenReader, push_items
 
 KEYWORDS = {"type", "struct", "interface", "func", "return", "main", "var", "package"}
 EXT_KEYWORDS = {"true", "false"}
@@ -162,10 +163,12 @@ class _Parser(TokenReader):
                 break
             bindings.append((*lhs, e))
         self.expect("}")
-        # Desugar var bindings by substitution, innermost last.
-        for x, _t, rhs in reversed(bindings):
-            e = subst_expr(e, x, rhs)
-        return e
+        # Desugar var bindings by substitution: each right-hand side sees
+        # the bindings before it.
+        env = {}
+        for x, _t, rhs in bindings:
+            env[x] = fg.subst(rhs, env)
+        return fg.subst(e, env)
 
     # -- expressions
 
@@ -261,41 +264,6 @@ class _Parser(TokenReader):
                     else:
                         e = fg.Call(f[3], f[4], tuple(args), span=f[5])
                     break
-
-
-def subst_expr(e, x, replacement):
-    """Capture-free substitution of a variable inside an FG expression
-    (FG expressions contain no binders).  Terms of any depth substitute (see
-    `rebuild`)."""
-    def children(e):
-        t = type(e)
-        if t is fg.StructLit:
-            return e.args
-        if t is fg.Select:
-            return (e.recv,)
-        if t is fg.Call:
-            return (e.recv, *e.args)
-        if t is fg.Assert:
-            return (e.expr,)
-        if t is fg.BinOp:
-            return (e.left, e.right)
-        return None
-
-    def build(e, subs):
-        t = type(e)
-        if not subs:
-            return replacement if t is fg.Var and e.name == x else e
-        if t is fg.StructLit:
-            return fg.StructLit(e.type_name, tuple(subs), span=e.span)
-        if t is fg.Select:
-            return fg.Select(subs[0], e.fld, span=e.span)
-        if t is fg.Call:
-            return fg.Call(subs[0], e.method, tuple(subs[1:]), span=e.span)
-        if t is fg.Assert:
-            return fg.Assert(subs[0], e.type_name, span=e.span)
-        return fg.BinOp(e.op, subs[0], subs[1], span=e.span)
-
-    return rebuild(e, children, build)
 
 
 def parse_program(text, mode=fg.CORE, filename="<input>"):

@@ -329,11 +329,12 @@ def gen_program(cfg: GenConfig) -> fg.Program:
 
 
 def _subexprs(e):
-    out = list(getattr(e, "args", ()))
-    for attr in ("recv", "expr", "left", "right"):
-        if hasattr(e, attr):
-            out.append(getattr(e, attr))
-    return out
+    """The subexpressions of `e` in the order the shrinker tries them: a
+    call's arguments before its receiver."""
+    subs = list(fg.children(e))
+    if type(e) is fg.Call:
+        subs.append(subs.pop(0))
+    return subs
 
 
 def _named_types(node):

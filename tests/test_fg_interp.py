@@ -4,6 +4,7 @@ import pytest
 
 from fgdict import fg_ast as fg, fg_interp
 from fgdict.fg_parser import parse_expr, parse_program, print_expr
+from fgdict.gen import GenConfig, gen_program
 
 PROG = """
 package main
@@ -134,3 +135,35 @@ def test_runaway_nesting_reports_out_of_fuel():
     out = eval_src(decls, "A{}.grow()", fuel=10 ** 6)
     assert isinstance(out, fg_interp.OutOfFuel)
     assert out.steps == 10 ** 6
+
+
+@pytest.mark.parametrize("term", [
+    object(),
+    fg.Select(fg.StructLit("Pair", (fg.StructLit("A", ()), "junk")), "x"),
+])
+def test_term_that_is_not_fg_sticks(decls, term):
+    out = fg_interp.fg_eval(decls, term, 100)
+    assert isinstance(out, fg_interp.StuckOutcome)
+    assert out.reason == fg_interp.BAD_PRIM
+    assert out.detail.startswith("cannot reduce ")
+    assert out.steps == 0
+
+
+def test_children_rejects_what_is_not_fg():
+    with pytest.raises(TypeError, match="not an FG expression"):
+        fg.children("junk")
+
+
+@pytest.mark.parametrize("mode", [fg.CORE, fg.EXT])
+def test_remake_from_children_is_identity(mode):
+    nodes = [e for seed in range(20)
+             for e in fg.program_exprs(gen_program(GenConfig(seed=seed, mode=mode)))
+             if fg.children(e)]
+    assert {type(e) for e in nodes} >= {fg.StructLit, fg.Call, fg.Select}
+    assert all(fg.remake(e, fg.children(e)) == e for e in nodes)
+
+
+def test_subst_replaces_every_bound_variable_at_once():
+    e = parse_expr("Pair{x, y}.fst()")
+    a, b = parse_expr("A{}"), parse_expr("y")
+    assert print_expr(fg.subst(e, {"x": b, "y": a})) == "Pair{y, A{}}.fst()"

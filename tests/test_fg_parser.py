@@ -239,3 +239,19 @@ def test_front_end_is_pinned():
     for rec in _front_end_records():
         h.update(rec.encode())
     assert h.hexdigest() == FRONT_END_DIGEST
+
+
+def test_var_bindings_shadow_like_nested_substitution():
+    prog = parse_program("""
+    package main
+    type A struct {}
+    type B struct { a A }
+    type C struct { b B }
+    func main() {
+        var x A = A{}
+        var x B = B{x}
+        var y C = C{x}
+        _ = y.b
+    }
+    """, mode=fg.EXT)
+    assert print_expr(prog.main) == "C{B{A{}}}.b"
