@@ -358,7 +358,7 @@ def check_wellformed(prog: Program):
     table = prog.table
     mode = prog.mode
 
-    def check_type_name(t, span, what="type"):
+    def check_type_name(t, span, what):
         if not table.is_declared(t):
             diags.append(Diagnostic(UNKNOWN_TYPE, f"unknown {what} {t}", span))
 

@@ -117,10 +117,12 @@ def tuple_ctor(k: int) -> str:
 
 
 def tuple_arity(ctor: str):
-    """Arity if `ctor` is a tuple constructor, `Tup` then decimal digits,
-    else None."""
-    if ctor.startswith("Tup") and ctor[3:].isdecimal():
-        return int(ctor[3:])
+    """Arity if `ctor` is a tuple constructor, as `tuple_ctor` spells it:
+    `Tup` then ASCII digits with no leading zero.  Else None."""
+    n = ctor[3:]
+    if ctor.startswith("Tup") and n.isascii() and n.isdecimal() and \
+            (n[0] != "0" or n == "0"):
+        return int(n)
     return None
 
 
@@ -136,6 +138,10 @@ def struct_ctor(name: str) -> str:
 def ctor_type(ctor: str):
     """The FG type whose constructor is `ctor`, or None."""
     return ctor[2:] if ctor.startswith("K_") else None
+
+
+def _is_ctor_name(name):
+    return name.startswith("K_") or tuple_arity(name) is not None
 
 
 def _esc(name: str) -> str:
@@ -175,8 +181,14 @@ def fresh_var(n: int) -> str:
 # Structural validation
 
 
+def _bind(scope, names, by):
+    """Count each of `names` as bound by `by` more open binders."""
+    for x in names:
+        scope[x] = scope.get(x, 0) + by
+
+
 def validate_program(prog: TLProgram):
-    """Constructor-arity consistency, clause well-formedness, closure up to
+    """Constructor names and arities, clause well-formedness, closure up to
     method variables.  Returns a list of human-readable problems: for main
     and then each binding, the structural ones in pre-order, then the free
     variables and the unbound method variables, each sorted."""
@@ -184,6 +196,9 @@ def validate_program(prog: TLProgram):
     arities = {}
 
     def see_ctor(name, arity, where):
+        if not _is_ctor_name(name):
+            problems.append(f"{where}: {name} is not a constructor name")
+            return
         ta = tuple_arity(name)
         if ta is not None and ta != arity:
             problems.append(f"{where}: tuple constructor {name} used with arity {arity}")
@@ -196,22 +211,27 @@ def validate_program(prog: TLProgram):
     bound = prog.method_subst()
     for where, top in [("main", prog.main), *prog.bindings]:
         free, mvars = set(), set()
-        stack = [(top, frozenset())]  # (term, variables in scope), pre-order
+        scope = {}  # variable -> the binders in scope that bind it
+        # Terms in pre-order, with (names, +1 or -1) entering or leaving the
+        # scope of a binder around its body.
+        stack = [top]
         while stack:
-            e, scope = stack.pop()
-            if isinstance(e, TLVar):
-                if e.name not in scope:
+            e = stack.pop()
+            if isinstance(e, tuple):
+                _bind(scope, *e)
+            elif isinstance(e, TLVar):
+                if not scope.get(e.name):
                     free.add(e.name)
             elif isinstance(e, MethodVar):
                 mvars.add(e.name)
             elif isinstance(e, CtorApp):
                 see_ctor(e.ctor, len(e.args), where)
-                stack.extend((a, scope) for a in reversed(e.args))
+                stack.extend(reversed(e.args))
             elif isinstance(e, Lam):
-                stack.append((e.body, scope | {e.var}))
+                stack += [((e.var,), -1), e.body, ((e.var,), 1)]
             elif isinstance(e, App):
-                stack.append((e.arg, scope))
-                stack.append((e.fn, scope))
+                stack.append(e.arg)
+                stack.append(e.fn)
             elif isinstance(e, Case):
                 heads = [c.pat.ctor for c in e.clauses]
                 if len(set(heads)) != len(heads):
@@ -220,11 +240,12 @@ def validate_program(prog: TLProgram):
                     if len(set(c.pat.vars)) != len(c.pat.vars):
                         problems.append(f"{where}: non-linear pattern {c.pat}")
                     see_ctor(c.pat.ctor, len(c.pat.vars), where)
-                stack.extend((c.body, scope.union(c.pat.vars)) for c in reversed(e.clauses))
-                stack.append((e.scrut, scope))
+                for c in reversed(e.clauses):
+                    stack += [(c.pat.vars, -1), c.body, (c.pat.vars, 1)]
+                stack.append(e.scrut)
             elif isinstance(e, TLPrim):
-                stack.append((e.right, scope))
-                stack.append((e.left, scope))
+                stack.append(e.right)
+                stack.append(e.left)
             elif not isinstance(e, (TLInt, TLBool)):
                 raise TypeError(f"not a TL expression: {e!r}")
         problems.extend(f"{where}: free variable {x}" for x in sorted(free))
@@ -352,16 +373,6 @@ _TL_TOKEN_RE = re.compile(
 _BIN, _APP, _LAM, _PAREN, _CASE = "bin", "app", "lam", "paren", "case"
 
 
-def _bind(scope, names, by):
-    """Count each of `names` as bound by `by` more open frames."""
-    for x in names:
-        scope[x] = scope.get(x, 0) + by
-
-
-def _is_ctor_name(name):
-    return name.startswith("K_") or tuple_arity(name) is not None
-
-
 class _TLParser(TokenReader):
     def __init__(self, text, filename="<input>"):
         super().__init__(_TL_TOKEN_RE, text, filename)
@@ -380,7 +391,7 @@ class _TLParser(TokenReader):
         return f"_p{self.fresh}"
 
     def program(self):
-        bindings = []
+        bindings = {}
         if self.accept("let"):
             # Binding names are known up front, so references parse as
             # MethodVars even in earlier bindings (mutual recursion).  `=`
@@ -390,19 +401,23 @@ class _TLParser(TokenReader):
             self.let_bound.update(a[1] for a, b in zip(toks, toks[1:])
                                   if b[1] == "=" and a[0] == "ident")
             while True:
+                tok = self.cur
                 name = self.ident()
+                if name in bindings:
+                    raise FgError(Diagnostic(
+                        DUP_BINDING, f"duplicate let binding {name}", self.span(tok)))
                 self.expect("=")
                 e = self.expr()
                 if not isinstance(e, Lam):
                     self.fail_found(f"binding {name} must be a lambda")
-                bindings.append((name, e))
+                bindings[name] = e
                 if not self.accept(";"):
                     break
             self.expect("in")
         main = self.expr()
         if self.cur[0] != "eof":
             self.fail_found("trailing input")
-        return TLProgram(tuple(bindings), main)
+        return TLProgram(tuple(bindings.items()), main)
 
     def expr(self):
         """An expression, read in one loop.  `frames` holds the constructs

@@ -258,10 +258,10 @@ class Translator:
         self.count("td-assert")
         return e.type_name, tl.App(self.build_downcast(t_expr, e.type_name), code)
 
-    def check_expr(self, env, e, want, code=NOT_A_SUBTYPE):
+    def check_expr(self, env, e, want):
         """Infer then coerce."""
         have, out = self.infer_expr(env, e)
-        return self.coerce_to(have, want, out, e.span, code)
+        return self.coerce_to(have, want, out, e.span, NOT_A_SUBTYPE)
 
     def coerce_to(self, have, want, code, span, diag_code):
         """The single place where subsumption applies."""

@@ -7,10 +7,14 @@ import sys
 
 import pytest
 
+from fgdict import fg_ast as fg, fg_interp
 from fgdict.cli import (
-    EXIT_BUDGET, EXIT_DIAGNOSTICS, EXIT_OK, EXIT_USAGE,
+    EXIT_BUDGET, EXIT_DIAGNOSTICS, EXIT_DISAGREE, EXIT_OK, EXIT_USAGE,
     cli_dispatch,
 )
+from fgdict.fg_parser import parse_program
+from fgdict.gen import GenConfig, gen_program
+from fgdict.relate import program_hash
 
 EQ = "corpus/equality.fg"
 
@@ -87,6 +91,14 @@ def test_run_tl_has_no_mode(tmp_path, capsys):
     assert "unrecognized arguments: --ext" in capsys.readouterr().err
 
 
+def test_run_tl_reports_a_duplicate_binding_where_it_is(tmp_path, capsys):
+    f = tmp_path / "dup.tl"
+    f.write_text("let\n  f = \\x -> x;\n  f = \\y -> y\nin\nf 1\n")
+    assert cli_dispatch(["run-tl", str(f)]) == EXIT_DIAGNOSTICS
+    assert capsys.readouterr().err == \
+        f"{f}:3:3: error: duplicate let binding f [dup-binding]\n"
+
+
 def test_run_fg_trace(capsys):
     assert cli_dispatch(["run-fg", EQ, "--ext", "--trace"]) == EXIT_OK
     err = capsys.readouterr().err
@@ -120,6 +132,41 @@ def test_diff_budget_exit_code(tmp_path):
     f = tmp_path / "loop.fg"
     f.write_text(LOOP)
     assert cli_dispatch(["diff", str(f), "--steps", "10"]) == EXIT_BUDGET
+
+
+PAIR = """
+package main
+type A struct {}
+type B struct {}
+func main() { _ = A{} }
+"""
+
+
+def test_diff_reports_a_disagreement(tmp_path, capsys, monkeypatch):
+    # Break the FG side, so that its value is unrelated to TL's.
+    out = fg_interp.Value(fg.StructLit("B", ()), 0)
+    monkeypatch.setattr(fg_interp, "fg_eval", lambda decls, e, fuel, trace=None: out)
+    f = tmp_path / "pair.fg"
+    f.write_text(PAIR)
+    assert cli_dispatch(["diff", str(f)]) == EXIT_DISAGREE
+    assert capsys.readouterr().out == \
+        "disagree: values unrelated at type A (fg 0 steps, tl 0 steps)\n"
+    assert cli_dispatch(["diff", str(f), "--json"]) == EXIT_DISAGREE
+    rec = json.loads(capsys.readouterr().out)
+    assert (rec["verdict"], rec["detail"]) == ("disagree", "values unrelated at type A")
+
+
+def test_fuzz_keeps_failing_programs(tmp_path, capsys, monkeypatch):
+    out = fg_interp.StuckOutcome(fg_interp.NO_METHOD, "broken", 0)
+    monkeypatch.setattr(fg_interp, "fg_eval", lambda decls, e, fuel, trace=None: out)
+    keep = tmp_path / "kept"
+    argv = ["fuzz", "--count", "1", "--seed", "7", "--keep-failures", str(keep)]
+    assert cli_dispatch(argv) == EXIT_DISAGREE
+    assert capsys.readouterr().out.startswith("seed 7: disagree: ")
+    prog = gen_program(GenConfig(seed=7))
+    [name] = os.listdir(keep)
+    assert name == f"seed-7-{program_hash(prog)}.fg"
+    assert parse_program((keep / name).read_text()) == prog
 
 
 def test_fuzz_text_and_summary(capsys):

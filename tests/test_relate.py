@@ -109,6 +109,45 @@ def test_stuck_pair_other_than_assert_and_match_disagrees(monkeypatch):
     assert v.exit_code() == 2
 
 
+PAIR = """
+package main
+type A struct {}
+type B struct {}
+func main() { _ = A{} }
+"""
+
+
+def _fg_ends_in(monkeypatch, out):
+    """Break the FG side: every run ends in `out`."""
+    monkeypatch.setattr(fg_interp, "fg_eval", lambda decls, e, fuel, trace=None: out)
+
+
+def test_unrelated_values_disagree(monkeypatch):
+    _fg_ends_in(monkeypatch, fg_interp.Value(fg.StructLit("B", ()), 0))
+    prog = parse_program(PAIR)
+    v = diff_run(prog)
+    assert (v.kind, v.detail) == (DISAGREE, "values unrelated at type A")
+    assert (v.fg_value, v.tl_value) == (fg.StructLit("B", ()), tl.CtorApp("K_A", ()))
+    assert v.exit_code() == 2
+    rec = verdict_json(prog, v, 10, 5)
+    assert (rec["verdict"], rec["detail"]) == (DISAGREE, "values unrelated at type A")
+
+
+@pytest.mark.parametrize("side", ["FG", "TL"])
+def test_one_side_stuck_disagrees(monkeypatch, side):
+    if side == "FG":
+        _fg_ends_in(monkeypatch, fg_interp.StuckOutcome(fg_interp.NO_METHOD, "broken", 0))
+        reasons = (fg_interp.NO_METHOD, None)
+    else:
+        out = tl_interp.StuckOutcome(tl_interp.MATCH_FAILURE, "broken", 0)
+        monkeypatch.setattr(tl_interp, "tl_eval", lambda mu, e, fuel, trace=None: out)
+        reasons = (None, tl_interp.MATCH_FAILURE)
+    v = diff_run(parse_program(PAIR))
+    assert (v.kind, v.detail) == (DISAGREE, f"{side} side stuck, other side produced a value")
+    assert (v.fg_reason, v.tl_reason) == reasons
+    assert v.exit_code() == 2
+
+
 def test_diff_budget():
     prog = parse_program("""
     package main

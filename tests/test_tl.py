@@ -4,6 +4,7 @@ import glob
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -22,9 +23,46 @@ def test_tuple_constructors():
     assert tl.make_tuple(()) == CtorApp("Tup0", ())
     assert tl.make_tuple((TLVar("x"),)) == CtorApp("Tup1", (TLVar("x"),))
     assert tl.tuple_arity("Tup7") == 7
-    assert tl.tuple_arity("Tup01") == 1
+    assert tl.tuple_arity("Tup01") is None
     for name in ("K_A", "Tup", "TupX", "K_Tup1", "tup1"):
         assert tl.tuple_arity(name) is None
+
+
+def test_tuple_arity_reads_only_what_tuple_ctor_writes():
+    assert [tl.tuple_arity(tl.tuple_ctor(k)) for k in (0, 1, 10, 100)] == [0, 1, 10, 100]
+    for name in ("Tup00", "Tup007", "Tup\u0663", "Tup-1", "Tup 1"):
+        assert tl.tuple_arity(name) is None
+
+
+@pytest.mark.parametrize("prog, problems", [
+    (tl.TLProgram((), CtorApp("Foo", (TLInt(1),))),
+     ["main: Foo is not a constructor name"]),
+    (tl.TLProgram((), Case(CtorApp("K_A", ()),
+                           (Clause(Pattern("Tup01", ("x",)), TLVar("x")),
+                            Clause(Pattern("Bar", ()), CtorApp("Tup00", ()))))),
+     ["main: Tup01 is not a constructor name", "main: Bar is not a constructor name",
+      "main: Tup00 is not a constructor name"]),
+])
+def test_validate_reports_names_the_reader_does_not_read_as_constructors(prog, problems):
+    assert tl.validate_program(prog) == problems
+
+
+def test_validate_is_linear_in_binder_nesting():
+    n = 20000
+    e = TLVar("x0")
+    for i in reversed(range(n)):
+        e = Lam(f"x{i}", e)
+    start = time.perf_counter()
+    assert tl.validate_program(tl.TLProgram((), e)) == []
+    assert time.perf_counter() - start < 1.0
+
+
+def test_duplicate_binding_is_reported_at_its_name():
+    text = "let\n  f = \\x -> x;\n  f = \\y -> y\nin\nf 1"
+    with pytest.raises(FgError) as ei:
+        tl.parse_program(text, filename="dup.tl")
+    assert [str(d) for d in ei.value.diagnostics] == \
+        ["dup.tl:3:3: error: duplicate let binding f [dup-binding]"]
 
 
 def test_reader_takes_any_depth():
