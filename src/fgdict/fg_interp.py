@@ -20,7 +20,7 @@ the substitution semantics shows.
 from __future__ import annotations
 
 from . import fg_ast as fg
-from .fg_ast import Assert, BinOp, BoolLit, Call, IntLit, Select, StructLit, Var
+from .fg_ast import Assert, BoolLit, Call, IntLit, Select, StructLit, Var
 from .fg_parser import print_expr
 from .outcome import (  # noqa: F401  (re-exported outcome vocabulary)
     BAD_PRIM, OutOfFuel, Stepped, StuckOutcome, Value,
@@ -43,9 +43,6 @@ def value_type(v) -> str:
     return v.type_name
 
 
-_NODES = (StructLit, Select, Call, Assert, BinOp, IntLit, BoolLit)
-
-
 def _run(decls, e, fuel, on_step):
     methods = decls.method_decls
     stack = []  # frames [node, env, subexpressions, values so far]
@@ -57,15 +54,15 @@ def _run(decls, e, fuel, on_step):
             # Descend to the next subterm in evaluation order, until it is
             # a value v.
             while True:
-                t = type(c)
-                if t is Var:
+                if type(c) is Var:
                     v = env.get(c.name)
                     if v is None:
                         raise _Stuck(FREE_VAR, f"free variable {c.name}")
                     break
-                if t not in _NODES:
-                    raise _Stuck(BAD_PRIM, f"cannot reduce {c!r}")
-                subs = fg.children(c)
+                try:
+                    subs = fg.children(c)
+                except TypeError:
+                    raise _Stuck(BAD_PRIM, f"cannot reduce {c!r}") from None
                 if not subs:  # a literal or a struct value with no fields
                     v = c
                     break
