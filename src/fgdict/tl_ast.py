@@ -119,10 +119,10 @@ def tuple_ctor(k: int) -> str:
 def tuple_arity(ctor: str):
     """Arity if `ctor` is a tuple constructor, as `tuple_ctor` spells it:
     `Tup` then ASCII digits with no leading zero.  Else None."""
-    n = ctor[3:]
-    if ctor.startswith("Tup") and n.isascii() and n.isdecimal() and \
-            (n[0] != "0" or n == "0"):
-        return int(n)
+    if ctor.startswith("Tup"):
+        n = ctor[3:]
+        if n.isascii() and n.isdecimal() and (n[0] != "0" or n == "0"):
+            return int(n)
     return None
 
 
@@ -217,22 +217,23 @@ def validate_program(prog: TLProgram):
         stack = [top]
         while stack:
             e = stack.pop()
-            if isinstance(e, tuple):
-                _bind(scope, *e)
-            elif isinstance(e, TLVar):
+            t = type(e)
+            if t is TLVar:
                 if not scope.get(e.name):
                     free.add(e.name)
-            elif isinstance(e, MethodVar):
-                mvars.add(e.name)
-            elif isinstance(e, CtorApp):
-                see_ctor(e.ctor, len(e.args), where)
-                stack.extend(reversed(e.args))
-            elif isinstance(e, Lam):
-                stack += [((e.var,), -1), e.body, ((e.var,), 1)]
-            elif isinstance(e, App):
+            elif t is App:
                 stack.append(e.arg)
                 stack.append(e.fn)
-            elif isinstance(e, Case):
+            elif t is tuple:
+                _bind(scope, *e)
+            elif t is CtorApp:
+                see_ctor(e.ctor, len(e.args), where)
+                stack.extend(reversed(e.args))
+            elif t is Lam:
+                stack += [((e.var,), -1), e.body, ((e.var,), 1)]
+            elif t is MethodVar:
+                mvars.add(e.name)
+            elif t is Case:
                 heads = [c.pat.ctor for c in e.clauses]
                 if len(set(heads)) != len(heads):
                     problems.append(f"{where}: duplicate clause constructors {heads}")
@@ -243,10 +244,10 @@ def validate_program(prog: TLProgram):
                 for c in reversed(e.clauses):
                     stack += [(c.pat.vars, -1), c.body, (c.pat.vars, 1)]
                 stack.append(e.scrut)
-            elif isinstance(e, TLPrim):
+            elif t is TLPrim:
                 stack.append(e.right)
                 stack.append(e.left)
-            elif not isinstance(e, (TLInt, TLBool)):
+            elif t is not TLInt and t is not TLBool:
                 raise TypeError(f"not a TL expression: {e!r}")
         problems.extend(f"{where}: free variable {x}" for x in sorted(free))
         problems.extend(f"{where}: unbound method variable {m}"
