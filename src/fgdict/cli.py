@@ -214,8 +214,9 @@ def _cmd_fuzz(args):
         _emit_verdict(prog, verdict, args, seed=seed)
         if verdict.kind == DISAGREE and args.keep_failures:
             os.makedirs(args.keep_failures, exist_ok=True)
+            mode = "ext-" if args.ext else ""
             path = os.path.join(args.keep_failures,
-                                f"seed-{seed}-{program_hash(prog)}.fg")
+                                f"seed-{seed}-{mode}{program_hash(prog)}.fg")
             with open(path, "w", encoding="utf-8") as f:
                 f.write(print_program(prog))
         worst = max(worst, verdict.exit_code())

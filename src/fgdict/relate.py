@@ -164,12 +164,13 @@ def diff_run(prog: fg.Program, fuel=DEFAULT_EVAL_FUEL,
                        fg_reason=fg_out.reason, tl_reason=tl_out.reason,
                        fg_steps=fg_out.steps, tl_steps=tl_out.steps, detail=detail)
     if fg_stuck != tl_stuck:
-        stuck = "FG" if fg_stuck else "TL"
+        side, out = ("FG", fg_out) if fg_stuck else ("TL", tl_out)
         return Verdict(DISAGREE, main_type=res.main_type,
                        fg_steps=fg_out.steps, tl_steps=tl_out.steps,
                        fg_reason=getattr(fg_out, "reason", None),
                        tl_reason=getattr(tl_out, "reason", None),
-                       detail=f"{stuck} side stuck, other side produced a value")
+                       detail=f"{side} side stuck ({out.reason}: {out.detail}), "
+                              "other side produced a value")
     if values_related(decls, mu, res.main_type, fg_out.value, tl_out.value, rel_fuel):
         return Verdict(AGREE, main_type=res.main_type,
                        fg_value=fg_out.value, tl_value=tl_out.value,
@@ -230,7 +231,8 @@ def verdict_json(prog, verdict: Verdict, fuel, rel_fuel, seed=None):
     }
     if verdict.detail:
         rec["detail"] = verdict.detail
-    if verdict.kind == BOTH_STUCK:
+    if verdict.fg_reason:
         rec["fg-reason"] = verdict.fg_reason
+    if verdict.tl_reason:
         rec["tl-reason"] = verdict.tl_reason
     return rec

@@ -1,5 +1,6 @@
-"""Target-language AST, tuple constructors, validation and the stable text
-format for emitted .tl programs.
+"""Target-language AST and its term structure (`children`, `remake`,
+`subst`), tuple constructors, validation and the stable text format for
+emitted .tl programs.
 
 Constructors are n-ary and saturated: `CtorApp` always carries exactly the
 constructor's arguments, and patterns bind one variable per argument.
@@ -28,7 +29,7 @@ import re
 from dataclasses import dataclass
 
 from .diagnostics import (
-    DUP_BINDING, PREC, PREC_CMP, Diagnostic, FgError, TokenReader, push_items,
+    DUP_BINDING, PREC, PREC_CMP, Diagnostic, FgError, TokenReader, push_items, rebuild,
 )
 
 _TL_KEYWORDS = {"let", "in", "case", "of", "true", "false"}
@@ -110,6 +111,64 @@ class TLProgram:
                 raise FgError(Diagnostic(DUP_BINDING, f"duplicate let binding {name}"))
             mu[name] = lam
         return mu
+
+
+def children(e):
+    """The subterms of `e` in evaluation order, each with the variables `e`
+    binds over it: function then argument, constructor arguments left to
+    right, a lambda's body, a case's scrutinee then its clause bodies, and
+    the left operand before the right."""
+    t = type(e)
+    if t is App:
+        return ((e.fn, ()), (e.arg, ()))
+    if t is CtorApp:
+        return tuple([(a, ()) for a in e.args])
+    if t is Lam:
+        return ((e.body, (e.var,)),)
+    if t is Case:
+        return ((e.scrut, ()), *[(c.body, c.pat.vars) for c in e.clauses])
+    if t is TLPrim:
+        return ((e.left, ()), (e.right, ()))
+    if t is TLVar or t is MethodVar or t is TLInt or t is TLBool:
+        return ()
+    raise TypeError(f"not a TL expression: {e!r}")
+
+
+def remake(e, subs):
+    """`e` with its subterms, in `children` order, replaced by `subs`."""
+    t = type(e)
+    if t is App:
+        return App(subs[0], subs[1])
+    if t is CtorApp:
+        return CtorApp(e.ctor, tuple(subs))
+    if t is Lam:
+        return Lam(e.var, subs[0])
+    if t is Case:
+        return Case(subs[0], tuple(map(Clause, [c.pat for c in e.clauses], subs[1:])))
+    if t is TLPrim:
+        return TLPrim(e.op, subs[0], subs[1])
+    return e
+
+
+def subst(e, env):
+    """`e` with each free variable bound in `env` replaced by its binding,
+    all at once.  A binder shadows the bindings of the variables it binds;
+    the free variables of a binding are not renamed away from the binders
+    it lands under.  Terms of any depth substitute (see `rebuild`)."""
+    def scoped(item):
+        e, env = item
+        if env:
+            return [(s, {x: v for x, v in env.items() if x not in xs} if xs else env)
+                    for s, xs in children(e)]
+        return None
+
+    def build(item, subs):
+        e, env = item
+        if subs:
+            return remake(e, subs)
+        return env.get(e.name, e) if type(e) is TLVar else e
+
+    return rebuild((e, env), scoped, build)
 
 
 def tuple_ctor(k: int) -> str:
@@ -218,19 +277,14 @@ def validate_program(prog: TLProgram):
         while stack:
             e = stack.pop()
             t = type(e)
+            if t is tuple:
+                _bind(scope, *e)
+                continue
             if t is TLVar:
                 if not scope.get(e.name):
                     free.add(e.name)
-            elif t is App:
-                stack.append(e.arg)
-                stack.append(e.fn)
-            elif t is tuple:
-                _bind(scope, *e)
             elif t is CtorApp:
                 see_ctor(e.ctor, len(e.args), where)
-                stack.extend(reversed(e.args))
-            elif t is Lam:
-                stack += [((e.var,), -1), e.body, ((e.var,), 1)]
             elif t is MethodVar:
                 mvars.add(e.name)
             elif t is Case:
@@ -241,14 +295,11 @@ def validate_program(prog: TLProgram):
                     if len(set(c.pat.vars)) != len(c.pat.vars):
                         problems.append(f"{where}: non-linear pattern {c.pat}")
                     see_ctor(c.pat.ctor, len(c.pat.vars), where)
-                for c in reversed(e.clauses):
-                    stack += [(c.pat.vars, -1), c.body, (c.pat.vars, 1)]
-                stack.append(e.scrut)
-            elif t is TLPrim:
-                stack.append(e.right)
-                stack.append(e.left)
-            elif t is not TLInt and t is not TLBool:
-                raise TypeError(f"not a TL expression: {e!r}")
+            for s, xs in reversed(children(e)):
+                if xs:
+                    stack += [(xs, -1), s, (xs, 1)]
+                else:
+                    stack.append(s)
         problems.extend(f"{where}: free variable {x}" for x in sorted(free))
         problems.extend(f"{where}: unbound method variable {m}"
                         for m in sorted(mvars - bound.keys()))

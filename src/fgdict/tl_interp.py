@@ -9,12 +9,15 @@ method variable is the value of the function expression.
 
 The machine holds a control term, an environment of lambda- and
 pattern-bound variables, and the evaluation context as an explicit stack of
-frames.  Lambdas evaluate to closures; a free variable is a value.  Closures
-are read back to terms, by substitution, only for the final value, stuck
-details, `tl_step` and traces.  Binding is lexical, so the machine and the
-substitution semantics differ only where a value carrying a free variable
-is substituted under a binder of that name, which a closed program never
-does.
+frames, one shape for every node, as in the FG machine: the node, its
+environment and the values of its subterms evaluated so far.  Lambdas
+evaluate to closures; a free variable is a value.  Closures are read back
+to terms only for the final value, stuck details, `tl_step` and traces,
+each by one simultaneous substitution of its environment (`tl_ast.subst`),
+and frames are plugged back with `tl_ast.remake`.  Binding is lexical, so
+the machine and the substitution semantics differ only where a value
+carrying a free variable is substituted under a binder of that name, which
+a closed program never does.
 """
 
 from __future__ import annotations
@@ -25,73 +28,26 @@ from .outcome import (  # noqa: F401  (re-exported outcome vocabulary)
     BAD_PRIM, OutOfFuel, Stepped, StuckOutcome, Value,
     _Stuck, check_fuel, prim, step_once, tracer,
 )
-from .tl_ast import App, Case, Clause, CtorApp, Lam, MethodVar, TLBool, TLInt, TLPrim, TLVar
+from .tl_ast import App, Case, CtorApp, Lam, MethodVar, TLBool, TLInt, TLPrim, TLVar
 
 MATCH_FAILURE = "match-failure"
 UNBOUND_METHOD = "unbound-method"
 NON_FUNCTION = "non-function-application"
-UNBOUND_VAR = "unbound-variable"
-
-
-def subst(e, x, v):
-    """Substitute value v for variable x; binders shadow.  Terms of any
-    depth substitute (see `rebuild`)."""
-    def children(e):
-        t = type(e)
-        if t is CtorApp:
-            return e.args
-        if t is Lam:
-            return None if e.var == x else (e.body,)
-        if t is App:
-            return (e.fn, e.arg)
-        if t is Case:
-            return (e.scrut, *(c.body for c in e.clauses if x not in c.pat.vars))
-        if t is TLPrim:
-            return (e.left, e.right)
-        if t is TLVar or t is MethodVar or t is TLInt or t is TLBool:
-            return None
-        raise TypeError(f"not a TL expression: {e!r}")
-
-    def build(e, subs):
-        t = type(e)
-        if not subs:
-            return v if t is TLVar and e.name == x else e
-        if t is CtorApp:
-            return CtorApp(e.ctor, tuple(subs))
-        if t is Lam:
-            return Lam(e.var, subs[0])
-        if t is App:
-            return App(subs[0], subs[1])
-        if t is TLPrim:
-            return TLPrim(e.op, subs[0], subs[1])
-        bodies = iter(subs[1:])
-        return Case(subs[0], tuple(c if x in c.pat.vars else Clause(c.pat, next(bodies))
-                                   for c in e.clauses))
-
-    return rebuild(e, children, build)
 
 
 class _Closure:
-    """The value of a lambda: the lambda and the environment it closes over."""
+    """A term and the environment it closes over: the value of a lambda,
+    and, for read-back, any term the machine holds with its environment."""
 
-    __slots__ = ("lam", "env")
+    __slots__ = ("term", "env")
 
-    def __init__(self, lam, env):
-        self.lam = lam
+    def __init__(self, term, env):
+        self.term = term
         self.env = env
 
 
-# Continuation frames, each a sequence headed by a tag:
-#   (_APP, argument, env)            function position is being evaluated
-#   (_ARG, function value)           argument position is being evaluated
-#   (_CASE, node, env)               scrutinee is being evaluated
-#   [_CTOR, node, env, values so far]
-#   [_PRIM, node, env, left value or None]
-_APP, _ARG, _CASE, _CTOR, _PRIM = "app", "arg", "case", "ctor", "prim"
-
-
 def _run(mu, e, fuel, on_step):
-    stack = []
+    stack = []  # frames [node, env, values so far]
     push, pop = stack.append, stack.pop
     steps = 0
     c, env = e, {}
@@ -102,13 +58,13 @@ def _run(mu, e, fuel, on_step):
             while True:
                 t = type(c)
                 if t is App:
-                    push((_APP, c.arg, env))
+                    push((c, env, []))
                     c = c.fn
                 elif t is TLVar:
                     v = env.get(c.name, c)
                     break
                 elif t is Case:
-                    push((_CASE, c, env))
+                    push((c, env, []))
                     c = c.scrut
                 elif t is Lam:
                     v = _Closure(c, env)
@@ -117,60 +73,61 @@ def _run(mu, e, fuel, on_step):
                     if not c.args:
                         v = c
                         break
-                    push([_CTOR, c, env, []])
+                    push((c, env, []))
                     c = c.args[0]
                 elif t is MethodVar or t is TLInt or t is TLBool:
                     v = c
                     break
                 elif t is TLPrim:
-                    push([_PRIM, c, env, None])
+                    push((c, env, []))
                     c = c.left
                 else:
                     raise TypeError(f"not a TL expression: {c!r}")
-            # Return v to the innermost frame; fire an axiom when one applies.
+            # Return v to the innermost frame; once it has the values its
+            # axiom needs, fire the axiom or build the constructor value.
             while stack:
-                f = pop()
-                tag = f[0]
-                if tag == _APP:
-                    if type(v) is not MethodVar:
-                        push((_ARG, v))
-                        c, env = f[1], f[2]
+                node, fenv, done = stack[-1]
+                t = type(node)
+                if t is App:
+                    if done:
+                        pop()
+                        fn = done[0]
+                        if type(fn) is not _Closure:
+                            raise _Stuck(NON_FUNCTION,
+                                         f"applying non-function {tl.print_expr(_value_term(fn))}")
+                        lam = fn.term
+                        c, env, v = lam.body, {**fn.env, lam.var: v}, None
+                        rule = "tl-lambda"
+                    elif type(v) is not MethodVar:
+                        done.append(v)
+                        c, env = node.arg, fenv
                         break
-                    lam = mu.get(v.name)
-                    if lam is None:
-                        raise _Stuck(UNBOUND_METHOD, f"unbound method variable {v.name}")
-                    push(f)
-                    c, env, v = lam, {}, None
-                    rule = "tl-method"
-                elif tag == _ARG:
-                    fn = f[1]
-                    if type(fn) is not _Closure:
-                        raise _Stuck(NON_FUNCTION,
-                                     f"applying non-function {tl.print_expr(_value_term(fn))}")
-                    lam = fn.lam
-                    c, env, v = lam.body, {**fn.env, lam.var: v}, None
-                    rule = "tl-lambda"
-                elif tag == _CASE:
-                    c, env = _match(f[1], f[2], v)
+                    else:
+                        lam = mu.get(v.name)
+                        if lam is None:
+                            raise _Stuck(UNBOUND_METHOD, f"unbound method variable {v.name}")
+                        c, env, v = lam, {}, None
+                        rule = "tl-method"
+                elif t is Case:
+                    pop()
+                    c, env = _match(node, fenv, v)
                     v = None
                     rule = "tl-case"
-                elif tag == _CTOR:
-                    node, done = f[1], f[3]
+                elif t is CtorApp:
                     done.append(v)
                     if len(done) < len(node.args):
-                        push(f)
-                        c, env = node.args[len(done)], f[2]
+                        c, env = node.args[len(done)], fenv
                         break
+                    pop()
                     v = CtorApp(node.ctor, tuple(done))
                     continue
+                elif not done:
+                    done.append(v)
+                    c, env = node.right, fenv
+                    break
                 else:
-                    node = f[1]
-                    if f[3] is None:
-                        f[3] = v
-                        push(f)
-                        c, env = node.right, f[2]
-                        break
-                    v = prim(node.op, f[3], v, TLInt, TLBool)
+                    pop()
+                    v = prim(node.op, done[0], v, TLInt, TLBool)
                     rule = "tl-prim"
                 if steps >= fuel:
                     return OutOfFuel(steps)
@@ -221,46 +178,28 @@ def _value_term(v):
         if type(w) is CtorApp:
             return CtorApp(w.ctor, tuple(subs)) if subs else w
         if type(w) is _Closure:
-            e = w.lam
-            for x, s in zip(w.env, subs):
-                e = subst(e, x, s)
-            return e
+            return tl.subst(w.term, dict(zip(w.env, subs)))
         return w
 
     return rebuild(v, children, build)
 
 
 def _term(e, env):
-    for x, v in env.items():
-        e = subst(e, x, _value_term(v))
-    return e
+    """The term `e` stands for under the machine environment `env`."""
+    return _value_term(_Closure(e, env))
 
 
 def _plug(state):
-    """The term a machine state stands for."""
+    """The term a machine state stands for: each frame's node with the term
+    so far in the hole, the values before it and the rest of its subterms,
+    under the frame's environment, after."""
     v, c, env, stack = state
     e = _value_term(v) if v is not None else _term(c, env)
-    for f in reversed(stack):
-        e = _plug_frame(f, e)
+    for node, env, done in reversed(stack):
+        rest = tl.children(node)[len(done) + 1:]
+        e = tl.remake(node, [*map(_value_term, done), e, *(
+            _term(s, {x: w for x, w in env.items() if x not in xs}) for s, xs in rest)])
     return e
-
-
-def _plug_frame(f, e):
-    tag = f[0]
-    if tag == _APP:
-        return App(e, _term(f[1], f[2]))
-    if tag == _ARG:
-        return App(_value_term(f[1]), e)
-    if tag == _CASE:
-        return Case(e, _term(f[1], f[2]).clauses)
-    _tag, node, env, done = f
-    if tag == _CTOR:
-        rest = node.args[len(done) + 1:]
-        return CtorApp(node.ctor, tuple(map(_value_term, done)) + (e,) +
-                       tuple(_term(a, env) for a in rest))
-    if done is None:
-        return TLPrim(node.op, e, _term(node.right, env))
-    return TLPrim(node.op, _value_term(done), e)
 
 
 def tl_step(mu, e):

@@ -156,17 +156,32 @@ def test_diff_reports_a_disagreement(tmp_path, capsys, monkeypatch):
     assert (rec["verdict"], rec["detail"]) == ("disagree", "values unrelated at type A")
 
 
+def test_diff_reports_the_stuck_side(tmp_path, capsys, monkeypatch):
+    out = fg_interp.StuckOutcome(fg_interp.NO_METHOD, "no method m on A", 2)
+    monkeypatch.setattr(fg_interp, "fg_eval", lambda decls, e, fuel, trace=None: out)
+    f = tmp_path / "pair.fg"
+    f.write_text(PAIR)
+    detail = "FG side stuck (no-method: no method m on A), other side produced a value"
+    assert cli_dispatch(["diff", str(f)]) == EXIT_DISAGREE
+    assert capsys.readouterr().out == f"disagree: {detail} (fg 2 steps, tl 0 steps)\n"
+    assert cli_dispatch(["diff", str(f), "--json"]) == EXIT_DISAGREE
+    rec = json.loads(capsys.readouterr().out)
+    assert (rec["verdict"], rec["detail"], rec["fg-reason"]) == ("disagree", detail, "no-method")
+    assert "tl-reason" not in rec
+
+
 def test_fuzz_keeps_failing_programs(tmp_path, capsys, monkeypatch):
     out = fg_interp.StuckOutcome(fg_interp.NO_METHOD, "broken", 0)
     monkeypatch.setattr(fg_interp, "fg_eval", lambda decls, e, fuel, trace=None: out)
-    keep = tmp_path / "kept"
-    argv = ["fuzz", "--count", "1", "--seed", "7", "--keep-failures", str(keep)]
-    assert cli_dispatch(argv) == EXIT_DISAGREE
-    assert capsys.readouterr().out.startswith("seed 7: disagree: ")
-    prog = gen_program(GenConfig(seed=7))
-    [name] = os.listdir(keep)
-    assert name == f"seed-7-{program_hash(prog)}.fg"
-    assert parse_program((keep / name).read_text()) == prog
+    for mode, flags, tag in [(fg.CORE, [], ""), (fg.EXT, ["--ext"], "ext-")]:
+        keep = tmp_path / mode
+        argv = ["fuzz", "--count", "1", "--seed", "7", "--keep-failures", str(keep), *flags]
+        assert cli_dispatch(argv) == EXIT_DISAGREE
+        assert capsys.readouterr().out.startswith("seed 7: disagree: ")
+        prog = gen_program(GenConfig(seed=7, mode=mode))
+        [name] = os.listdir(keep)
+        assert name == f"seed-7-{tag}{program_hash(prog)}.fg"
+        assert parse_program((keep / name).read_text(), mode=mode) == prog
 
 
 def test_fuzz_text_and_summary(capsys):

@@ -143,7 +143,8 @@ def test_one_side_stuck_disagrees(monkeypatch, side):
         monkeypatch.setattr(tl_interp, "tl_eval", lambda mu, e, fuel, trace=None: out)
         reasons = (None, tl_interp.MATCH_FAILURE)
     v = diff_run(parse_program(PAIR))
-    assert (v.kind, v.detail) == (DISAGREE, f"{side} side stuck, other side produced a value")
+    assert (v.kind, v.detail) == (DISAGREE, f"{side} side stuck ({reasons[0] or reasons[1]}: "
+                                            "broken), other side produced a value")
     assert (v.fg_reason, v.tl_reason) == reasons
     assert v.exit_code() == 2
 

@@ -242,6 +242,61 @@ def test_validate_is_stack_safe():
     assert problems == []
 
 
+TERM_KINDS = [
+    TLVar("x"), MethodVar("m_A"), TLInt(1), TLBool(True), CtorApp("K_A", ()),
+    CtorApp("K_P", (TLInt(1), TLVar("x"))), Lam("x", TLVar("x")), App(TLVar("f"), TLInt(2)),
+    Case(TLVar("x"), (Clause(Pattern("K_A", ("a", "b")), TLVar("a")),
+                      Clause(Pattern("K_B", ()), TLInt(0)))),
+    TLPrim("==", TLInt(1), TLInt(2)),
+]
+
+
+@pytest.mark.parametrize("e", TERM_KINDS, ids=lambda e: type(e).__name__)
+def test_remake_inverts_children(e):
+    assert tl.remake(e, [s for s, _ in tl.children(e)]) == e
+
+
+def test_children_carry_the_variables_bound_over_them():
+    assert tl.children(Lam("x", TLVar("y"))) == ((TLVar("y"), ("x",)),)
+    case = tl.parse_expr("case x of { K_A a b -> a; K_B -> 0 }")
+    assert tl.children(case) == ((TLVar("x"), ()), (TLVar("a"), ("a", "b")), (TLInt(0), ()))
+    for e in (None, "x", fg.Var("x"), Clause(Pattern("K_A", ()), TLInt(0))):
+        with pytest.raises(TypeError):
+            tl.children(e)
+
+
+def test_subst_is_simultaneous_and_shadows():
+    e = tl.parse_expr(r"K_P x y (\x -> x y) (case x of { K_A y -> y x; K_B -> y })")
+    got = tl.subst(e, {"x": TLVar("y"), "y": CtorApp("K_A", ())})
+    assert tl.print_expr(got) == \
+        r"K_P y K_A (\x -> x K_A) (case y of { K_A y -> y y; K_B -> K_A })"
+
+
+def test_subst_takes_any_depth():
+    n = 20000
+    env = {"x": TLInt(1), "y": TLInt(2)}
+    for text, want in [("\\x -> " * n + "(x, y)", "\\x -> " * n + "(x, 2)"),
+                       ("(" * n + "y" + ",)" * n, "(" * n + "2" + ",)" * n)]:
+        assert tl.print_expr(tl.subst(tl.parse_expr(text), env)) == want
+
+
+def test_read_back_substitutes_a_closure_environment_at_once():
+    # The value closes over x = y (free) and y = K_A: substituting x and
+    # then y would turn x's y into K_A.
+    out = tl_interp.tl_eval({}, tl.parse_expr(r"(\x -> (\y -> \z -> x) K_A) y"), 10)
+    assert out == tl_interp.Value(Lam("z", TLVar("y")), 2)
+
+
+def test_trace_plugs_each_frame_under_its_binders():
+    e = tl.parse_expr(r"(\x -> case (\y -> y) K_A of { K_A -> x; K_B x -> x }) K_C")
+    seen = []
+    out = tl_interp.tl_eval({}, e, 10, trace=lambda n, rule, text: seen.append((rule, text)))
+    assert out == tl_interp.Value(CtorApp("K_C", ()), 3)
+    assert seen == [("tl-lambda", r"case (\y -> y) K_A of { K_A -> K_C; K_B x -> x }"),
+                    ("tl-lambda", "case K_A of { K_A -> K_C; K_B x -> x }"),
+                    ("tl-case", "K_C")]
+
+
 def test_beta_costs_one_step():
     out = tl_interp.tl_eval({}, App(Lam("x", TLVar("x")), TLInt(1)), 10)
     assert out == tl_interp.Value(TLInt(1), 1)
