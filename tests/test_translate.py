@@ -251,6 +251,12 @@ REJECTIONS = [
      "func (this A) p(x B, x B) B { return x }", "B{}", "dup-param"),
     ("param-shadows-receiver", fg.CORE,
      "func (this A) p(this B) B { return this }", "B{}", "dup-param"),
+    # Two errors each: the order the checker types and coerces
+    # subexpressions in decides which one is reported.
+    ("receiver-before-arguments", fg.CORE, "", "A{B{}}.nope(x)", "unknown-method"),
+    ("field-coerced-before-next", fg.CORE,
+     "type F struct { a A; c A }", "F{B{}, y}", "not-a-subtype"),
+    ("operand-coerced-before-next", fg.EXT, "", "true == x", "prim-op-type"),
 ]
 
 
