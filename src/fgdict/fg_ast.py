@@ -362,15 +362,13 @@ def check_wellformed(prog: Program):
         if not table.is_declared(t):
             diags.append(Diagnostic(UNKNOWN_TYPE, f"unknown {what} {t}", span))
 
-    seen_types = set()
-    seen_methods = set()
+    # A duplicate is a declaration that is not the table's first-wins entry.
     for d in prog.decls:
         if isinstance(d, TypeDecl):
             if d.name in PRIMITIVES and mode == EXT:
                 diags.append(Diagnostic(DUP_TYPE, f"cannot redeclare primitive {d.name}", d.span))
-            elif d.name in seen_types:
+            elif table.types[d.name] is not d:
                 diags.append(Diagnostic(DUP_TYPE, f"duplicate type declaration {d.name}", d.span))
-            seen_types.add(d.name)
             if isinstance(d.literal, StructType):
                 seen_fields = set()
                 for f, t in d.literal.fields:
@@ -388,14 +386,11 @@ def check_wellformed(prog: Program):
                     seen_names.add(s.name)
                     _check_sig(s.sig, d.span, diags, check_type_name, recv=None)
         else:
-            key = (d.recv_type, d.name)
-            if key in seen_methods:
+            if table.method_decls[d.recv_type, d.name] is not d:
                 diags.append(Diagnostic(
                     FG4_DUP_METHOD,
                     f"duplicate method declaration ({d.recv_type}, {d.name})", d.span))
-            seen_methods.add(key)
-            td = table.types.get(d.recv_type)
-            if td is None or not isinstance(td.literal, StructType):
+            if d.recv_type not in table.field_index:
                 diags.append(Diagnostic(
                     UNKNOWN_TYPE, f"receiver type {d.recv_type} is not a declared struct", d.span))
             _check_sig(d.sig, d.span, diags, check_type_name, recv=d.recv_var)
@@ -406,8 +401,7 @@ def check_wellformed(prog: Program):
     # member, naming its members in declaration order.
     order = {name: i for i, name in enumerate(table.struct_names)}
     edges = {
-        name: [t for _, t in table.struct_fields(name)
-               if t in table.types and isinstance(table.types[t].literal, StructType)]
+        name: [t for _, t in table.struct_fields(name) if t in table.field_index]
         for name in table.struct_names
     }
     cycles = {}  # first-declared member -> the members of its cycle

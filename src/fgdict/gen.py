@@ -258,8 +258,8 @@ class _Gen:
             return fg.BoolLit(rng.random() < 0.5)
         if op == "binop":
             if want == fg.BOOL:
-                o = rng.choice(["==", "<", "&&", "||"])
-                operand = fg.INT if o in ("==", "<") else fg.BOOL
+                o = rng.choice(list(fg.BINOPS))
+                operand = fg.BINOPS[o][0]
                 return fg.BinOp(o, self.gen_expr(env, operand, depth - 1),
                                 self.gen_expr(env, operand, depth - 1))
             return fg.IntLit(rng.randint(0, 9))
@@ -337,31 +337,24 @@ def _subexprs(e):
     return subs
 
 
-def _named_types(node):
-    """The type names a declaration, or the expression `main`, names: field,
-    signature and receiver types, struct literals and asserted types."""
+def _relies(table, node):
+    """What a declaration, or the expression `main`, relies on: the type
+    names it names (field, signature and receiver types, struct literals and
+    asserted types) and the (struct, method) pairs its code relies on
+    (`Translator.uses`)."""
     if isinstance(node, fg.TypeDecl):
         if isinstance(node.literal, fg.StructType):
             return {t for _f, t in node.literal.fields}
         return {t for s in node.literal.specs for t in s.sig.param_types + (s.sig.ret,)}
-    names = set()
-    if isinstance(node, fg.MethodDecl):
-        names.update(node.sig.param_types, (node.recv_type, node.sig.ret))
-        node = node.body
-    names.update(e.type_name for e in fg.expr_nodes(node)
-                 if isinstance(e, (fg.StructLit, fg.Assert)))
-    return names
-
-
-def _uses(table, node):
-    """The (struct, method) pairs a method body, or the expression `main`,
-    relies on; none for a type declaration."""
     tr = Translator(table)
     if isinstance(node, fg.MethodDecl):
         tr.check_expr(method_env(node), node.body, node.sig.ret)
-    elif not isinstance(node, fg.TypeDecl):
+        tr.uses.update(node.sig.param_types, (node.recv_type, node.sig.ret))
+        node = node.body
+    else:
         tr.infer_expr({}, node)
-    return tr.uses
+    return tr.uses | {e.type_name for e in fg.expr_nodes(node)
+                      if isinstance(e, (fg.StructLit, fg.Assert))}
 
 
 def _candidates(prog: fg.Program):
@@ -369,9 +362,8 @@ def _candidates(prog: fg.Program):
     with whether it is well-typed.  FG expressions bind nothing, so the
     typing of `prog` decides every candidate without checking it:
 
-    - removing a type declaration is well-typed iff nothing else names it;
-    - removing method (T, m) is well-typed iff no other method body and not
-      `main` relies on it (`Translator.uses`);
+    - removing a declaration is well-typed iff no other node relies on it
+      (`_relies`): names the type, or relies on the method (T, m);
     - a subexpression of `main` is always well-typed;
     - a method body may become one of its subexpressions iff that one's type
       is a subtype of the return type, the test `coerce_to` applies, or the
@@ -379,15 +371,11 @@ def _candidates(prog: fg.Program):
     """
     table = prog.table
     nodes = prog.decls + (prog.main,)
-    names = [_named_types(n) for n in nodes]
-    uses = [_uses(table, n) for n in nodes]
+    relies = [_relies(table, n) for n in nodes]
 
     for i, d in enumerate(prog.decls):
-        if isinstance(d, fg.TypeDecl):
-            ok = not any(d.name in n for j, n in enumerate(names) if j != i)
-        else:
-            key = (d.recv_type, d.name)
-            ok = not any(key in u for j, u in enumerate(uses) if j != i)
+        key = d.name if isinstance(d, fg.TypeDecl) else (d.recv_type, d.name)
+        ok = not any(key in r for j, r in enumerate(relies) if j != i)
         yield fg.Program(prog.decls[:i] + prog.decls[i + 1:], prog.main, prog.mode), ok
     for sub in _subexprs(prog.main):
         yield fg.Program(prog.decls, sub, prog.mode), True

@@ -58,15 +58,6 @@ class Translation:
         return not self.diagnostics
 
 
-# Frames of `Translator.infer_expr`.  A Select, an Assert, or a Call waiting
-# for its receiver is its own frame.  The others are sequences:
-#   (_ARGS, struct literal, fields, argument codes so far)
-#   (_ARGS, call, signature params, argument codes so far, receiver type,
-#    receiver code, signature, interface spec index or None)
-#   [_BIN, node, operand type, left code or None]
-_ARGS, _BIN = "args", "bin"
-
-
 class Translator:
     def __init__(self, decls: fg.Decls, hoist_helpers=False):
         self.decls = decls
@@ -89,99 +80,89 @@ class Translator:
     def infer_expr(self, env, e):
         """Syntax-directed synthesis: returns (minimal type, TL code).
 
-        Subexpressions are typed in the FG machine's order: struct arguments
-        left to right, then receiver, then call arguments left to right.
-        Each node waiting for a subexpression is a frame on an explicit
-        stack, so terms of any depth check."""
+        Subexpressions are typed in the FG machine's order, `fg.children`,
+        and each is coerced to the type its node wants as soon as it is
+        typed.  Each node waiting for a subexpression is a frame on an
+        explicit stack, so terms of any depth check:
+          [node, subexpressions, codes so far, wanted (name, type) pairs, first]
+        A Select, Assert or Call wants its first subexpression at the type it
+        has, and `first` is that type; a call's receiver type also decides
+        the wanted argument types, and `first` is (receiver type, signature,
+        interface spec index or None)."""
         decls = self.decls
         stack = []
-        push, pop = stack.append, stack.pop
         while True:
-            # Descend to the next subexpression in order, until one is typed.
-            while True:
-                t = type(e)
-                if t is fg.Var:
-                    if e.name not in env:
-                        raise FgError(Diagnostic(
-                            UNKNOWN_VAR, f"unknown variable {e.name}", e.span))
-                    self.count("td-var")
-                    res = env[e.name], tl.TLVar(tl.fg_var(e.name))
-                    break
+            # Type a leaf, or push its node and descend to its first subexpression.
+            t = type(e)
+            if t is fg.Var:
+                if e.name not in env:
+                    raise FgError(Diagnostic(
+                        UNKNOWN_VAR, f"unknown variable {e.name}", e.span))
+                self.count("td-var")
+                res = env[e.name], tl.TLVar(tl.fg_var(e.name))
+            elif t is fg.IntLit:
+                res = fg.INT, tl.TLInt(e.value)
+            elif t is fg.BoolLit:
+                res = fg.BOOL, tl.TLBool(e.value)
+            else:
+                subs = fg.children(e)
+                wants = None
                 if t is fg.StructLit:
                     if decls.kind(e.type_name) != "struct":
                         raise FgError(Diagnostic(
                             UNKNOWN_TYPE, f"{e.type_name} is not a declared struct", e.span))
-                    fields = decls.struct_fields(e.type_name)
-                    if len(fields) != len(e.args):
+                    wants = decls.struct_fields(e.type_name)
+                    if len(wants) != len(subs):
                         raise FgError(Diagnostic(
                             ARITY_MISMATCH,
-                            f"struct {e.type_name} has {len(fields)} fields, got {len(e.args)}",
+                            f"struct {e.type_name} has {len(wants)} fields, got {len(subs)}",
                             e.span))
-                    if not e.args:
-                        self.count("td-struct")
-                        res = e.type_name, tl.CtorApp(tl.struct_ctor(e.type_name), ())
-                        break
-                    push((_ARGS, e, fields, []))
-                    e = e.args[0]
-                elif t is fg.Select or t is fg.Call:
-                    push(e)
-                    e = e.recv
-                elif t is fg.Assert:
-                    push(e)
-                    e = e.expr
-                elif t is fg.IntLit:
-                    res = fg.INT, tl.TLInt(e.value)
-                    break
-                elif t is fg.BoolLit:
-                    res = fg.BOOL, tl.TLBool(e.value)
-                    break
                 elif t is fg.BinOp:
-                    push([_BIN, e, fg.BINOPS[e.op][0], None])
-                    e = e.left
-                else:
-                    raise TypeError(f"not an FG expression: {e!r}")
+                    wants = ((None, fg.BINOPS[e.op][0]),) * 2
+                if subs:
+                    stack.append([e, subs, [], wants, None])
+                    e = subs[0]
+                    continue
+                res = self._node(e, (), None)
             # Return the typed subexpression to the nodes waiting for it.
             while stack:
-                f = pop()
-                t = type(f)
-                if t is fg.Select:
-                    res = self._select(f, *res)
-                elif t is fg.Call:
-                    sig, idx = self._call_sig(f, res[0])
-                    if f.args:
-                        push((_ARGS, f, sig.params, [], *res, sig, idx))
-                        e = f.args[0]
-                        break
-                    res = self._call(f, *res, sig, idx, ())
-                elif t is fg.Assert:
-                    res = self._assert(f, *res)
-                elif f[0] is _ARGS:
-                    node, wants, codes = f[1], f[2], f[3]
-                    a = node.args[len(codes)]
-                    codes.append(self.coerce_to(
-                        res[0], wants[len(codes)][1], res[1], a.span, NOT_A_SUBTYPE))
-                    if len(codes) < len(node.args):
-                        push(f)
-                        e = node.args[len(codes)]
-                        break
+                f = stack[-1]
+                node, subs, codes, wants, first = f
+                have, code = res
+                if wants is None:
+                    wants = f[3] = [(None, have)]
+                    first = f[4] = have
                     if type(node) is fg.Call:
-                        res = self._call(node, *f[4:], tuple(codes))
-                    else:
-                        self.count("td-struct")
-                        res = node.type_name, tl.CtorApp(
-                            tl.struct_ctor(node.type_name), tuple(codes))
-                else:
-                    _tag, node, operand, left = f
-                    side = node.left if left is None else node.right
-                    code = self.coerce_to(res[0], operand, res[1], side.span, PRIM_OP_TYPE)
-                    if left is None:
-                        f[3] = code
-                        push(f)
-                        e = node.right
-                        break
-                    res = fg.BINOPS[node.op][1], tl.TLPrim(node.op, left, code)
+                        sig, idx = self._call_sig(node, have)
+                        wants += sig.params
+                        first = f[4] = have, sig, idx
+                i = len(codes)
+                codes.append(self.coerce_to(
+                    have, wants[i][1], code, subs[i].span,
+                    PRIM_OP_TYPE if type(node) is fg.BinOp else NOT_A_SUBTYPE))
+                if i + 1 < len(subs):
+                    e = subs[i + 1]
+                    break
+                stack.pop()
+                res = self._node(node, codes, first)
             else:
                 return res
+
+    def _node(self, e, codes, first):
+        """The type and code of `e` from the codes of its subexpressions, each
+        coerced to its wanted type, and what its first subexpression's type
+        decided (see `infer_expr`)."""
+        t = type(e)
+        if t is fg.StructLit:
+            self.count("td-struct")
+            return e.type_name, tl.CtorApp(tl.struct_ctor(e.type_name), tuple(codes))
+        if t is fg.Call:
+            return self._call(e, codes[0], *first, tuple(codes[1:]))
+        if t is fg.Select:
+            return self._select(e, first, codes[0])
+        if t is fg.Assert:
+            return self._assert(e, first, codes[0])
+        return fg.BINOPS[e.op][1], tl.TLPrim(e.op, *codes)
 
     def _select(self, e, t_recv, code):
         decls = self.decls
@@ -226,7 +207,7 @@ class Translator:
                 e.span))
         return sig, idx
 
-    def _call(self, e, t_recv, code, sig, idx, args):
+    def _call(self, e, code, t_recv, sig, idx, args):
         if idx is None:
             self.count("td-call-struct")
             self.uses.add((t_recv, e.method))
