@@ -212,7 +212,10 @@ def remake(e, subs):
 def subst(e, env):
     """`e` with each variable bound in `env` replaced by its binding, all at
     once; FG expressions bind nothing, so no capture can happen.  Terms of
-    any depth substitute (see `rebuild`)."""
+    any depth substitute (see `rebuild`); an empty `env` returns `e`."""
+    if not env:
+        return e
+
     def build(e, subs):
         if subs:
             return remake(e, subs)

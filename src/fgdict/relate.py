@@ -133,10 +133,10 @@ class Verdict:
 
 
 def diff_run(prog: fg.Program, fuel=DEFAULT_EVAL_FUEL,
-             rel_fuel=DEFAULT_RELATION_FUEL, hoist_helpers=False) -> Verdict:
+             rel_fuel=DEFAULT_RELATION_FUEL) -> Verdict:
     """Run main under both semantics and relate the outcomes.  Raises
     FgError for an ill-formed or ill-typed program."""
-    res = require_translation(prog, hoist_helpers=hoist_helpers)
+    res = require_translation(prog)
     decls = prog.table
     mu = res.tl_program.method_subst()
     fg_out = fg_interp.fg_eval(decls, prog.main, fuel)

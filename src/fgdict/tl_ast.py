@@ -283,10 +283,12 @@ def validate_program(prog: TLProgram):
             if t is TLVar:
                 if not scope.get(e.name):
                     free.add(e.name)
-            elif t is CtorApp:
-                see_ctor(e.ctor, len(e.args), where)
-            elif t is MethodVar:
+                continue
+            if t is MethodVar:
                 mvars.add(e.name)
+                continue
+            if t is CtorApp:
+                see_ctor(e.ctor, len(e.args), where)
             elif t is Case:
                 heads = [c.pat.ctor for c in e.clauses]
                 if len(set(heads)) != len(heads):

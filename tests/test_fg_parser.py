@@ -102,6 +102,20 @@ def test_var_bindings_desugar_by_substitution():
     assert print_expr(prog.main) == "A{B{}}.b"
 
 
+def test_subst_with_no_bindings_rebuilds_nothing(monkeypatch):
+    e = parse_expr("A{B{}}.m(C{}).(I)")
+    assert fg.subst(e, {}) is e
+    remade = []
+    monkeypatch.setattr(fg, "remake", lambda e, subs: remade.append(e))
+    parse_program("""
+    package main
+    type A struct {}
+    type B struct { a A }
+    func main() { _ = B{A{}}.a }
+    """)
+    assert remade == []
+
+
 def test_var_bindings_are_ext_only():
     src = """
     package main

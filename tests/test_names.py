@@ -6,11 +6,13 @@ from dataclasses import replace
 
 import pytest
 
-from fgdict import fg_ast as fg, tl_ast as tl
+from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
 from fgdict.cli import EXIT_DIAGNOSTICS, EXIT_OK, cli_dispatch
 from fgdict.fg_parser import parse_program
 from fgdict.gen import GenConfig, gen_program
-from fgdict.relate import AGREE, diff_run
+from fgdict.relate import (
+    AGREE, DEFAULT_EVAL_FUEL, DEFAULT_RELATION_FUEL, diff_run, values_related,
+)
 from fgdict.translate import require_translation, translate_program
 
 # Method variables a_b_C twice under `{m}_{T}` mangling.
@@ -85,7 +87,10 @@ def test_user_method_named_like_a_helper():
     names = [n for n, _lam in res.tl_program.bindings]
     assert len(set(names)) == len(names)
     assert tl.validate_program(res.tl_program) == []
-    assert diff_run(prog, hoist_helpers=True).kind == AGREE
+    fg_out = fg_interp.fg_eval(prog.table, prog.main, DEFAULT_EVAL_FUEL)
+    tl_out = tl_interp.run_program(res.tl_program, DEFAULT_EVAL_FUEL)
+    assert values_related(prog.table, res.tl_program.method_subst(), res.main_type,
+                          fg_out.value, tl_out.value, DEFAULT_RELATION_FUEL)
 
 
 def test_diff_rejects_ill_formed_program(tmp_path, capsys):
