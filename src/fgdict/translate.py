@@ -89,7 +89,6 @@ class Translator:
         has, and `first` is that type; a call's receiver type also decides
         the wanted argument types, and `first` is (receiver type, signature,
         interface spec index or None)."""
-        decls = self.decls
         stack = []
         while True:
             # Type a leaf, or push its node and descend to its first subexpression.
@@ -108,10 +107,10 @@ class Translator:
                 subs = fg.children(e)
                 wants = None
                 if t is fg.StructLit:
-                    if decls.kind(e.type_name) != "struct":
+                    if self.decls.kind(e.type_name) != "struct":
                         raise FgError(Diagnostic(
                             UNKNOWN_TYPE, f"{e.type_name} is not a declared struct", e.span))
-                    wants = decls.struct_fields(e.type_name)
+                    wants = self.decls.struct_fields(e.type_name)
                     if len(wants) != len(subs):
                         raise FgError(Diagnostic(
                             ARITY_MISMATCH,
@@ -137,8 +136,9 @@ class Translator:
                         wants += sig.params
                         first = f[4] = have, sig, idx
                 i = len(codes)
-                codes.append(self.coerce_to(
-                    have, wants[i][1], code, subs[i].span,
+                want = wants[i][1]
+                codes.append(code if have == want else self.coerce_to(
+                    have, want, code, subs[i].span,
                     PRIM_OP_TYPE if type(node) is fg.BinOp else NOT_A_SUBTYPE))
                 if i + 1 < len(subs):
                     e = subs[i + 1]
