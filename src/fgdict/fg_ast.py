@@ -255,9 +255,12 @@ class Decls:
         self.iface_names = []
         self.method_decls = {}  # (recv_type, name) -> MethodDecl
         self.methods_by_recv = {}  # recv_type -> [MethodDecl], decl order
-        for d in self.decls:
+        self.repeats = set()  # positions of the declarations an earlier one wins over
+        for i, d in enumerate(self.decls):
             if isinstance(d, TypeDecl):
-                if d.name not in self.types:
+                if d.name in self.types:
+                    self.repeats.add(i)
+                else:
                     self.types[d.name] = d
                     if isinstance(d.literal, StructType):
                         self.struct_names.append(d.name)
@@ -265,7 +268,9 @@ class Decls:
                         self.iface_names.append(d.name)
             else:
                 key = (d.recv_type, d.name)
-                if key not in self.method_decls:
+                if key in self.method_decls:
+                    self.repeats.add(i)
+                else:
                     self.method_decls[key] = d
                     self.methods_by_recv.setdefault(d.recv_type, []).append(d)
         self.spec_keys = {t: frozenset(s.key() for s in methods(self, t))
@@ -365,12 +370,11 @@ def check_wellformed(prog: Program):
         if not table.is_declared(t):
             diags.append(Diagnostic(UNKNOWN_TYPE, f"unknown {what} {t}", span))
 
-    # A duplicate is a declaration that is not the table's first-wins entry.
-    for d in prog.decls:
+    for i, d in enumerate(prog.decls):
         if isinstance(d, TypeDecl):
             if d.name in PRIMITIVES and mode == EXT:
                 diags.append(Diagnostic(DUP_TYPE, f"cannot redeclare primitive {d.name}", d.span))
-            elif table.types[d.name] is not d:
+            elif i in table.repeats:
                 diags.append(Diagnostic(DUP_TYPE, f"duplicate type declaration {d.name}", d.span))
             if isinstance(d.literal, StructType):
                 seen_fields = set()
@@ -389,7 +393,7 @@ def check_wellformed(prog: Program):
                     seen_names.add(s.name)
                     _check_sig(s.sig, d.span, diags, check_type_name, recv=None)
         else:
-            if table.method_decls[d.recv_type, d.name] is not d:
+            if i in table.repeats:
                 diags.append(Diagnostic(
                     FG4_DUP_METHOD,
                     f"duplicate method declaration ({d.recv_type}, {d.name})", d.span))

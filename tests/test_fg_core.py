@@ -6,7 +6,7 @@ import pytest
 
 from fgdict import fg_ast as fg
 from fgdict.diagnostics import (
-    ASSERT_ON_STRUCT, EXT_NODE_IN_CORE, FG1_RECURSIVE_STRUCT, FG2_DUP_FIELD,
+    ASSERT_ON_STRUCT, DUP_TYPE, EXT_NODE_IN_CORE, FG1_RECURSIVE_STRUCT, FG2_DUP_FIELD,
     FG3_DUP_SPEC, FG4_DUP_METHOD, UNKNOWN_TYPE, FgError,
 )
 from fgdict.fg_parser import parse_program
@@ -232,6 +232,15 @@ def test_duplicate_method_rejected():
     func main() { _ = A{} }
     """)
     assert codes(prog) == [FG4_DUP_METHOD]
+
+
+def test_a_repeated_declaration_object_is_a_duplicate():
+    # Duplicates are found by position, so a program built by hand that
+    # lists one declaration object twice gets both diagnostics.
+    a = fg.TypeDecl("A", fg.StructType(()))
+    m = fg.MethodDecl("this", "A", "m", fg.MethodSig((), "A"), fg.Var("this"))
+    prog = fg.Program((a, a, m, m), fg.StructLit("A", ()))
+    assert codes(prog) == [DUP_TYPE, FG4_DUP_METHOD]
 
 
 def test_assert_to_struct_needs_interface_subject():
