@@ -7,6 +7,7 @@ Each test prints a single pass/fail line so the whole gate can be read off
 import glob
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -31,11 +32,11 @@ def report(name, ok, detail=""):
 
 
 def load(path, mode=fg.CORE):
-    return parse_program(open(path).read(), mode=mode, filename=path)
+    return parse_program(Path(path).read_text(encoding="utf-8"), mode=mode, filename=path)
 
 
 def corpus_entries():
-    manifest = json.load(open("corpus/manifest.json"))
+    manifest = json.loads(Path("corpus/manifest.json").read_text(encoding="utf-8"))
     return manifest["files"]
 
 
@@ -100,7 +101,7 @@ def test_criterion_1_running_example():
         lam.body.clauses[0].body.clauses[0].pat.ctor == "K_Int"
 
     verdict = diff_run(prog, fuel=EVAL_FUEL, rel_fuel=REL_FUEL)
-    golden = json.load(open("corpus/equality.golden.json"))
+    golden = json.loads(Path("corpus/equality.golden.json").read_text(encoding="utf-8"))
     ok = ok and verdict.kind == AGREE
     ok = ok and verdict.main_type == golden["main-type"]
     ok = ok and print_expr(verdict.fg_value) == golden["value"]

@@ -12,6 +12,7 @@ import io
 import json
 import os
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
 from fgdict.cli import cli_dispatch
@@ -33,7 +34,7 @@ def _record(out, printer):
 
 
 def _manifest_modes():
-    manifest = json.load(open("corpus/manifest.json"))
+    manifest = json.loads(Path("corpus/manifest.json").read_text(encoding="utf-8"))
     return {f"corpus/{e['path']}": e["mode"] for e in manifest["files"]}
 
 
@@ -42,7 +43,7 @@ def _programs():
         for seed in range(1000):
             yield f"{mode}:{seed}", gen_program(GenConfig(seed=seed, mode=mode))
     for path, mode in _manifest_modes().items():
-        yield path, parse_program(open(path).read(), mode=mode, filename=path)
+        yield path, parse_program(Path(path).read_text(encoding="utf-8"), mode=mode, filename=path)
 
 
 def outcome_digest():

@@ -1,5 +1,7 @@
 """Bounded value relation and the differential runner."""
 
+from pathlib import Path
+
 import pytest
 
 from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
@@ -12,7 +14,7 @@ from fgdict.relate import (
 )
 from fgdict.translate import require_translation
 
-EQUALITY = open("corpus/equality.fg").read()
+EQUALITY = Path("corpus/equality.fg").read_text(encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +80,7 @@ def test_diff_agrees_on_equality(eq_setup):
 
 
 def test_diff_both_stuck():
-    prog = parse_program(open("corpus/stuck/assert01.fg").read())
+    prog = parse_program(Path("corpus/stuck/assert01.fg").read_text(encoding="utf-8"))
     v = diff_run(prog)
     assert v.kind == BOTH_STUCK
     assert v.fg_reason == fg_interp.ASSERT_FAILURE

@@ -166,6 +166,33 @@ def test_syntax_errors_have_positions(text, message, position):
     assert (d.message, str(d.span)) == (message, f"t.tl:{position}")
 
 
+# Texts with `--` comments, each with the same text without them.
+COMMENTED = [
+    ("K_P 1 -- one\n2", "K_P 1 2"),
+    ("let\n-- the identity\n  f = \\x -> x\nin\nf 1", "let f = \\x -> x in f 1"),
+    ("let f = \\x -> x in f 1 -- no newline after this", "let f = \\x -> x in f 1"),
+    ("\\x -->\n-> x", "\\x -> x"),
+    ("K_A --", "K_A"),
+]
+
+
+@pytest.mark.parametrize("text, plain", COMMENTED,
+                         ids=["between-tokens", "own-line", "end-of-input", "arrow", "bare"])
+def test_comments_are_whitespace(text, plain):
+    assert tl.parse_program(text) == tl.parse_program(plain)
+
+
+@pytest.mark.parametrize("text, char, position", [
+    ("a - b", "-", "1:3"), ("a > b", ">", "1:3"), ("\\x - > x", "-", "1:4"),
+    ("a\n  -", "-", "2:3"),
+])
+def test_lone_dash_and_angle_are_unexpected(text, char, position):
+    with pytest.raises(FgError) as ei:
+        tl.parse_program(text, filename="t.tl")
+    [d] = ei.value.diagnostics
+    assert (d.message, str(d.span)) == (f"unexpected character {char!r}", f"t.tl:{position}")
+
+
 def test_validate_catches_problems():
     # Unbound variable.
     assert tl.validate_program(tl.TLProgram((), TLVar("x")))

@@ -3,6 +3,7 @@
 import glob
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ from fgdict.relate import AGREE, BOTH_STUCK, diff_run
 from fgdict.tl_ast import downcast_name, method_var_name, upcast_name
 from fgdict.translate import Translator, require_translation, translate_program
 
-EQUALITY = open("corpus/equality.fg").read()
+EQUALITY = Path("corpus/equality.fg").read_text(encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
