@@ -5,10 +5,11 @@ value builders share."""
 
 from __future__ import annotations
 
-import bisect
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 
 @dataclass(frozen=True)
@@ -107,57 +108,97 @@ def rebuild(root, children, build):
     return done[0]
 
 
+# The last token of every text.
+EOF = ""
+
+INT_MAX = 2 ** 63 - 1  # the largest value of Go's int
+
+
+def lexicon(skip, **kinds):
+    """The LEX, CHUNKS and KINDS patterns of a TokenReader, for text between
+    tokens that `skip` matches and one pattern per token kind, tried in
+    order.  Any other character is a token of kind `bad`, and EOF is of kind
+    `eof`.  A match of LEX or CHUNKS is the skipped text and the next token,
+    or nothing at the end of the text.  LEX captures the token, so its
+    `findall` gives the tokens and then EOF; CHUNKS does not, so the lengths
+    of its matches add up to the end of each token.  KINDS names the kind of
+    a token."""
+    alts = "|".join(kinds.values())
+
+    def tokens(group):
+        return re.compile(rf"(?:{skip})*({group}{alts}|.)?", re.DOTALL)
+
+    kind = re.compile("|".join(f"(?P<{k}>{p})" for k, p in kinds.items())
+                      + r"|(?P<bad>.)|(?P<eof>\Z)", re.DOTALL)
+    return tokens(""), tokens("?:"), kind
+
+
 class TokenReader:
     """The tokens of one source text and a cursor over them.
 
-    `token_re` has one named group per token kind and must match at every
-    offset; a match of its `bad` group is a lexical error, and `ws` matches
-    are dropped.  A token is (kind, text, offset); the last is
-    ("eof", "", len(text)).  Line and column are worked out only when a span
-    is asked for.
+    A token is its string, read with the patterns a reader's `lexicon`
+    makes: `tokens` lists them, ending with EOF, and `kinds` gives each
+    distinct one its kind.  A token is named by its index.  Offsets, lines
+    and columns are worked out only when a span is first asked for.
     """
 
-    def __init__(self, token_re, text, filename="<input>"):
+    LEX = CHUNKS = KINDS = None
+
+    def __init__(self, text, filename="<input>"):
         self.text = text
         self.filename = filename
-        self.tokens = tokens = []
-        for m in token_re.finditer(text):
-            kind = m.lastgroup
-            if kind != "ws":
-                tokens.append((kind, m.group(), m.start()))
-                if kind == "bad":
-                    self.fail(f"unexpected character {m.group()!r}", tokens[-1])
-        tokens.append(("eof", "", len(text)))
+        self.tokens = tokens = self.LEX.findall(text)
+        del tokens[tokens.index(EOF) + 1:]
+        kind = self.KINDS.match
+        self.kinds = kinds = {tok: kind(tok).lastgroup for tok in set(tokens)}
+        bad = [tok for tok in kinds if kinds[tok] == "bad"]
+        if bad:
+            i = min(map(tokens.index, bad))
+            self.fail(f"unexpected character {tokens[i]!r}", i)
         self.i = 0
         self.cur = tokens[0]
+
+    @cached_property
+    def _ends(self):
+        return list(accumulate(map(len, self.CHUNKS.findall(self.text))))
 
     @cached_property
     def _line_starts(self):
         return [0] + [m.end() for m in re.finditer("\n", self.text)]
 
-    def span(self, tok):
-        kind, text, start = tok
-        line = bisect.bisect_right(self._line_starts, start)
-        column = start - self._line_starts[line - 1] + 1
-        return SourceSpan(self.filename, start, start + len(text), line, column)
+    def span(self, i):
+        end = self._ends[i]
+        start = end - len(self.tokens[i])
+        starts = self._line_starts
+        line = bisect_right(starts, start)
+        return SourceSpan(self.filename, start, end, line, start - starts[line - 1] + 1)
+
+    def number(self, i):
+        """The value of the integer literal at token `i`, which must not
+        exceed INT_MAX."""
+        digits = self.tokens[i].lstrip("0") or "0"
+        if len(digits) > 19 or int(digits) > INT_MAX:  # INT_MAX has 19 digits
+            self.fail("integer literal out of range", i)
+        return int(digits)
 
     def advance(self):
-        tok = self.cur
+        """Move past the current token; returns its index."""
+        i = self.i
         self.i += 1
         self.cur = self.tokens[self.i]
-        return tok
+        return i
 
     def at(self, text):
-        return self.cur[1] == text  # the eof token's text is ""
+        return self.cur == text
 
     def accept(self, text):
-        if self.cur[1] == text:
+        if self.cur == text:
             self.advance()
             return True
         return False
 
     def expect(self, text):
-        if self.cur[1] != text:
+        if self.cur != text:
             self.fail_found(f"expected {text!r}")
         return self.advance()
 
@@ -172,9 +213,10 @@ class TokenReader:
         self.expect(close)
         return items
 
-    def fail(self, msg, tok=None):
-        """Raise a syntax error at `tok`, by default the current token."""
-        raise FgError(Diagnostic(SYNTAX, msg, self.span(tok or self.cur)))
+    def fail(self, msg, i=None):
+        """Raise a syntax error at token `i`, by default the current one."""
+        raise FgError(Diagnostic(SYNTAX, msg, self.span(self.i if i is None else i)))
 
-    def fail_found(self, msg):
-        self.fail(f"{msg}, found {self.cur[1]!r}")
+    def fail_found(self, msg, i=None):
+        i = self.i if i is None else i
+        self.fail(f"{msg}, found {self.tokens[i]!r}", i)

@@ -15,24 +15,11 @@ alone.
 
 from __future__ import annotations
 
-import re
-
 from . import fg_ast as fg
-from .diagnostics import PREC, PREC_CMP, TokenReader, push_items
+from .diagnostics import EOF, PREC, PREC_CMP, TokenReader, lexicon, push_items
 
 KEYWORDS = {"type", "struct", "interface", "func", "return", "main", "var", "package"}
 EXT_KEYWORDS = {"true", "false"}
-
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+|//[^\n]*)
-    | (?P<num>\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op>==|&&|\|\||[{}().,;<=])
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
 
 _PREC_POSTFIX = 4
 
@@ -42,18 +29,25 @@ _BIN, _PAREN, _STRUCT, _CALL = "bin", "paren", "struct", "call"
 
 
 class _Parser(TokenReader):
+    LEX, CHUNKS, KINDS = lexicon(r"\s+|//[^\n]*", num=r"[0-9]+", ident=r"[A-Za-z_][A-Za-z0-9_]*",
+                                op=r"==|&&|\|\||[{}().,;<=]")
+
     def __init__(self, text, mode, filename):
-        super().__init__(_TOKEN_RE, text, filename)
+        super().__init__(text, filename)
         self.mode = mode
+        # The tokens that read as identifiers in this mode.
+        reserved = KEYWORDS.union(EXT_KEYWORDS if mode == fg.EXT else fg.PRIMITIVES)
+        self.names = {tok for tok, kind in self.kinds.items()
+                      if kind == "ident" and tok not in reserved and tok[0] != "_"}
 
     def ident(self, what="identifier"):
-        kind, text, _ = self.cur
-        if kind != "ident" or text in KEYWORDS or \
-                (text in EXT_KEYWORDS and self.mode == fg.EXT):
-            self.fail_found(f"expected {what}")
-        if text.startswith("_"):
-            self.fail_found("identifiers starting with '_' are reserved")
-        if text in fg.PRIMITIVES and self.mode == fg.CORE:
+        text = self.cur
+        if text not in self.names:
+            if self.kinds[text] != "ident" or text in KEYWORDS or \
+                    (text in EXT_KEYWORDS and self.mode == fg.EXT):
+                self.fail_found(f"expected {what}")
+            if text.startswith("_"):
+                self.fail_found("identifiers starting with '_' are reserved")
             self.fail(f"{text} requires extension mode")
         self.advance()
         return text
@@ -73,12 +67,12 @@ class _Parser(TokenReader):
                 if d is None:  # main
                     break
                 decls.append(d)
-            elif self.cur[0] == "eof":
+            elif self.at(EOF):
                 self.fail("missing func main")
             else:
                 self.fail("expected declaration")
         main = self.main_body()
-        if self.cur[0] != "eof":
+        if not self.at(EOF):
             self.fail("trailing input after func main")
         return fg.Program(tuple(decls), main, self.mode)
 
@@ -101,7 +95,7 @@ class _Parser(TokenReader):
             t = self.ident("type name")
             fields.append((f, t))
             if not (self.accept(";") or self.accept(",")):
-                if not self.at("}") and self.cur[0] != "ident":
+                if not self.at("}") and self.kinds[self.cur] != "ident":
                     self.fail("expected field declaration or '}'")
         self.expect("}")
         return fg.StructType(tuple(fields))
@@ -184,13 +178,13 @@ class _Parser(TokenReader):
         min_prec, e = 1, None  # of the innermost expression being read
         while True:
             if e is None:  # a primary expression, or a construct it opens
-                tok = self.cur
-                kind, text, _ = tok
+                tok, text = self.i, self.cur
+                kind = self.kinds[text]
                 if kind == "num":
                     self.advance()
                     if self.mode != fg.EXT:
                         self.fail("int literals require extension mode", tok)
-                    e = fg.IntLit(int(text), span=self.span(tok))
+                    e = fg.IntLit(self.number(tok), span=self.span(tok))
                 elif text in EXT_KEYWORDS and self.mode == fg.EXT:
                     self.advance()
                     e = fg.BoolLit(text == "true", span=self.span(tok))
@@ -231,11 +225,11 @@ class _Parser(TokenReader):
                 # the innermost open construct.
                 first = True
                 while True:
-                    prec = PREC.get(self.cur[1], 0)
+                    prec = PREC.get(self.cur, 0)
                     if prec >= min_prec and (first or prec != PREC_CMP):
                         op = self.advance()
                         if self.mode != fg.EXT:
-                            self.fail(f"operator {op[1]!r} requires extension mode", op)
+                            self.fail(f"operator {self.tokens[op]!r} requires extension mode", op)
                         push((_BIN, min_prec, e, op))
                         min_prec, e = prec + 1, None
                         break
@@ -245,7 +239,7 @@ class _Parser(TokenReader):
                     tag, min_prec = f[0], f[1]
                     if tag is _BIN:
                         op = f[3]
-                        e = fg.BinOp(op[1], f[2], e, span=self.span(op))
+                        e = fg.BinOp(self.tokens[op], f[2], e, span=self.span(op))
                         first = False
                         continue
                     if tag is _PAREN:
@@ -275,7 +269,7 @@ def parse_program(text, mode=fg.CORE, filename="<input>"):
 def parse_expr(text, mode=fg.CORE, filename="<input>"):
     p = _Parser(text, mode, filename)
     e = p.expr()
-    if p.cur[0] != "eof":
+    if not p.at(EOF):
         p.fail("trailing input after expression")
     return e
 

@@ -24,12 +24,11 @@ start with a letter, so a prefixed name never meets a fresh variable.
 
 from __future__ import annotations
 
-import re
-
 from dataclasses import dataclass
 
 from .diagnostics import (
-    DUP_BINDING, PREC, PREC_CMP, Diagnostic, FgError, TokenReader, push_items, rebuild,
+    DUP_BINDING, EOF, PREC, PREC_CMP, Diagnostic, FgError, TokenReader, lexicon, push_items,
+    rebuild,
 )
 
 _TL_KEYWORDS = {"let", "in", "case", "of", "true", "false"}
@@ -411,69 +410,87 @@ def print_program(prog: TLProgram) -> str:
 # ---------------------------------------------------------------------------
 # Parser
 
-_TL_TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>\s+|--[^\n]*)
-    | (?P<num>\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<op>->|==|&&|\|\||[\\(){},;<=])
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-
-
 # Frames of the expression reader; see `_TLParser.expr`.
 _BIN, _APP, _LAM, _PAREN, _CASE = "bin", "app", "lam", "paren", "case"
 
+# Classes of tokens, one for each distinct token of a text; see
+# `_TLParser.expr`.  Those before _KEYWORD open an atom, and the first two
+# are the names a binder may take.
+_NAME, _CTOR, _OPEN, _NUM, _TRUE, _FALSE, _LAMBDA, _KEYWORD, _OTHER = range(9)
+_CLASS_OF = {"(": _OPEN, "true": _TRUE, "false": _FALSE, "\\": _LAMBDA,
+             **dict.fromkeys(_TL_KEYWORDS - {"true", "false"}, _KEYWORD)}
+
+
+def _token_class(tok, kind):
+    if tok in _CLASS_OF:
+        return _CLASS_OF[tok]
+    if kind == "num":
+        return _NUM
+    if kind != "ident":
+        return _OTHER
+    return _CTOR if _is_ctor_name(tok) else _NAME
+
 
 class _TLParser(TokenReader):
+    """Reads with a token index, not the cursor: `expr` and `pattern` take
+    the index of the token they start at and return what they read with the
+    index after it."""
+
+    LEX, CHUNKS, KINDS = lexicon(r"\s+|--[^\n]*", num=r"[0-9]+", ident=r"[A-Za-z_][A-Za-z0-9_]*",
+                                op=r"->|==|&&|\|\||[\\(){},;<=]")
+
     def __init__(self, text, filename="<input>"):
-        super().__init__(_TL_TOKEN_RE, text, filename)
+        super().__init__(text, filename)
+        self.classes = {tok: _token_class(tok, kind) for tok, kind in self.kinds.items()}
         self.let_bound = set()
         self.fresh = 0
-
-    def ident(self):
-        kind, text, _ = self.cur
-        if kind != "ident" or text in _TL_KEYWORDS:
-            self.fail_found("expected identifier")
-        self.advance()
-        return text
 
     def fresh_var(self):
         self.fresh += 1
         return f"_p{self.fresh}"
 
+    def name(self, i):
+        """The name at token `i`."""
+        tok = self.tokens[i]
+        if self.classes[tok] > _CTOR:
+            self.fail_found("expected identifier", i)
+        return tok
+
+    def expect_at(self, i, text):
+        if self.tokens[i] != text:
+            self.fail_found(f"expected {text!r}", i)
+        return i + 1
+
     def program(self):
-        bindings = {}
-        if self.accept("let"):
+        toks, bindings = self.tokens, {}
+        i = 0
+        if toks[0] == "let":
             # Binding names are known up front, so references parse as
             # MethodVars even in earlier bindings (mutual recursion).  `=`
             # occurs only after a binding name, so they are the identifiers
             # just before an `=`.
-            toks = self.tokens
-            self.let_bound.update(a[1] for a, b in zip(toks, toks[1:])
-                                  if b[1] == "=" and a[0] == "ident")
-            while True:
-                tok = self.cur
-                name = self.ident()
+            kinds = self.kinds
+            self.let_bound.update(a for a, b in zip(toks, toks[1:])
+                                  if b == "=" and kinds[a] == "ident")
+            sep = ";"
+            while sep == ";":
+                i += 1
+                name = self.name(i)
                 if name in bindings:
                     raise FgError(Diagnostic(
-                        DUP_BINDING, f"duplicate let binding {name}", self.span(tok)))
-                self.expect("=")
-                e = self.expr()
+                        DUP_BINDING, f"duplicate let binding {name}", self.span(i)))
+                e, i = self.expr(self.expect_at(i + 1, "="))
                 if not isinstance(e, Lam):
-                    self.fail_found(f"binding {name} must be a lambda")
+                    self.fail_found(f"binding {name} must be a lambda", i)
                 bindings[name] = e
-                if not self.accept(";"):
-                    break
-            self.expect("in")
-        main = self.expr()
-        if self.cur[0] != "eof":
-            self.fail_found("trailing input")
+                sep = toks[i]
+            i = self.expect_at(i, "in")
+        main, i = self.expr(i)
+        if toks[i] != EOF:
+            self.fail_found("trailing input", i)
         return TLProgram(tuple(bindings.items()), main)
 
-    def expr(self):
+    def expr(self, i):
         """An expression, read in one loop.  `frames` holds the constructs
         still open, each waiting for an expression: a lambda's body, a
         case's scrutinee or clause body, a parenthesis or tuple, a binary
@@ -481,66 +498,73 @@ class _TLParser(TokenReader):
         read), and an application whose next atom opens with `(` or `\\`.
         So input of any depth parses.  The scope is the binders of the open
         frames: `scope` counts, for each variable, the frames binding it."""
+        toks, classes, let_bound = self.tokens, self.classes, self.let_bound
         frames = []
         push, pop = frames.append, frames.pop
         scope = {}
         start, parts = True, None
         while True:
+            tok = toks[i]
             if start:  # `\` and `case` open only a whole expression
-                if self.accept("\\"):
-                    if self.at("("):
+                if tok == "\\":
+                    if toks[i + 1] == "(":
                         # Pattern-lambda sugar: \(x, y) -> e desugars to a
                         # fresh-variable lambda over a tuple case.
-                        binder = self.pattern()
+                        binder, i = self.pattern(i + 1)
                         bound = binder.vars
                     else:
-                        binder = self.ident()
+                        i += 1
+                        binder = self.name(i)
                         bound = (binder,)
-                    self.expect("->")
+                        i += 1
+                    i = self.expect_at(i, "->")
                     push((_LAM, binder, bound))
                     _bind(scope, bound, 1)
                     continue
-                if self.accept("case"):
+                if tok == "case":
+                    i += 1
                     push([_CASE, None, [], None])
                     continue
                 push([_BIN, 1, None, None])
                 start, parts = False, []
-            if not parts or self._at_atom():  # the atoms of an application
-                kind, text, _ = self.cur
-                if kind == "num":
-                    self.advance()
-                    parts.append(TLInt(int(text)))
-                elif text == "true" or text == "false":
-                    self.advance()
-                    parts.append(TLBool(text == "true"))
-                elif kind == "ident":
-                    name = self.ident()
-                    if _is_ctor_name(name):
-                        parts.append(CtorApp(name, ()))
-                    elif name in self.let_bound and not scope.get(name):
-                        parts.append(MethodVar(name))
-                    else:
-                        parts.append(TLVar(name))
-                elif self.accept("("):
-                    if self.accept(")"):
+            c = classes[tok]
+            if c < _KEYWORD or not parts:  # the atoms of an application
+                if c == _NAME:
+                    parts.append(MethodVar(tok) if tok in let_bound and not scope.get(tok)
+                                 else TLVar(tok))
+                elif c == _CTOR:
+                    parts.append(CtorApp(tok, ()))
+                elif c == _OPEN:
+                    if toks[i + 1] == ")":
+                        i += 1
                         parts.append(CtorApp(tuple_ctor(0), ()))
                     else:
                         push((_APP, parts))
                         push((_PAREN, []))
                         start = True
-                elif self.at("\\"):
+                elif c == _LAMBDA:  # read on from the `\`
                     push((_APP, parts))
                     start = True
+                    continue
+                elif c == _NUM:
+                    parts.append(TLInt(self.number(i)))
+                elif c == _TRUE or c == _FALSE:
+                    parts.append(TLBool(c == _TRUE))
+                elif c == _KEYWORD:
+                    self.fail_found("expected identifier", i)
                 else:
-                    self.fail_found("expected expression")
+                    self.fail_found("expected expression", i)
+                i += 1
                 continue
-            head = parts[0]
-            if type(head) is CtorApp and not head.args and tuple_arity(head.ctor) is None:
-                e = CtorApp(head.ctor, tuple(parts[1:]))
-            else:
-                e = head
-                for p in parts[1:]:
-                    e = App(e, p)
+            e = parts[0]
+            if len(parts) > 1:
+                # A struct constructor takes the atoms after it; a tuple
+                # constructor takes its arguments in parentheses.
+                if type(e) is CtorApp and not e.args and e.ctor.startswith("K_"):
+                    e = CtorApp(e.ctor, tuple(parts[1:]))
+                else:
+                    for p in parts[1:]:
+                        e = App(e, p)
             # Hand the finished expression to the innermost open construct,
             # until one reads on.
             while frames:
@@ -549,9 +573,11 @@ class _TLParser(TokenReader):
                 if tag is _BIN:
                     if f[3] is not None:
                         e = TLPrim(f[3], f[2], e)
-                    prec = PREC.get(self.cur[1], 0)
+                    tok = toks[i]
+                    prec = PREC.get(tok, 0)
                     if prec >= f[1] and (f[3] is None or prec != PREC_CMP):
-                        f[2], f[3] = e, self.advance()[1]
+                        f[2], f[3] = e, tok
+                        i += 1
                         push(f)
                         push([_BIN, prec + 1, None, None])
                         parts = []
@@ -571,54 +597,60 @@ class _TLParser(TokenReader):
                 elif tag is _PAREN:
                     items = f[1]
                     items.append(e)
-                    comma = self.accept(",")
-                    if comma and not self.at(")"):
-                        push(f)
-                        start = True
-                        break
-                    self.expect(")")
+                    comma = toks[i] == ","
+                    if comma:
+                        i += 1
+                        if toks[i] != ")":
+                            push(f)
+                            start = True
+                            break
+                    i = self.expect_at(i, ")")
                     if comma or len(items) > 1:
                         e = make_tuple(items)
                 else:
                     if f[1] is None:  # the scrutinee
                         f[1] = e
-                        self.expect("of")
-                        self.expect("{")
+                        i = self.expect_at(self.expect_at(i, "of"), "{")
                         more = True
                     else:
                         _bind(scope, f[3].vars, -1)
                         f[2].append(Clause(f[3], e))
-                        more = self.accept(";")
-                    if more and not self.at("}"):
-                        f[3] = pat = self.pattern()
-                        self.expect("->")
+                        more = toks[i] == ";"
+                        if more:
+                            i += 1
+                    if more and toks[i] != "}":
+                        pat, i = self.pattern(i)
+                        f[3] = pat
+                        i = self.expect_at(i, "->")
                         push(f)
                         _bind(scope, pat.vars, 1)
                         start = True
                         break
-                    self.expect("}")
+                    i = self.expect_at(i, "}")
                     e = Case(f[1], tuple(f[2]))
             else:
-                return e
+                return e, i
 
-    def pattern(self):
-        if self.accept("("):
-            vars_ = tuple(self.seq(")", self.ident))
-            return Pattern(tuple_ctor(len(vars_)), vars_)
-        name = self.ident()
-        if not _is_ctor_name(name):
-            self.fail_found(f"expected constructor pattern, got {name!r}")
-        vars_ = []
-        while self.cur[0] == "ident" and self.cur[1] not in _TL_KEYWORDS and \
-                not _is_ctor_name(self.cur[1]):
-            vars_.append(self.ident())
-        return Pattern(name, tuple(vars_))
-
-    def _at_atom(self):
-        kind, text, _ = self.cur
-        if kind == "ident":
-            return text not in _TL_KEYWORDS or text in ("true", "false")
-        return kind == "num" or text in ("(", "\\")
+    def pattern(self, i):
+        toks, classes = self.tokens, self.classes
+        if toks[i] == "(":
+            i += 1
+            vars_ = []
+            while toks[i] != ")":
+                vars_.append(self.name(i))
+                i += 1
+                if toks[i] != ",":
+                    break
+                i += 1
+            return Pattern(tuple_ctor(len(vars_)), tuple(vars_)), self.expect_at(i, ")")
+        name = self.name(i)
+        i += 1
+        if classes[name] == _NAME:
+            self.fail_found(f"expected constructor pattern, got {name!r}", i)
+        start = i
+        while classes[toks[i]] == _NAME:
+            i += 1
+        return Pattern(name, tuple(toks[start:i])), i
 
 
 def parse_program(text: str, filename="<input>") -> TLProgram:
@@ -630,7 +662,7 @@ def parse_program(text: str, filename="<input>") -> TLProgram:
 def parse_expr(text: str, let_bound=()):
     p = _TLParser(text)
     p.let_bound = set(let_bound)
-    e = p.expr()
-    if p.cur[0] != "eof":
-        p.fail_found("trailing input")
+    e, i = p.expr(0)
+    if p.tokens[i] != EOF:
+        p.fail_found("trailing input", i)
     return e

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from fgdict import fg_ast as fg
+from fgdict.cli import EXIT_DIAGNOSTICS, EXIT_OK, cli_dispatch
 from fgdict.diagnostics import FgError
 from fgdict.fg_parser import parse_expr, parse_program, print_expr, print_program
 from fgdict.gen import GenConfig, gen_program
@@ -269,3 +270,27 @@ def test_var_bindings_shadow_like_nested_substitution():
     }
     """, mode=fg.EXT)
     assert print_expr(prog.main) == "C{B{A{}}}.b"
+
+
+def test_only_ascii_digits_are_digits():
+    with pytest.raises(FgError) as ei:
+        parse_program("func main() { _ = \u0661\u0662 == 12 }", mode=fg.EXT, filename="t.fg")
+    assert [str(d) for d in ei.value.diagnostics] == \
+        ["t.fg:1:19: error: unexpected character '\u0661' [syntax]"]
+
+
+@pytest.mark.parametrize("literal, ok", [
+    (str(2 ** 63 - 1), True), ("0" * 30 + "7", True),
+    (str(2 ** 63), False), ("9" * 5000, False),
+], ids=["int-max", "leading-zeros", "int-max-plus-one", "5000-digits"])
+def test_integer_literals_fit_in_go_int(literal, ok, tmp_path, capsys):
+    f = tmp_path / "lit.fg"
+    f.write_text(f"package main\ntype A struct {{}}\nfunc main() {{ _ = {literal} == 1 }}\n",
+                 encoding="utf-8")
+    code = cli_dispatch(["check", str(f), "--ext"])
+    out, err = capsys.readouterr()
+    if ok:
+        assert (code, out, err) == (EXIT_OK, "ok: main has type bool\n", "")
+    else:
+        assert (code, err) == \
+            (EXIT_DIAGNOSTICS, f"{f}:3:19: error: integer literal out of range [syntax]\n")

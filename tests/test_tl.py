@@ -9,6 +9,7 @@ import time
 import pytest
 
 from fgdict import fg_ast as fg, tl_ast as tl, tl_interp
+from fgdict.cli import EXIT_DIAGNOSTICS, EXIT_OK, cli_dispatch
 from fgdict.diagnostics import FgError
 from fgdict.fg_parser import parse_program as parse_fg
 from fgdict.gen import GenConfig, gen_program
@@ -106,6 +107,12 @@ def test_print_parse_roundtrip_text(text):
     assert tl.parse_expr(tl.print_expr(e)) == e
 
 
+def test_a_parenthesised_constructor_takes_the_atoms_after_it():
+    assert tl.parse_expr("(K_A) 1 x") == tl.parse_expr("K_A 1 x") == \
+        CtorApp("K_A", (TLInt(1), TLVar("x")))
+    assert tl.parse_expr("(Tup2) 1") == App(CtorApp("Tup2", ()), TLInt(1))
+
+
 def test_pattern_lambda_sugar_parses():
     e = tl.parse_expr(r"\(x, y) -> x")
     assert isinstance(e, Lam)
@@ -191,6 +198,29 @@ def test_lone_dash_and_angle_are_unexpected(text, char, position):
         tl.parse_program(text, filename="t.tl")
     [d] = ei.value.diagnostics
     assert (d.message, str(d.span)) == (f"unexpected character {char!r}", f"t.tl:{position}")
+
+
+def test_only_ascii_digits_are_digits():
+    with pytest.raises(FgError) as ei:
+        tl.parse_program("K_A \u0661\u0662", filename="t.tl")
+    assert [str(d) for d in ei.value.diagnostics] == \
+        ["t.tl:1:5: error: unexpected character '\u0661' [syntax]"]
+
+
+@pytest.mark.parametrize("literal, ok", [
+    (str(2 ** 63 - 1), True), ("0" * 30 + "7", True),
+    (str(2 ** 63), False), ("9" * 5000, False),
+], ids=["int-max", "leading-zeros", "int-max-plus-one", "5000-digits"])
+def test_integer_literals_fit_in_go_int(literal, ok, tmp_path, capsys):
+    f = tmp_path / "lit.tl"
+    f.write_text(f"let f = \\x -> x in\nf {literal}\n", encoding="utf-8")
+    code = cli_dispatch(["run-tl", str(f)])
+    out, err = capsys.readouterr()
+    if ok:
+        assert (code, out, err) == (EXIT_OK, f"{int(literal)}\n", "-- 2 steps\n")
+    else:
+        assert (code, err) == \
+            (EXIT_DIAGNOSTICS, f"{f}:2:3: error: integer literal out of range [syntax]\n")
 
 
 def test_validate_catches_problems():
