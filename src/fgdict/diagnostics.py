@@ -114,19 +114,19 @@ EOF = ""
 INT_MAX = 2 ** 63 - 1  # the largest value of Go's int
 
 
-def lexicon(skip, **kinds):
-    """The LEX, CHUNKS and KINDS patterns of a TokenReader, for text between
-    tokens that `skip` matches and one pattern per token kind, tried in
-    order.  Any other character is a token of kind `bad`, and EOF is of kind
-    `eof`.  A match of LEX or CHUNKS is the skipped text and the next token,
-    or nothing at the end of the text.  LEX captures the token, so its
-    `findall` gives the tokens and then EOF; CHUNKS does not, so the lengths
-    of its matches add up to the end of each token.  KINDS names the kind of
-    a token."""
+def lexicon(comment, **kinds):
+    """The LEX, CHUNKS and KINDS patterns of a TokenReader, for comments
+    that `comment` matches and one pattern per token kind, tried in order.
+    Any other character is a token of kind `bad`, and EOF is of kind `eof`.
+    A match of LEX or CHUNKS is the whitespace and comments before the next
+    token and that token, or nothing at the end of the text.  LEX captures
+    the token, so its `findall` gives the tokens and then EOF; CHUNKS does
+    not, so the lengths of its matches add up to the end of each token.
+    KINDS names the kind of a token."""
     alts = "|".join(kinds.values())
 
     def tokens(group):
-        return re.compile(rf"(?:{skip})*({group}{alts}|.)?", re.DOTALL)
+        return re.compile(rf"\s*(?:(?:{comment})\s*)*({group}{alts}|.)?", re.DOTALL)
 
     kind = re.compile("|".join(f"(?P<{k}>{p})" for k, p in kinds.items())
                       + r"|(?P<bad>.)|(?P<eof>\Z)", re.DOTALL)
@@ -149,9 +149,9 @@ class TokenReader:
         self.filename = filename
         self.tokens = tokens = self.LEX.findall(text)
         del tokens[tokens.index(EOF) + 1:]
-        kind = self.KINDS.match
-        self.kinds = kinds = {tok: kind(tok).lastgroup for tok in set(tokens)}
-        bad = [tok for tok in kinds if kinds[tok] == "bad"]
+        match = self.KINDS.match
+        self.kinds = kinds = {tok: match(tok).lastgroup for tok in set(tokens)}
+        bad = [tok for tok, kind in kinds.items() if kind == "bad"]
         if bad:
             i = min(map(tokens.index, bad))
             self.fail(f"unexpected character {tokens[i]!r}", i)

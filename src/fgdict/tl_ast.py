@@ -436,8 +436,8 @@ class _TLParser(TokenReader):
     the index of the token they start at and return what they read with the
     index after it."""
 
-    LEX, CHUNKS, KINDS = lexicon(r"\s+|--[^\n]*", num=r"[0-9]+", ident=r"[A-Za-z_][A-Za-z0-9_]*",
-                                op=r"->|==|&&|\|\||[\\(){},;<=]")
+    LEX, CHUNKS, KINDS = lexicon(r"--[^\n]*", ident=r"[A-Za-z_][A-Za-z0-9_]*",
+                                 op=r"->|==|&&|\|\||[\\(){},;<=]", num=r"[0-9]+")
 
     def __init__(self, text, filename="<input>"):
         super().__init__(text, filename)
