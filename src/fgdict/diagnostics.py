@@ -199,7 +199,7 @@ class TokenReader:
 
     def expect(self, text):
         if self.cur != text:
-            self.fail_found(f"expected {text!r}")
+            self.fail_found(f"expected {text!r}", self.i)
         return self.advance()
 
     def seq(self, close, item):
@@ -217,6 +217,6 @@ class TokenReader:
         """Raise a syntax error at token `i`, by default the current one."""
         raise FgError(Diagnostic(SYNTAX, msg, self.span(self.i if i is None else i)))
 
-    def fail_found(self, msg, i=None):
-        i = self.i if i is None else i
+    def fail_found(self, msg, i):
+        """Raise a syntax error at token `i` that names it."""
         self.fail(f"{msg}, found {self.tokens[i]!r}", i)

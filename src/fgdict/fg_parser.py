@@ -45,9 +45,9 @@ class _Parser(TokenReader):
         if text not in self.names:
             if self.kinds[text] != "ident" or text in KEYWORDS or \
                     (text in EXT_KEYWORDS and self.mode == fg.EXT):
-                self.fail_found(f"expected {what}")
+                self.fail_found(f"expected {what}", self.i)
             if text.startswith("_"):
-                self.fail_found("identifiers starting with '_' are reserved")
+                self.fail_found("identifiers starting with '_' are reserved", self.i)
             self.fail(f"{text} requires extension mode")
         self.advance()
         return text
@@ -203,7 +203,7 @@ class _Parser(TokenReader):
                         min_prec = 1
                         continue
                 else:
-                    self.fail_found("expected expression")
+                    self.fail_found("expected expression", self.i)
             while self.at("."):
                 dot = self.span(self.advance())
                 if self.accept("("):
