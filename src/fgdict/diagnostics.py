@@ -197,9 +197,14 @@ class TokenReader:
             return True
         return False
 
+    def expect_at(self, i, text):
+        """The index after token `i`, which must be `text`."""
+        if self.tokens[i] != text:
+            self.fail_found(f"expected {text!r}", i)
+        return i + 1
+
     def expect(self, text):
-        if self.cur != text:
-            self.fail_found(f"expected {text!r}", self.i)
+        self.expect_at(self.i, text)
         return self.advance()
 
     def seq(self, close, item):

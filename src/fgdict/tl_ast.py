@@ -456,11 +456,6 @@ class _TLParser(TokenReader):
             self.fail_found("expected identifier", i)
         return tok
 
-    def expect_at(self, i, text):
-        if self.tokens[i] != text:
-            self.fail_found(f"expected {text!r}", i)
-        return i + 1
-
     def program(self):
         toks, bindings = self.tokens, {}
         i = 0
