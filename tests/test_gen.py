@@ -184,6 +184,38 @@ def test_candidate_decisions_match_the_checker(shrink_runs):
     assert checked > 7000 and rejected > checked // 2
 
 
+# sha256 over the printed shrink outputs of `_shrink_path_programs`, recorded
+# before the shrinker kept its reliance sets across steps.
+SHRINK_PATH_DIGEST = "9513a523413cddd049dbc435c12a6530ff1db16f55aefec1d1edd956add30060"
+
+
+def _shrink_path_programs():
+    for mode in (fg.CORE, fg.EXT):
+        for seed in range(100):
+            yield gen_program(GenConfig(seed=seed, mode=mode))
+
+
+def _same_kind_and_length(prog):
+    """A predicate that holds on `prog`: the same verdict kind, and FG
+    taking more than three steps or not.  Its shrink paths remove
+    declarations and replace both `main` and method bodies."""
+    verdict = diff_run(prog)
+    key = (verdict.kind, verdict.fg_steps > 3)
+
+    def failing(cand):
+        v = diff_run(cand)
+        return (v.kind, v.fg_steps > 3) == key
+    return failing
+
+
+def test_shrink_paths_are_pinned():
+    h = hashlib.sha256()
+    for prog in _shrink_path_programs():
+        out = shrink(prog, _same_kind_and_length(prog))
+        h.update(print_program(out).encode() + b"\0")
+    assert h.hexdigest() == SHRINK_PATH_DIGEST
+
+
 def test_shrink_rejects_ill_typed_input():
     prog = parse_program("""
     package main
