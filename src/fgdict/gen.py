@@ -357,10 +357,12 @@ def _relies(table, node):
                       if isinstance(e, (fg.StructLit, fg.Assert))}
 
 
-def _candidates(prog: fg.Program):
+def _candidates(prog: fg.Program, relies):
     """Each one-step reduction of the well-typed `prog`, in greedy order,
-    with whether it is well-typed.  FG expressions bind nothing, so the
-    typing of `prog` decides every candidate without checking it:
+    with whether it is well-typed and the index of the node it changed
+    (`main` is the last).  `relies` holds `_relies` of each declaration of
+    `prog`, then of `main`.  FG expressions bind nothing, so the typing of
+    `prog` decides every candidate without checking it:
 
     - removing a declaration is well-typed iff no other node relies on it
       (`_relies`): names the type, or relies on the method (T, m);
@@ -370,15 +372,13 @@ def _candidates(prog: fg.Program):
       minimal value of the return type, which always fits.
     """
     table = prog.table
-    nodes = prog.decls + (prog.main,)
-    relies = [_relies(table, n) for n in nodes]
 
     for i, d in enumerate(prog.decls):
         key = d.name if isinstance(d, fg.TypeDecl) else (d.recv_type, d.name)
         ok = not any(key in r for j, r in enumerate(relies) if j != i)
-        yield fg.Program(prog.decls[:i] + prog.decls[i + 1:], prog.main, prog.mode), ok
+        yield fg.Program(prog.decls[:i] + prog.decls[i + 1:], prog.main, prog.mode), ok, i
     for sub in _subexprs(prog.main):
-        yield fg.Program(prog.decls, sub, prog.mode), True
+        yield fg.Program(prog.decls, sub, prog.mode), True, len(prog.decls)
     for i, d in enumerate(prog.decls):
         if isinstance(d, fg.MethodDecl):
             try:
@@ -386,15 +386,15 @@ def _candidates(prog: fg.Program):
             except ValueError:
                 small = None
             env = method_env(d)
+            tr = Translator(table)
             bodies = _subexprs(d.body)
             if small is not None and small != d.body:
                 bodies.append(small)
             for b in bodies:
                 d2 = replace(d, body=b)
-                ok = b is small or fg.is_subtype(
-                    table, Translator(table).infer_expr(env, b)[0], d.sig.ret)
+                ok = b is small or fg.is_subtype(table, tr.infer_expr(env, b)[0], d.sig.ret)
                 yield fg.Program(prog.decls[:i] + (d2,) + prog.decls[i + 1:],
-                                 prog.main, prog.mode), ok
+                                 prog.main, prog.mode), ok, i
 
 
 def shrink(prog: fg.Program, failing) -> fg.Program:
@@ -403,19 +403,29 @@ def shrink(prog: fg.Program, failing) -> fg.Program:
     FgError carries its diagnostics.  Only well-typed candidates, decided
     from the typing of the current program, reach `failing`; a candidate on
     which `failing` raises FgError is skipped, and any other exception
-    propagates."""
+    propagates.
+
+    Each node's reliance set is computed once: an accepted candidate
+    removes one declaration that no other node relies on, or replaces one
+    body or `main` without changing a signature, so only that node's
+    typing changes."""
     res = translate_program(prog)
     if not res.ok:
         raise FgError(res.diagnostics)
+    relies = [_relies(prog.table, n) for n in prog.decls + (prog.main,)]
     while True:
-        for cand, ok in _candidates(prog):
+        for cand, ok, i in _candidates(prog, relies):
             if not ok:
                 continue
             try:
                 if failing(cand):
-                    prog = cand
                     break
             except FgError:
                 continue
         else:
             return prog
+        if len(cand.decls) < len(prog.decls):
+            del relies[i]
+        else:
+            relies[i] = _relies(cand.table, (cand.decls + (cand.main,))[i])
+        prog = cand

@@ -4,10 +4,10 @@ import hashlib
 
 import pytest
 
-from fgdict import fg_ast as fg
+from fgdict import fg_ast as fg, gen
 from fgdict.diagnostics import FgError
 from fgdict.fg_parser import parse_program, print_program
-from fgdict.gen import GenConfig, _candidates, gen_program, minimal_value, shrink
+from fgdict.gen import GenConfig, _candidates, _relies, gen_program, minimal_value, shrink
 from fgdict.relate import BOTH_STUCK, diff_run
 from fgdict.translate import translate_program
 
@@ -177,7 +177,7 @@ def test_candidate_decisions_match_the_checker(shrink_runs):
                  for mode in (fg.CORE, fg.EXT) for seed in range(100)]
     checked = rejected = 0
     for prog in programs:
-        for cand, ok in _candidates(prog):
+        for cand, ok, _i in _candidates(prog, _relies_from_scratch(prog)):
             assert ok == translate_program(cand).ok, print_program(cand)
             checked += 1
             rejected += not ok
@@ -215,6 +215,36 @@ def test_shrink_paths_are_pinned():
         h.update(print_program(out).encode() + b"\0")
     assert h.hexdigest() == SHRINK_PATH_DIGEST
 
+
+
+def _relies_from_scratch(prog):
+    return [_relies(prog.table, n) for n in prog.decls + (prog.main,)]
+
+
+def test_shrink_keeps_the_reliance_sets(shrink_runs, monkeypatch):
+    """`shrink` computes each node's reliance set once and updates only the
+    node an accepted candidate changed; at every restart the kept list must
+    equal the current program's, computed from scratch."""
+    restarts = []
+
+    def candidates(prog, relies):
+        assert relies == _relies_from_scratch(prog), print_program(prog)
+        restarts.append(prog)
+        return _candidates(prog, relies)
+
+    monkeypatch.setattr(gen, "_candidates", candidates)
+    for path, out in shrink_runs:
+        reason = diff_run(path[0]).fg_reason
+
+        def failing(cand):
+            v = diff_run(cand)
+            return v.kind == BOTH_STUCK and v.fg_reason == reason
+
+        assert shrink(path[0], failing) == out
+    assert len(restarts) == sum(len(path) for path, _out in shrink_runs)
+    for prog in _shrink_path_programs():
+        shrink(prog, _same_kind_and_length(prog))
+    assert len(restarts) > 1500
 
 def test_shrink_rejects_ill_typed_input():
     prog = parse_program("""
