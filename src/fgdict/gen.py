@@ -403,12 +403,9 @@ def shrink(prog: fg.Program, failing) -> fg.Program:
     FgError carries its diagnostics.  Only well-typed candidates, decided
     from the typing of the current program, reach `failing`; a candidate on
     which `failing` raises FgError is skipped, and any other exception
-    propagates.
-
-    Each node's reliance set is computed once: an accepted candidate
-    removes one declaration that no other node relies on, or replaces one
-    body or `main` without changing a signature, so only that node's
-    typing changes."""
+    propagates.  Reliance sets are computed once per input: a step removes
+    a declaration no other node relies on, or replaces a body or `main`
+    without changing a signature, so only the changed node's set changes."""
     res = translate_program(prog)
     if not res.ok:
         raise FgError(res.diagnostics)

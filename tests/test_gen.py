@@ -135,6 +135,10 @@ def _program_nodes(prog):
     return len(prog.decls) + sum(1 for _ in fg.program_exprs(prog))
 
 
+def _relies_from_scratch(prog):
+    return [_relies(prog.table, n) for n in prog.decls + (prog.main,)]
+
+
 @pytest.fixture(scope="module")
 def shrink_runs():
     """The inputs of the benchmark's shrink workload, the first both-stuck
@@ -216,11 +220,6 @@ def test_shrink_paths_are_pinned():
     assert h.hexdigest() == SHRINK_PATH_DIGEST
 
 
-
-def _relies_from_scratch(prog):
-    return [_relies(prog.table, n) for n in prog.decls + (prog.main,)]
-
-
 def test_shrink_keeps_the_reliance_sets(shrink_runs, monkeypatch):
     """`shrink` computes each node's reliance set once and updates only the
     node an accepted candidate changed; at every restart the kept list must
@@ -245,6 +244,7 @@ def test_shrink_keeps_the_reliance_sets(shrink_runs, monkeypatch):
     for prog in _shrink_path_programs():
         shrink(prog, _same_kind_and_length(prog))
     assert len(restarts) > 1500
+
 
 def test_shrink_rejects_ill_typed_input():
     prog = parse_program("""
