@@ -84,6 +84,18 @@ def test_comparison_is_non_associative():
     assert str(ei.value.diagnostics[0].span) == "<input>:1:8"
 
 
+@pytest.mark.parametrize("text, mode, where", [
+    ("1 < 2 < 3", fg.EXT, "1:7"),
+    ("a == b == c", fg.EXT, "1:8"),
+    ("A{} B{}", fg.CORE, "1:5"),
+])
+def test_parse_expr_reports_trailing_input(text, mode, where):
+    with pytest.raises(FgError) as ei:
+        parse_expr(text, mode=mode)
+    assert [str(d) for d in ei.value.diagnostics] == \
+        [f"<input>:{where}: error: trailing input after expression [syntax]"]
+
+
 def test_underscore_identifiers_rejected():
     with pytest.raises(FgError):
         parse_expr("_x")
