@@ -104,10 +104,18 @@ def _mode(args):
     return fg.EXT if args.ext else fg.CORE
 
 
+def _read(path):
+    """The text of the source file at `path`.  Raises OSError if it cannot
+    be read or is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as err:
+        raise OSError(f"{path}: not UTF-8 ({err.reason} at byte {err.start})") from err
+
+
 def _load(args):
-    with open(args.file, encoding="utf-8") as f:
-        text = f.read()
-    return parse_program(text, mode=_mode(args), filename=args.file)
+    return parse_program(_read(args.file), mode=_mode(args), filename=args.file)
 
 
 def _print_diags(err: FgError):
@@ -163,9 +171,7 @@ def _cmd_run_fg(args):
 
 
 def _cmd_run_tl(args):
-    with open(args.file, encoding="utf-8") as f:
-        text = f.read()
-    prog = tl.parse_program(text, filename=args.file)
+    prog = tl.parse_program(_read(args.file), filename=args.file)
     problems = tl.validate_program(prog)
     if problems:
         for msg in problems:

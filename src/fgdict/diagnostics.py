@@ -134,12 +134,14 @@ def lexicon(comment, **kinds):
 
 
 class TokenReader:
-    """The tokens of one source text and a cursor over them.
+    """The tokens of one source text, read by index.
 
     A token is its string, read with the patterns a reader's `lexicon`
     makes: `tokens` lists them, ending with EOF, and `kinds` gives each
-    distinct one its kind.  A token is named by its index.  Offsets, lines
-    and columns are worked out only when a span is first asked for.
+    distinct one its kind.  A token is named by its index: a reader's rules
+    take the index of the token they start at and return what they read
+    with the index after it.  Offsets, lines and columns are worked out only
+    when a span is first asked for.
     """
 
     LEX = CHUNKS = KINDS = None
@@ -155,8 +157,6 @@ class TokenReader:
         if bad:
             i = min(map(tokens.index, bad))
             self.fail(f"unexpected character {tokens[i]!r}", i)
-        self.i = 0
-        self.cur = tokens[0]
 
     @cached_property
     def _ends(self):
@@ -181,46 +181,15 @@ class TokenReader:
             self.fail("integer literal out of range", i)
         return int(digits)
 
-    def advance(self):
-        """Move past the current token; returns its index."""
-        i = self.i
-        self.i += 1
-        self.cur = self.tokens[self.i]
-        return i
-
-    def at(self, text):
-        return self.cur == text
-
-    def accept(self, text):
-        if self.cur == text:
-            self.advance()
-            return True
-        return False
-
     def expect_at(self, i, text):
         """The index after token `i`, which must be `text`."""
         if self.tokens[i] != text:
             self.fail_found(f"expected {text!r}", i)
         return i + 1
 
-    def expect(self, text):
-        self.expect_at(self.i, text)
-        return self.advance()
-
-    def seq(self, close, item):
-        """The results of `item()` until `close`, split by commas; consumes
-        `close`.  A comma may follow the last item."""
-        items = []
-        while not self.at(close):
-            items.append(item())
-            if not self.accept(","):
-                break
-        self.expect(close)
-        return items
-
-    def fail(self, msg, i=None):
-        """Raise a syntax error at token `i`, by default the current one."""
-        raise FgError(Diagnostic(SYNTAX, msg, self.span(self.i if i is None else i)))
+    def fail(self, msg, i):
+        """Raise a syntax error at token `i`."""
+        raise FgError(Diagnostic(SYNTAX, msg, self.span(i)))
 
     def fail_found(self, msg, i):
         """Raise a syntax error at token `i` that names it."""

@@ -40,219 +40,224 @@ class _Parser(TokenReader):
         self.names = {tok for tok, kind in self.kinds.items()
                       if kind == "ident" and tok not in reserved and tok[0] != "_"}
 
-    def ident(self, what="identifier"):
-        text = self.cur
+    def ident(self, i, what="identifier"):
+        """The identifier at token `i`."""
+        text = self.tokens[i]
         if text not in self.names:
             if self.kinds[text] != "ident" or text in KEYWORDS or \
                     (text in EXT_KEYWORDS and self.mode == fg.EXT):
-                self.fail_found(f"expected {what}", self.i)
+                self.fail_found(f"expected {what}", i)
             if text.startswith("_"):
-                self.fail_found("identifiers starting with '_' are reserved", self.i)
-            self.fail(f"{text} requires extension mode")
-        self.advance()
+                self.fail_found("identifiers starting with '_' are reserved", i)
+            self.fail(f"{text} requires extension mode", i)
         return text
+
+    def skip(self, i, *texts):
+        """The index after token `i` if it is one of `texts`, else `i`."""
+        return i + 1 if self.tokens[i] in texts else i
 
     # -- declarations
 
     def program(self):
-        if self.accept("package"):
-            self.expect("main")
-            self.accept(";")
-        decls = []
-        while True:
-            if self.at("type"):
-                decls.append(self.type_decl())
-            elif self.at("func"):
-                d = self.func_decl()
-                if d is None:  # main
-                    break
-                decls.append(d)
-            elif self.at(EOF):
-                self.fail("missing func main")
+        toks, decls = self.tokens, []
+        i = self.skip(self.expect_at(1, "main"), ";") if toks[0] == "package" else 0
+        while toks[i] != "func" or toks[i + 1] != "main":
+            if toks[i] == "type":
+                d, i = self.type_decl(i)
+            elif toks[i] == "func":
+                d, i = self.func_decl(i)
             else:
-                self.fail("expected declaration")
-        main = self.main_body()
-        if not self.at(EOF):
-            self.fail("trailing input after func main")
+                self.fail("missing func main" if toks[i] == EOF else "expected declaration", i)
+            decls.append(d)
+        main, i = self.main_body(self.expect_at(self.expect_at(i + 2, "("), ")"))
+        if toks[i] != EOF:
+            self.fail("trailing input after func main", i)
         return fg.Program(tuple(decls), main, self.mode)
 
-    def type_decl(self):
-        start = self.span(self.expect("type"))
-        name = self.ident("type name")
-        if self.accept("struct"):
-            lit = self.struct_literal()
-        elif self.accept("interface"):
-            lit = self.iface_literal()
+    def type_decl(self, i):
+        name = self.ident(i + 1, "type name")
+        kw = self.tokens[i + 2]
+        if kw == "struct":
+            lit, j = self.struct_literal(i + 3)
+        elif kw == "interface":
+            lit, j = self.iface_literal(i + 3)
         else:
-            self.fail("expected 'struct' or 'interface'")
-        return fg.TypeDecl(name, lit, span=start)
+            self.fail("expected 'struct' or 'interface'", i + 2)
+        return fg.TypeDecl(name, lit, span=self.span(i)), j
 
-    def struct_literal(self):
-        self.expect("{")
-        fields = []
-        while not self.at("}"):
-            f = self.ident("field name")
-            t = self.ident("type name")
-            fields.append((f, t))
-            if not (self.accept(";") or self.accept(",")):
-                if not self.at("}") and self.kinds[self.cur] != "ident":
-                    self.fail("expected field declaration or '}'")
-        self.expect("}")
-        return fg.StructType(tuple(fields))
+    def struct_literal(self, i):
+        toks, fields = self.tokens, []
+        i = self.expect_at(i, "{")
+        while toks[i] != "}":
+            fields.append((self.ident(i, "field name"), self.ident(i + 1, "type name")))
+            i += 2
+            if toks[i] in (";", ","):
+                i += 1
+            elif toks[i] != "}" and self.kinds[toks[i]] != "ident":
+                self.fail("expected field declaration or '}'", i)
+        return fg.StructType(tuple(fields)), i + 1
 
-    def iface_literal(self):
-        self.expect("{")
-        specs = []
-        while not self.at("}"):
-            m = self.ident("method name")
-            sig = self.signature()
+    def iface_literal(self, i):
+        toks, specs = self.tokens, []
+        i = self.expect_at(i, "{")
+        while toks[i] != "}":
+            m = self.ident(i, "method name")
+            sig, i = self.signature(i + 1)
             specs.append(fg.MethodSpec(m, sig))
-            self.accept(";") or self.accept(",")
-        self.expect("}")
-        return fg.InterfaceType(tuple(specs))
+            i = self.skip(i, ";", ",")
+        return fg.InterfaceType(tuple(specs)), i + 1
 
-    def signature(self):
-        self.expect("(")
-        params = self.seq(")", lambda: (self.ident("parameter name"),
-                                        self.ident("type name")))
-        ret = self.ident("type name")
-        return fg.MethodSig(tuple(params), ret)
+    def signature(self, i):
+        """Parameters in parentheses, split by commas, a comma allowed after
+        the last, then the result type."""
+        toks, params = self.tokens, []
+        i = self.expect_at(i, "(")
+        while toks[i] != ")":
+            params.append((self.ident(i, "parameter name"), self.ident(i + 1, "type name")))
+            i += 2
+            if toks[i] != ",":
+                break
+            i += 1
+        i = self.expect_at(i, ")")
+        return fg.MethodSig(tuple(params), self.ident(i, "type name")), i + 1
 
-    def func_decl(self):
-        start = self.span(self.expect("func"))
-        if self.accept("main"):
-            self.expect("(")
-            self.expect(")")
-            return None
-        self.expect("(")
-        recv_var = self.ident("receiver name")
-        recv_type = self.ident("type name")
-        self.expect(")")
-        name = self.ident("method name")
-        sig = self.signature()
-        self.expect("{")
-        self.expect("return")
-        body = self.expr()
-        self.accept(";")
-        self.expect("}")
-        return fg.MethodDecl(recv_var, recv_type, name, sig, body, span=start)
+    def func_decl(self, i):
+        recv_var = self.ident(self.expect_at(i + 1, "("), "receiver name")
+        recv_type = self.ident(i + 3, "type name")
+        name = self.ident(self.expect_at(i + 4, ")"), "method name")
+        sig, j = self.signature(i + 6)
+        body, j = self.expr(self.expect_at(self.expect_at(j, "{"), "return"))
+        j = self.expect_at(self.skip(j, ";"), "}")
+        return fg.MethodDecl(recv_var, recv_type, name, sig, body, span=self.span(i)), j
 
-    def main_body(self):
-        self.expect("{")
-        bindings = []
+    def main_body(self, i):
+        toks, bindings = self.tokens, []
+        i = self.expect_at(i, "{")
         # `var x T = e` bindings until `var _ = e` or `_ = e`.
         while True:
-            if self.accept("var") and not self.at("_"):
+            j = self.skip(i, "var")
+            if j > i and toks[j] != "_":
                 if self.mode != fg.EXT:
-                    self.fail("var bindings in main require extension mode")
-                lhs = (self.ident("variable name"), self.ident("type name"))
-            elif self.accept("_"):
+                    self.fail("var bindings in main require extension mode", j)
+                lhs = (self.ident(j, "variable name"), self.ident(j + 1, "type name"))
+                j += 2
+            elif toks[j] == "_":
                 lhs = None
+                j += 1
             else:
-                self.fail("expected 'var' binding or '_ = e' in main")
-            self.expect("=")
-            e = self.expr()
-            self.accept(";")
+                self.fail("expected 'var' binding or '_ = e' in main", j)
+            e, i = self.expr(self.expect_at(j, "="))
+            i = self.skip(i, ";")
             if lhs is None:
                 break
             bindings.append((*lhs, e))
-        self.expect("}")
+        i = self.expect_at(i, "}")
         # Desugar var bindings by substitution: each right-hand side sees
         # the bindings before it.
         env = {}
         for x, _t, rhs in bindings:
             env[x] = fg.subst(rhs, env)
-        return fg.subst(e, env)
+        return fg.subst(e, env), i
 
     # -- expressions
 
-    def expr(self):
+    def expr(self, i):
         """An expression: binary operators by PREC over postfix chains over
         primary expressions, read in one loop.  `frames` holds the
         constructs still open, each waiting for an expression and holding
         the binding power of the one it interrupts: a binary operator's right
         operand, a parenthesised expression, and a struct literal's or a
         call's next argument.  So input of any depth parses."""
+        toks, kinds, ext = self.tokens, self.kinds, self.mode == fg.EXT
         frames = []
         push, pop = frames.append, frames.pop
         min_prec, e = 1, None  # of the innermost expression being read
         while True:
             if e is None:  # a primary expression, or a construct it opens
-                tok, text = self.i, self.cur
-                kind = self.kinds[text]
+                text = toks[i]
+                kind = kinds[text]
                 if kind == "num":
-                    self.advance()
-                    if self.mode != fg.EXT:
-                        self.fail("int literals require extension mode", tok)
-                    e = fg.IntLit(self.number(tok), span=self.span(tok))
-                elif text in EXT_KEYWORDS and self.mode == fg.EXT:
-                    self.advance()
-                    e = fg.BoolLit(text == "true", span=self.span(tok))
-                elif self.accept("("):
+                    if not ext:
+                        self.fail("int literals require extension mode", i)
+                    e = fg.IntLit(self.number(i), span=self.span(i))
+                    i += 1
+                elif text in EXT_KEYWORDS and ext:
+                    e = fg.BoolLit(text == "true", span=self.span(i))
+                    i += 1
+                elif text == "(":
                     push((_PAREN, min_prec))
                     min_prec = 1
+                    i += 1
                     continue
                 elif kind == "ident" and text not in KEYWORDS:
-                    name = self.ident()
-                    if not self.accept("{"):
-                        e = fg.Var(name, span=self.span(tok))
-                    elif self.accept("}"):
-                        e = fg.StructLit(name, (), span=self.span(tok))
+                    name = self.ident(i)
+                    if toks[i + 1] != "{":
+                        e = fg.Var(name, span=self.span(i))
+                        i += 1
+                    elif toks[i + 2] == "}":
+                        e = fg.StructLit(name, (), span=self.span(i))
+                        i += 3
                     else:
-                        push((_STRUCT, min_prec, [], name, self.span(tok)))
+                        push((_STRUCT, min_prec, [], name, self.span(i)))
                         min_prec = 1
+                        i += 2
                         continue
                 else:
-                    self.fail_found("expected expression", self.i)
-            while self.at("."):
-                dot = self.span(self.advance())
-                if self.accept("("):
-                    t = self.ident("type name")
-                    self.expect(")")
+                    self.fail_found("expected expression", i)
+            while toks[i] == ".":
+                dot = self.span(i)
+                i += 1
+                if toks[i] == "(":
+                    t = self.ident(i + 1, "type name")
+                    i = self.expect_at(i + 2, ")")
                     e = fg.Assert(e, t, span=dot)
                     continue
-                name = self.ident("field or method name")
-                if not self.accept("("):
+                name = self.ident(i, "field or method name")
+                if toks[i + 1] != "(":
                     e = fg.Select(e, name, span=dot)
-                elif self.accept(")"):
+                    i += 1
+                elif toks[i + 2] == ")":
                     e = fg.Call(e, name, (), span=dot)
+                    i += 3
                 else:
                     push((_CALL, min_prec, [], e, name, dot))
                     min_prec, e = 1, None
+                    i += 2
                     break
             else:
                 # Binary operators; then hand each finished expression to
                 # the innermost open construct.
                 first = True
                 while True:
-                    prec = PREC.get(self.cur, 0)
+                    prec = PREC.get(toks[i], 0)
                     if prec >= min_prec and (first or prec != PREC_CMP):
-                        op = self.advance()
-                        if self.mode != fg.EXT:
-                            self.fail(f"operator {self.tokens[op]!r} requires extension mode", op)
-                        push((_BIN, min_prec, e, op))
+                        if not ext:
+                            self.fail(f"operator {toks[i]!r} requires extension mode", i)
+                        push((_BIN, min_prec, e, i))
                         min_prec, e = prec + 1, None
+                        i += 1
                         break
                     if not frames:
-                        return e
+                        return e, i
                     f = pop()
                     tag, min_prec = f[0], f[1]
                     if tag is _BIN:
                         op = f[3]
-                        e = fg.BinOp(self.tokens[op], f[2], e, span=self.span(op))
+                        e = fg.BinOp(toks[op], f[2], e, span=self.span(op))
                         first = False
                         continue
                     if tag is _PAREN:
-                        self.expect(")")
+                        i = self.expect_at(i, ")")
                         break
                     args = f[2]
                     args.append(e)
                     close = "}" if tag is _STRUCT else ")"
-                    if self.accept(",") and not self.at(close):
+                    if toks[i] == "," and toks[i + 1] != close:
                         push(f)
                         min_prec, e = 1, None
+                        i += 1
                         break
-                    self.expect(close)
+                    i = self.expect_at(self.skip(i, ","), close)
                     if tag is _STRUCT:
                         e = fg.StructLit(f[3], tuple(args), span=f[4])
                     else:
@@ -268,9 +273,9 @@ def parse_program(text, mode=fg.CORE, filename="<input>"):
 
 def parse_expr(text, mode=fg.CORE, filename="<input>"):
     p = _Parser(text, mode, filename)
-    e = p.expr()
-    if not p.at(EOF):
-        p.fail("trailing input after expression")
+    e, i = p.expr(0)
+    if p.tokens[i] != EOF:
+        p.fail("trailing input after expression", i)
     return e
 
 

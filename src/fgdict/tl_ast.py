@@ -432,10 +432,6 @@ def _token_class(tok, kind):
 
 
 class _TLParser(TokenReader):
-    """Reads with a token index, not the cursor: `expr` and `pattern` take
-    the index of the token they start at and return what they read with the
-    index after it."""
-
     LEX, CHUNKS, KINDS = lexicon(r"--[^\n]*", ident=r"[A-Za-z_][A-Za-z0-9_]*",
                                  op=r"->|==|&&|\|\||[\\(){},;<=]", num=r"[0-9]+")
 

@@ -252,6 +252,18 @@ def test_missing_file_is_a_diagnostic(capsys):
     assert cli_dispatch(["parse", "no/such/file.fg"]) == EXIT_DIAGNOSTICS
 
 
+@pytest.mark.parametrize("command", ["check", "run-tl"])
+@pytest.mark.parametrize("content", [b"func main() { _ = A{} }\xff\n", None],
+                         ids=["not-utf-8", "missing"])
+def test_unreadable_source_is_a_one_line_diagnostic(command, content, tmp_path, capsys):
+    f = tmp_path / "src.txt"
+    if content is not None:
+        f.write_bytes(content)
+    assert cli_dispatch([command, str(f)]) == EXIT_DIAGNOSTICS
+    err = capsys.readouterr().err
+    assert str(f) in err and "internal error" not in err and err.count("\n") == 1
+
+
 def test_core_mode_rejects_ext_syntax(tmp_path, capsys):
     # equality.fg uses primitives, so core-mode parsing must fail cleanly.
     assert cli_dispatch(["parse", EQ]) == EXIT_DIAGNOSTICS
