@@ -109,9 +109,11 @@ def _read(path):
     be read or is not UTF-8."""
     try:
         with open(path, encoding="utf-8") as f:
-            return f.read()
+            text = f.read()
     except UnicodeDecodeError as err:
         raise OSError(f"{path}: not UTF-8 ({err.reason} at byte {err.start})") from err
+    # As Go allows, a byte order mark at the start of the file is not read.
+    return text.removeprefix("\ufeff")
 
 
 def _load(args):

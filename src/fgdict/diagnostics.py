@@ -7,25 +7,52 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate
 
 
 @dataclass(frozen=True)
 class SourceSpan:
-    file: str = "<input>"
-    start: int = 0
-    end: int = 0
-    line: int = 1
-    column: int = 1
+    """Where a token is in a file: its offsets and the line and column of
+    its first character.  `TokenReader.span` makes one that holds only its
+    reader and token index and works the fields out when one is first read;
+    so the fields have no class-level defaults, which would be read
+    instead."""
+
+    file: str
+    start: int
+    end: int
+    line: int
+    column: int
 
     def __post_init__(self):
         if self.start > self.end:
             raise ValueError("span start must not exceed end")
 
+    def __getattr__(self, name):
+        # Reached only for an attribute the span does not hold: a field of
+        # a span not yet worked out, or a name no span has.
+        at = self.__dict__.get("_at")
+        if at is None or name not in _SPAN_FIELDS:
+            raise AttributeError(f"'SourceSpan' object has no attribute {name!r}")
+        reader, i = at
+        self.__dict__.update(zip(_SPAN_FIELDS, reader.where(i)))
+        del self.__dict__["_at"]
+        return self.__dict__[name]
+
+    def __getstate__(self):
+        # Copies and pickles hold the fields, not the reader.
+        return {name: getattr(self, name) for name in _SPAN_FIELDS}
+
     def __str__(self):
         return f"{self.file}:{self.line}:{self.column}"
+
+
+_SPAN_FIELDS = tuple(f.name for f in fields(SourceSpan))
+
+# The span of a node or diagnostic that no source text gave a place.
+NO_SPAN = SourceSpan("<input>", 0, 0, 1, 1)
 
 
 # Stable diagnostic codes, used by tests and the CLI JSON output.
@@ -53,7 +80,7 @@ DUP_BINDING = "dup-binding"
 class Diagnostic:
     code: str
     message: str
-    span: SourceSpan = field(default_factory=SourceSpan)
+    span: SourceSpan = NO_SPAN
 
     def __str__(self):
         return f"{self.span}: error: {self.message} [{self.code}]"
@@ -141,7 +168,7 @@ class TokenReader:
     distinct one its kind.  A token is named by its index: a reader's rules
     take the index of the token they start at and return what they read
     with the index after it.  Offsets, lines and columns are worked out only
-    when a span is first asked for.
+    when a field of a span is first read.
     """
 
     LEX = CHUNKS = KINDS = None
@@ -167,11 +194,19 @@ class TokenReader:
         return [0] + [m.end() for m in re.finditer("\n", self.text)]
 
     def span(self, i):
+        """The span of token `i`, worked out when a field of it is first
+        read."""
+        span = object.__new__(SourceSpan)
+        span.__dict__["_at"] = self, i
+        return span
+
+    def where(self, i):
+        """The fields of the span of token `i`."""
         end = self._ends[i]
         start = end - len(self.tokens[i])
         starts = self._line_starts
         line = bisect_right(starts, start)
-        return SourceSpan(self.filename, start, end, line, start - starts[line - 1] + 1)
+        return self.filename, start, end, line, start - starts[line - 1] + 1
 
     def number(self, i):
         """The value of the integer literal at token `i`, which must not

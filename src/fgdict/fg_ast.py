@@ -22,6 +22,7 @@ from .diagnostics import (
     UNKNOWN_TYPE,
     Diagnostic,
     FgError,
+    NO_SPAN,
     SourceSpan,
     rebuild,
 )
@@ -41,11 +42,9 @@ BINOPS = {
     "||": (BOOL, BOOL),
 }
 
-_NO_SPAN = SourceSpan()
-
 
 def _span_field():
-    return field(default=_NO_SPAN, compare=False, repr=False)
+    return field(default=NO_SPAN, compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------

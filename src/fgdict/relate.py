@@ -41,6 +41,7 @@ def values_related(decls: fg.Decls, mu, t: str, v, V, k: int) -> bool:
     """Decidable witness for the value relation at type t and index k.  The
     pairs still to relate wait on an explicit stack, in pre-order, so values
     of any depth relate."""
+    slots = {}  # (interface, payload constructor) -> _dict_slots
     todo = [(t, v, V, k)]
     while todo:
         t, v, V, k = todo.pop()
@@ -62,25 +63,35 @@ def values_related(decls: fg.Decls, mu, t: str, v, V, k: int) -> bool:
             todo.extend((fields[i][1], v.args[i], V.args[i], k)
                         for i in range(len(fields) - 1, -1, -1))
         else:  # interface type
-            specs = decls.iface_specs(t)
-            if not (isinstance(V, tl.CtorApp) and V.ctor == tl.struct_ctor(t)):
-                return False
-            if len(V.args) != 1 + len(specs):
+            if not (isinstance(V, tl.CtorApp) and V.ctor == tl.struct_ctor(t)
+                    and V.args and isinstance(V.args[0], tl.CtorApp)):
                 return False
             payload = V.args[0]
-            if not isinstance(payload, tl.CtorApp):
+            key = t, payload.ctor
+            if key not in slots:
+                slots[key] = _dict_slots(decls, mu, t, payload.ctor)
+            want = slots[key]
+            if want is None or V.args[1:] != want[1]:
                 return False
-            u_s = tl.ctor_type(payload.ctor)
-            if u_s not in decls.types or decls.kind(u_s) != "struct":
-                return False
-            for spec, slot in zip(specs, V.args[1:]):
-                name = tl.method_var_name(spec.name, u_s)
-                if not (isinstance(slot, tl.MethodVar) and slot.name == name):
-                    return False
-                if (u_s, spec.name) not in decls.method_decls or name not in mu:
-                    return False
-            todo.append((u_s, v, payload, k - 1))
+            todo.append((want[0], v, payload, k - 1))
     return True
+
+
+def _dict_slots(decls: fg.Decls, mu, t: str, ctor: str):
+    """The payload's struct and the dictionary, in spec order, of an
+    interface value of type t whose payload constructor is `ctor`; None if
+    no such value relates: the struct is not declared, or lacks a method of
+    t, or mu does not bind it."""
+    u_s = tl.ctor_type(ctor)
+    if u_s not in decls.types or decls.kind(u_s) != "struct":
+        return None
+    dictionary = []
+    for spec in decls.iface_specs(t):
+        name = tl.method_var_name(spec.name, u_s)
+        if (u_s, spec.name) not in decls.method_decls or name not in mu:
+            return None
+        dictionary.append(tl.MethodVar(name))
+    return u_s, tuple(dictionary)
 
 
 def methods_related(decls: fg.Decls, prog: tl.TLProgram) -> bool:

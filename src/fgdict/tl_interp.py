@@ -163,9 +163,20 @@ def _match(node, env, v):
 
 
 def _value_term(v):
-    """Read a machine value back as a term.  Constructor values, and closures
-    through their environments, nest as deep as evaluation builds them (see
-    `rebuild`)."""
+    """Read a machine value back as a term.  A value that holds no closure
+    is its own term; the others are rebuilt.  Constructor values, and
+    closures through their environments, nest as deep as evaluation builds
+    them (see `rebuild`)."""
+    todo = [v]
+    while todo:
+        w = todo.pop()
+        if type(w) is _Closure:
+            break
+        if type(w) is CtorApp:
+            todo += w.args
+    else:
+        return v
+
     def children(w):
         t = type(w)
         if t is CtorApp:

@@ -264,6 +264,26 @@ def test_unreadable_source_is_a_one_line_diagnostic(command, content, tmp_path, 
     assert str(f) in err and "internal error" not in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command, text, out", [
+    ("check", "package main\ntype A struct {}\nfunc main() { _ = A{} }\n",
+     ("ok: main has type A\n", "")),
+    ("run-tl", "K_P 1\n", ("K_P 1\n", "-- 0 steps\n")),
+], ids=["check", "run-tl"])
+def test_a_byte_order_mark_starts_a_file_unread(command, text, out, tmp_path, capsys):
+    f = tmp_path / "src.txt"
+    f.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert cli_dispatch([command, str(f)]) == EXIT_OK
+    assert capsys.readouterr() == out
+    # Only the first mark is dropped, and positions count from after it; a
+    # mark anywhere else is read as a character.
+    eol = text.index("\n")
+    for at, where in [(0, "1:1"), (eol, f"1:{eol + 1}")]:
+        f.write_bytes(("\ufeff" + text[:at] + "\ufeff" + text[at:]).encode())
+        assert cli_dispatch([command, str(f)]) == EXIT_DIAGNOSTICS
+        assert capsys.readouterr().err == \
+            f"{f}:{where}: error: unexpected character '\\ufeff' [syntax]\n"
+
+
 def test_core_mode_rejects_ext_syntax(tmp_path, capsys):
     # equality.fg uses primitives, so core-mode parsing must fail cleanly.
     assert cli_dispatch(["parse", EQ]) == EXIT_DIAGNOSTICS

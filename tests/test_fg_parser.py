@@ -1,15 +1,19 @@
 """Source parser and canonical printer."""
 
+import copy
 import dataclasses
+import gc
 import glob
 import hashlib
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 
 from fgdict import fg_ast as fg
 from fgdict.cli import EXIT_DIAGNOSTICS, EXIT_OK, cli_dispatch
-from fgdict.diagnostics import FgError
+from fgdict.diagnostics import Diagnostic, FgError
 from fgdict.fg_parser import parse_expr, parse_program, print_expr, print_program
 from fgdict.gen import GenConfig, gen_program
 
@@ -306,3 +310,45 @@ def test_integer_literals_fit_in_go_int(literal, ok, tmp_path, capsys):
     else:
         assert (code, err) == \
             (EXIT_DIAGNOSTICS, f"{f}:3:19: error: integer literal out of range [syntax]\n")
+
+
+def _spans(prog):
+    """The spans of every declaration and expression node of `prog`."""
+    return [d.span for d in prog.decls] + [e.span for e in fg.program_exprs(prog)]
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["deepcopy", "pickle"])
+def test_copies_keep_spans_not_yet_read(clone):
+    prog = parse_program(Path("corpus/equality.fg").read_text(encoding="utf-8"),
+                         mode=fg.EXT, filename="eq.fg")
+    twin = clone(prog)  # before any span of `prog` is read
+    assert [str(s) for s in _spans(twin)] == [str(s) for s in _spans(prog)]
+    assert _dump(twin) == _dump(prog)
+    assert str(twin.main.span) == "eq.fg:39:10"
+
+
+def _parse_dropping_the_text():
+    # Joined at run time, so that only the parse tree holds the text.
+    text = "\n".join(["package main", "type A struct {}", "func main() {", "  _ = A{}.f", "}"])
+    return parse_program(text, filename="late.fg")
+
+
+def test_a_span_read_after_its_text_is_dropped_is_right():
+    prog = _parse_dropping_the_text()
+    gc.collect()
+    assert [str(s) for s in _spans(prog)] == ["late.fg:2:1", "late.fg:4:10", "late.fg:4:7"]
+    assert (prog.main.span.start, prog.main.span.end) == (53, 54)
+
+
+def test_a_span_has_only_its_fields():
+    span = parse_expr("a.f").span
+    with pytest.raises(AttributeError):
+        span.nope
+    assert not hasattr(span, "__setstate__")
+    assert dataclasses.astuple(span) == ("<input>", 1, 2, 1, 2)
+
+
+def test_a_node_made_without_a_text_is_at_the_start_of_input():
+    assert str(fg.Var("x").span) == "<input>:1:1"
+    assert str(Diagnostic("c", "m")) == "<input>:1:1: error: m [c]"

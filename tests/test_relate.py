@@ -60,6 +60,30 @@ def test_iface_relation_requires_canonical_dictionary(eq_setup):
     assert not values_related(decls, mu, "Eq", v, wrong_payload, 2)
 
 
+def test_each_dictionary_is_compared_where_it_occurs(eq_setup):
+    # (Eq, Int) occurs three times; only the second has a wrong slot, one
+    # interface level below the first.
+    _p, decls, mu = eq_setup
+
+    def eq(payload, method):
+        return tl.CtorApp("K_Eq", (payload, tl.MethodVar(method)))
+
+    def pair(left, right):
+        return tl.CtorApp("K_Pair", (left, right))
+
+    ints = [tl.CtorApp("K_Int", (tl.TLInt(n),)) for n in (1, 2, 3)]
+    v = fg.StructLit("Pair", (fg.StructLit("Int", (fg.IntLit(1),)), fg.StructLit("Pair", (
+        fg.StructLit("Int", (fg.IntLit(2),)), fg.StructLit("Int", (fg.IntLit(3),))))))
+    good = pair(eq(ints[0], "eq_Int"),
+                eq(pair(eq(ints[1], "eq_Int"), eq(ints[2], "eq_Int")), "eq_Pair"))
+    bad = pair(eq(ints[0], "eq_Int"),
+               eq(pair(eq(ints[1], "eq_Pair"), eq(ints[2], "eq_Int")), "eq_Pair"))
+    assert values_related(decls, mu, "Pair", v, good, 5)
+    assert not values_related(decls, mu, "Pair", v, bad, 5)
+    assert values_related(decls, mu, "Pair", v, bad, 1)
+    assert not values_related(decls, mu, "Pair", v, bad, 2)
+
+
 def test_methods_related(eq_setup):
     prog, decls, _mu = eq_setup
     res = require_translation(prog)

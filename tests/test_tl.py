@@ -359,6 +359,13 @@ def test_read_back_substitutes_a_closure_environment_at_once():
     assert out == tl_interp.Value(Lam("z", TLVar("y")), 2)
 
 
+def test_read_back_substitutes_a_closure_under_constructors():
+    out = tl_interp.tl_eval({}, tl.parse_expr(r"(\x -> K_P (K_Q (\z -> x))) K_A"), 10)
+    assert out == tl_interp.Value(
+        CtorApp("K_P", (CtorApp("K_Q", (Lam("z", CtorApp("K_A", ())),)),)), 1)
+    assert tl.print_expr(out.value) == r"K_P (K_Q (\z -> K_A))"
+
+
 def test_trace_plugs_each_frame_under_its_binders():
     e = tl.parse_expr(r"(\x -> case (\y -> y) K_A of { K_A -> x; K_B x -> x }) K_C")
     seen = []
