@@ -12,11 +12,12 @@ induction), and finally goal-directed bodies and main.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import fg_ast as fg
 from .diagnostics import FgError, rebuild
-from .translate import Translator, method_env, translate_program
+from .translate import (Translation, Translator, method_env, require_translation,
+                        translate_program)
 
 ASSERT_PROBABILITY = 0.3
 
@@ -397,6 +398,35 @@ def _candidates(prog: fg.Program, relies):
                                  prog.main, prog.mode), ok, i
 
 
+@dataclass(frozen=True)
+class _Checked(fg.Program):
+    """A shrink candidate with its translation, which `relate.diff_run`
+    uses instead of translating the program again."""
+
+    translation: Translation = field(default=None, compare=False, repr=False)
+
+
+def _translated(prog: fg.Program, res: Translation, cand: fg.Program, i: int):
+    """`cand`, cut from `prog` by changing node `i` (`main` is the last),
+    with its translation built from `res`, the translation of `prog`.  A
+    new `main` or body changes no signature, field or spec, so it is typed
+    against the table of `prog` and every other binding is kept.  A removal
+    can change an interface's implementers, and with them a downcast's code
+    anywhere, so a removal candidate is checked and translated in full.
+    Raises FgError if `cand` is ill-typed."""
+    if len(cand.decls) < len(prog.decls):
+        return _Checked(cand.decls, cand.main, cand.mode, require_translation(cand))
+    tl_prog, main_type = res.tl_program, res.main_type
+    if i == len(prog.decls):
+        main_type, code = Translator(prog.table).infer_expr({}, cand.main)
+        tl_prog = replace(tl_prog, main=code)
+    else:
+        name, lam = Translator(prog.table).translate_method(cand.decls[i])
+        tl_prog = replace(tl_prog, bindings=tuple(
+            (n, lam if n == name else old) for n, old in tl_prog.bindings))
+    return _Checked(cand.decls, cand.main, cand.mode, Translation(tl_prog, main_type, []))
+
+
 def shrink(prog: fg.Program, failing) -> fg.Program:
     """Greedy fixpoint minimization preserving well-typedness and the
     failure predicate.  The input must be well-formed and well-typed, or
@@ -405,7 +435,11 @@ def shrink(prog: fg.Program, failing) -> fg.Program:
     which `failing` raises FgError is skipped, and any other exception
     propagates.  Reliance sets are computed once per input: a step removes
     a declaration no other node relies on, or replaces a body or `main`
-    without changing a signature, so only the changed node's set changes."""
+    without changing a signature, so only the changed node's set changes.
+    For the same reason each candidate carries a translation built from the
+    current program's (`_translated`), which `relate.diff_run` uses; only a
+    removal is checked and translated in full.  The result is a plain
+    `fg.Program`."""
     res = translate_program(prog)
     if not res.ok:
         raise FgError(res.diagnostics)
@@ -415,14 +449,15 @@ def shrink(prog: fg.Program, failing) -> fg.Program:
             if not ok:
                 continue
             try:
+                cand = _translated(prog, res, cand, i)
                 if failing(cand):
                     break
             except FgError:
                 continue
         else:
-            return prog
+            return fg.Program(prog.decls, prog.main, prog.mode)
         if len(cand.decls) < len(prog.decls):
             del relies[i]
         else:
             relies[i] = _relies(cand.table, (cand.decls + (cand.main,))[i])
-        prog = cand
+        prog, res = cand, cand.translation

@@ -146,8 +146,12 @@ class Verdict:
 def diff_run(prog: fg.Program, fuel=DEFAULT_EVAL_FUEL,
              rel_fuel=DEFAULT_RELATION_FUEL) -> Verdict:
     """Run main under both semantics and relate the outcomes.  Raises
-    FgError for an ill-formed or ill-typed program."""
-    res = require_translation(prog)
+    FgError for an ill-formed or ill-typed program.  A program that
+    carries its translation (a candidate of `gen.shrink`) is not
+    translated again."""
+    res = getattr(prog, "translation", None)
+    if res is None:
+        res = require_translation(prog)
     decls = prog.table
     mu = res.tl_program.method_subst()
     fg_out = fg_interp.fg_eval(decls, prog.main, fuel)

@@ -275,3 +275,81 @@ def test_shrink_skips_candidates_whose_predicate_raises_fg_error(shrink_runs):
     assert len(kept.decls) == len(path[0].decls)
     assert failing(kept)
     assert _program_nodes(kept) < _program_nodes(path[0])
+
+
+# -- the translation a candidate carries ----------------------------------------
+
+
+def _same_reason(prog):
+    """The shrink workload's predicate: both sides stuck, with the FG reason
+    they have on `prog`."""
+    reason = diff_run(prog).fg_reason
+
+    def failing(cand):
+        v = diff_run(cand)
+        return v.kind == BOTH_STUCK and v.fg_reason == reason
+    return failing
+
+
+def test_candidates_carry_the_translation_of_a_full_check(shrink_runs):
+    """`shrink` builds each candidate's translation from its parent's and
+    translates only a removal in full; the translation a candidate carries
+    into the predicate must be the one `translate_program` gives it."""
+    checked = 0
+
+    def wrap(failing):
+        def check(cand):
+            nonlocal checked
+            full = translate_program(cand)
+            assert full.ok, print_program(cand)
+            carried = cand.translation
+            assert carried.tl_program == full.tl_program, print_program(cand)
+            assert carried.main_type == full.main_type, print_program(cand)
+            checked += 1
+            return failing(cand)
+        return check
+
+    for path, out in shrink_runs:
+        assert shrink(path[0], wrap(_same_reason(path[0]))) == out
+    for prog in _shrink_path_programs():
+        shrink(prog, wrap(_same_kind_and_length(prog)))
+    assert checked > 2500
+
+
+def test_shrink_returns_a_plain_program(shrink_runs):
+    """A candidate's translation never leaks into the result: a carrier is
+    never `==` to the plain program with the same fields."""
+    prog = parse_program("""
+    package main
+    type A struct {}
+    type B struct {}
+    func main() { _ = A{} }
+    """)
+    out = shrink(prog, lambda p: True)
+    assert type(out) is fg.Program
+    assert out == parse_program("""
+    package main
+    type A struct {}
+    func main() { _ = A{} }
+    """)
+    assert all(type(out) is fg.Program for _path, out in shrink_runs)
+
+
+def test_a_carried_candidate_runs_as_its_plain_program(shrink_runs):
+    """`diff_run` on a candidate that carries its translation gives the
+    verdict it gives on the same program without one: a replaced body runs
+    in FG too, not only in TL."""
+    checked = 0
+
+    def wrap(failing):
+        def check(cand):
+            nonlocal checked
+            plain = fg.Program(cand.decls, cand.main, cand.mode)
+            assert diff_run(cand) == diff_run(plain), print_program(cand)
+            checked += 1
+            return failing(cand)
+        return check
+
+    for path, out in shrink_runs:
+        assert shrink(path[0], wrap(_same_reason(path[0]))) == out
+    assert checked > 400
