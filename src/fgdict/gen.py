@@ -15,9 +15,11 @@ import random
 from dataclasses import dataclass, field, replace
 
 from . import fg_ast as fg
+from . import tl_ast as tl
 from .diagnostics import FgError, rebuild
-from .translate import (Translation, Translator, method_env, require_translation,
-                        translate_program)
+# translate_program is bound here for bench/tracing.py, which wraps it where
+# its callers look it up.
+from .translate import Translation, Translator, method_env, translate_program  # noqa: F401
 
 ASSERT_PROBABILITY = 0.3
 
@@ -342,7 +344,8 @@ def _relies(table, node):
     """What a declaration, or the expression `main`, relies on: the type
     names it names (field, signature and receiver types, struct literals and
     asserted types) and the (struct, method) pairs its code relies on
-    (`Translator.uses`)."""
+    (`Translator.uses`).  `shrink` reads these sets off the typing that
+    translates each node (`_typed`); this is the reference, typed apart."""
     if isinstance(node, fg.TypeDecl):
         if isinstance(node.literal, fg.StructType):
             return {t for _f, t in node.literal.fields}
@@ -358,6 +361,46 @@ def _relies(table, node):
                       if isinstance(e, (fg.StructLit, fg.Assert))}
 
 
+def _typed(table, node):
+    """The one typing of a declaration, or of the expression `main`,
+    against `table`: its TL code, a method's (name, lambda) binding or
+    `main`'s (type, code) (None for a type declaration), and its reliance
+    set, the one `_relies` gives.  Raises FgError if `node` is ill-typed."""
+    if isinstance(node, fg.TypeDecl):
+        return None, _relies(table, node)
+    tr = Translator(table)
+    if isinstance(node, fg.MethodDecl):
+        code = tr.translate_method(node)
+        tr.uses.update(node.sig.param_types, (node.recv_type, node.sig.ret))
+        node = node.body
+    else:
+        code = tr.infer_expr({}, node)
+    return code, tr.uses | {e.type_name for e in fg.expr_nodes(node)
+                            if isinstance(e, (fg.StructLit, fg.Assert))}
+
+
+def _typed_program(prog: fg.Program):
+    """The translation of `prog` and the reliance set of each declaration,
+    then of `main`, from one typing of each node (`_typed`).  Raises FgError
+    with the diagnostics `translate_program` gives an ill-formed or
+    ill-typed program."""
+    diags = fg.check_wellformed(prog)
+    if diags:
+        raise FgError(diags)
+    typed = []
+    for node in prog.decls + (prog.main,):
+        try:
+            typed.append(_typed(prog.table, node))
+        except FgError as err:
+            diags.extend(err.diagnostics)
+    if diags:
+        raise FgError(diags)
+    codes = [code for code, _r in typed if code is not None]
+    main_type, main_code = codes.pop()
+    return Translation(tl.TLProgram(tuple(codes), main_code), main_type, []), \
+        [r for _code, r in typed]
+
+
 def _candidates(prog: fg.Program, relies):
     """Each one-step reduction of the well-typed `prog`, in greedy order,
     with whether it is well-typed and the index of the node it changed
@@ -371,6 +414,9 @@ def _candidates(prog: fg.Program, relies):
     - a method body may become one of its subexpressions iff that one's type
       is a subtype of the return type, the test `coerce_to` applies, or the
       minimal value of the return type, which always fits.
+
+    A new `main` or method is typed once against the table of `prog`, and
+    a well-typed one is a `_Checked` that carries that typing.
     """
     table = prog.table
 
@@ -379,52 +425,90 @@ def _candidates(prog: fg.Program, relies):
         ok = not any(key in r for j, r in enumerate(relies) if j != i)
         yield fg.Program(prog.decls[:i] + prog.decls[i + 1:], prog.main, prog.mode), ok, i
     for sub in _subexprs(prog.main):
-        yield fg.Program(prog.decls, sub, prog.mode), True, len(prog.decls)
+        yield _Checked(prog.decls, sub, prog.mode, typed=_typed(table, sub)), True, len(prog.decls)
     for i, d in enumerate(prog.decls):
         if isinstance(d, fg.MethodDecl):
             try:
                 small = minimal_value(table, d.sig.ret)
             except ValueError:
                 small = None
-            env = method_env(d)
-            tr = Translator(table)
             bodies = _subexprs(d.body)
             if small is not None and small != d.body:
                 bodies.append(small)
             for b in bodies:
                 d2 = replace(d, body=b)
-                ok = b is small or fg.is_subtype(table, tr.infer_expr(env, b)[0], d.sig.ret)
-                yield fg.Program(prog.decls[:i] + (d2,) + prog.decls[i + 1:],
-                                 prog.main, prog.mode), ok, i
+                decls = prog.decls[:i] + (d2,) + prog.decls[i + 1:]
+                try:
+                    typed = _typed(table, d2)
+                except FgError:
+                    yield fg.Program(decls, prog.main, prog.mode), False, i
+                else:
+                    yield _Checked(decls, prog.main, prog.mode, typed=typed), True, i
 
 
 @dataclass(frozen=True)
 class _Checked(fg.Program):
-    """A shrink candidate with its translation, which `relate.diff_run`
-    uses instead of translating the program again."""
+    """A well-typed shrink candidate with `typed`, the `_typed` of the body
+    or `main` it replaced (None for a removal), which `_candidates` gives
+    it, and its translation, which `_translated` gives it and
+    `relate.diff_run` uses instead of translating the program again."""
 
     translation: Translation = field(default=None, compare=False, repr=False)
+    typed: tuple = field(default=None, compare=False, repr=False)
+
+
+def _carrier(cand: fg.Program, translation, typed, table=None):
+    """`cand` as a `_Checked`; `table`, the `Decls` of the same
+    declarations if one is built already, is cached as its table."""
+    out = _Checked(cand.decls, cand.main, cand.mode, translation, typed)
+    if table is not None:
+        vars(out)["table"] = table  # the slot `cached_property` fills
+    return out
 
 
 def _translated(prog: fg.Program, res: Translation, cand: fg.Program, i: int):
     """`cand`, cut from `prog` by changing node `i` (`main` is the last),
     with its translation built from `res`, the translation of `prog`.  A
-    new `main` or body changes no signature, field or spec, so it is typed
-    against the table of `prog` and every other binding is kept.  A removal
-    can change an interface's implementers, and with them a downcast's code
-    anywhere, so a removal candidate is checked and translated in full.
-    Raises FgError if `cand` is ill-typed."""
-    if len(cand.decls) < len(prog.decls):
-        return _Checked(cand.decls, cand.main, cand.mode, require_translation(cand))
-    tl_prog, main_type = res.tl_program, res.main_type
-    if i == len(prog.decls):
-        main_type, code = Translator(prog.table).infer_expr({}, cand.main)
-        tl_prog = replace(tl_prog, main=code)
-    else:
-        name, lam = Translator(prog.table).translate_method(cand.decls[i])
+    new `main` or body changes no signature, field or spec: it brings its
+    code from `_candidates`, every other binding is kept, and a new `main`
+    shares the table of `prog`.  A removal is checked for well-formedness,
+    drops the removed method's binding and can change an interface's
+    implementers, which only an interface-to-interface downcast reads: the
+    methods and `main` that assert to such an interface are translated
+    again against the table of `cand`, and the rest is kept.  Raises
+    FgError if `cand` is ill-formed."""
+    tl_prog = res.tl_program
+    if len(cand.decls) == len(prog.decls):
+        code = cand.typed[0]
+        if i == len(prog.decls):
+            main_type, main = code
+            return _carrier(cand, Translation(replace(tl_prog, main=main), main_type, []),
+                            cand.typed, prog.table)
+        name, lam = code
         tl_prog = replace(tl_prog, bindings=tuple(
             (n, lam if n == name else old) for n, old in tl_prog.bindings))
-    return _Checked(cand.decls, cand.main, cand.mode, Translation(tl_prog, main_type, []))
+        return _carrier(cand, Translation(tl_prog, res.main_type, []), cand.typed)
+    diags = fg.check_wellformed(cand)
+    if diags:
+        raise FgError(diags)
+    table, old = cand.table, prog.table.implementers
+    changed = {u for u, ts in table.implementers.items() if ts != old[u]}
+
+    def stale(e):
+        return changed and any(type(x) is fg.Assert and x.type_name in changed
+                               for x in fg.expr_nodes(e))
+
+    gone = prog.decls[i]
+    drop = tl.method_var_name(gone.name, gone.recv_type) \
+        if isinstance(gone, fg.MethodDecl) else None
+    redone = dict(Translator(table).translate_method(d) for d in cand.decls
+                  if isinstance(d, fg.MethodDecl) and stale(d.body))
+    main = tl_prog.main
+    if stale(cand.main):
+        main = Translator(table).infer_expr({}, cand.main)[1]
+    tl_prog = tl.TLProgram(tuple((n, redone.get(n, lam)) for n, lam in tl_prog.bindings
+                                 if n != drop), main)
+    return _carrier(cand, Translation(tl_prog, res.main_type, []), None, table)
 
 
 def shrink(prog: fg.Program, failing) -> fg.Program:
@@ -433,17 +517,15 @@ def shrink(prog: fg.Program, failing) -> fg.Program:
     FgError carries its diagnostics.  Only well-typed candidates, decided
     from the typing of the current program, reach `failing`; a candidate on
     which `failing` raises FgError is skipped, and any other exception
-    propagates.  Reliance sets are computed once per input: a step removes
-    a declaration no other node relies on, or replaces a body or `main`
-    without changing a signature, so only the changed node's set changes.
-    For the same reason each candidate carries a translation built from the
-    current program's (`_translated`), which `relate.diff_run` uses; only a
-    removal is checked and translated in full.  The result is a plain
-    `fg.Program`."""
-    res = translate_program(prog)
-    if not res.ok:
-        raise FgError(res.diagnostics)
-    relies = [_relies(prog.table, n) for n in prog.decls + (prog.main,)]
+    propagates.  Each node is typed once (`_typed`), which gives its code
+    and its reliance set: the input's nodes once per input, and a step
+    removes a declaration no other node relies on, or replaces a body or
+    `main` without changing a signature, so only the changed node is typed
+    anew, as a candidate, and not again once kept.  Each candidate carries
+    a translation built from the current program's (`_translated`), which
+    `relate.diff_run` uses; a removal retranslates only the nodes whose
+    downcasts it changes.  The result is a plain `fg.Program`."""
+    res, relies = _typed_program(prog)
     while True:
         for cand, ok, i in _candidates(prog, relies):
             if not ok:
@@ -456,8 +538,8 @@ def shrink(prog: fg.Program, failing) -> fg.Program:
                 continue
         else:
             return fg.Program(prog.decls, prog.main, prog.mode)
-        if len(cand.decls) < len(prog.decls):
+        if cand.typed is None:
             del relies[i]
         else:
-            relies[i] = _relies(cand.table, (cand.decls + (cand.main,))[i])
+            relies[i] = cand.typed[1]
         prog, res = cand, cand.translation

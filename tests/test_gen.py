@@ -9,7 +9,7 @@ from fgdict.diagnostics import FgError
 from fgdict.fg_parser import parse_program, print_program
 from fgdict.gen import GenConfig, _candidates, _relies, gen_program, minimal_value, shrink
 from fgdict.relate import BOTH_STUCK, diff_run
-from fgdict.translate import translate_program
+from fgdict.translate import Translator, translate_program
 
 # sha256 over the printed programs of `_stream_configs`, recorded before the
 # generator read subtyping from the declaration table.
@@ -353,3 +353,107 @@ def test_a_carried_candidate_runs_as_its_plain_program(shrink_runs):
     for path, out in shrink_runs:
         assert shrink(path[0], wrap(_same_reason(path[0]))) == out
     assert checked > 400
+
+
+# -- one typing per node ---------------------------------------------------------
+
+# No node relies on B.m, and removing it takes B out of J's implementers;
+# the body of A.k and `main` each assert from I to J.
+DOWNCAST_PROGRAM = """
+package main
+type A struct {}
+type B struct {}
+type I interface { n() A }
+type J interface { m() A }
+func (x A) n() A { return x }
+func (x B) m() A { return A{} }
+func (x B) n() A { return A{} }
+func (x A) i(y B) I { return y }
+func (x A) k(y I) J { return y.(J) }
+func (x A) z() A { return x }
+func main() { _ = A{}.i(B{}).(J) }
+"""
+
+
+def test_a_removal_retranslates_only_the_downcasts_it_changes():
+    prog = parse_program(DOWNCAST_PROGRAM)
+    res, relies = gen._typed_program(prog)
+    full = translate_program(prog)
+    assert (res.tl_program, res.main_type) == (full.tl_program, full.main_type)
+    parent = dict(res.tl_program.bindings)
+    removed = {}
+    for cand, ok, i in _candidates(prog, relies):
+        if not ok or len(cand.decls) == len(prog.decls):
+            continue
+        d = prog.decls[i]
+        carried = gen._translated(prog, res, cand, i).translation
+        full = translate_program(cand)
+        assert (carried.tl_program, carried.main_type) == (full.tl_program, full.main_type)
+        changed = cand.table.implementers != {
+            u: ts for u, ts in prog.table.implementers.items() if u in cand.table.implementers}
+        kept = [n for n, lam in carried.tl_program.bindings if lam is parent[n]]
+        removed[d.recv_type, d.name] = changed, kept, carried.tl_program.main is res.tl_program.main
+    # Removing B.m drops B from J: A.k and `main` are translated again.
+    changed, kept, main_kept = removed["B", "m"]
+    assert changed and not main_kept
+    assert kept == ["n_A", "n_B", "i_A", "z_A"]
+    # Removing A.n drops A from I, which nothing asserts to; removing A.k or
+    # A.z changes no implementers.  Each keeps every binding and `main`.
+    for key, changes in [(("A", "n"), True), (("A", "k"), False), (("A", "z"), False)]:
+        changed, kept, main_kept = removed[key]
+        assert changed == changes and main_kept
+        assert len(kept) == len(parent) - 1
+    assert len(removed) == 4
+
+
+def test_shrink_types_each_node_once(shrink_runs, monkeypatch):
+    """`shrink` types each node of its input once, and a new body or `main`
+    as a candidate, in each round that tries it: once accepted, it is not
+    typed again.  Only a removal that changes an interface's implementers
+    types a node anew, and only one that asserts to an interface."""
+    runs = [(path[0], _same_reason(path[0]), out) for path, out in shrink_runs]
+    typed, retyped = [], []
+    infer = Translator.infer_expr
+    translated = gen._translated
+
+    def counting(self, env, e):
+        typed.append(e)
+        return infer(self, env, e)
+
+    def removing(prog, res, cand, i):
+        start = len(typed)
+        out = translated(prog, res, cand, i)
+        retyped.extend(typed[start:])
+        del typed[start:]
+        return out
+
+    monkeypatch.setattr(Translator, "infer_expr", counting)
+    monkeypatch.setattr(gen, "_translated", removing)
+    for prog, failing, out in runs:
+        start = len(typed)
+        accepted = []  # (new body or `main`, typings before it was accepted)
+        current = [prog]
+
+        def check(cand):
+            kept = failing(cand)
+            if kept:
+                old = current[0]
+                if cand.main is not old.main:
+                    accepted.append((cand.main, len(typed)))
+                elif len(cand.decls) == len(old.decls):
+                    d = next(d for d, o in zip(cand.decls, old.decls) if d is not o)
+                    accepted.append((d.body, len(typed)))
+                current[0] = cand
+            return kept
+
+        assert shrink(prog, check) == out
+        run = typed[start:]
+        nodes = [d.body for d in prog.decls if isinstance(d, fg.MethodDecl)] + [prog.main]
+        assert all(a is b for a, b in zip(run, nodes))
+        assert all(sum(e is n for e in run) == 1 for n in nodes)
+        for node, at in accepted:
+            assert any(e is node for e in typed[:at])
+            assert not any(e is node for e in typed[at:])
+        assert accepted
+    assert all(any(type(x) is fg.Assert for x in fg.expr_nodes(e)) for e in retyped)
+    assert 0 < len(retyped) < 10
