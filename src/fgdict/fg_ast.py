@@ -8,6 +8,7 @@ they are never declared.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -240,8 +241,9 @@ class Program:
 
 class Decls:
     """Indexed view over a declaration sequence, and the facts derived from
-    it: each declared type's method-spec keys, each interface's implementing
-    structs and each struct's field indices.  Building it never raises, so
+    it: each name's kind, each declared type's method-spec keys, each
+    interface's implementing structs, each struct's field indices and the
+    subtyping answers asked so far.  Building it never raises, so
     `check_wellformed` can use the table of an ill-formed program; the first
     declaration of a name or method wins.
     """
@@ -252,9 +254,8 @@ class Decls:
         self.types = {}
         self.struct_names = []  # declaration order
         self.iface_names = []
-        self.method_decls = {}  # (recv_type, name) -> MethodDecl
-        self.methods_by_recv = {}  # recv_type -> [MethodDecl], decl order
-        self.repeats = set()  # positions of the declarations an earlier one wins over
+        # positions of the declarations an earlier one wins over
+        self.repeats = self._index_methods()
         for i, d in enumerate(self.decls):
             if isinstance(d, TypeDecl):
                 if d.name in self.types:
@@ -265,13 +266,11 @@ class Decls:
                         self.struct_names.append(d.name)
                     else:
                         self.iface_names.append(d.name)
-            else:
-                key = (d.recv_type, d.name)
-                if key in self.method_decls:
-                    self.repeats.add(i)
-                else:
-                    self.method_decls[key] = d
-                    self.methods_by_recv.setdefault(d.recv_type, []).append(d)
+        self.kinds = dict.fromkeys(self.struct_names, "struct")
+        self.kinds.update(dict.fromkeys(self.iface_names, "interface"))
+        if mode == EXT:
+            self.kinds.update(dict.fromkeys(PRIMITIVES, "prim"))
+        self.subtypes = {}  # (t, u) -> is_subtype answer
         self.spec_keys = {t: frozenset(s.key() for s in methods(self, t))
                           for t in self.types}
         self.implementers = {  # interface -> [struct], declaration order
@@ -281,17 +280,39 @@ class Decls:
             s: {f: j for j, (f, _t) in enumerate(self.types[s].literal.fields)}
             for s in self.struct_names}
 
+    def _index_methods(self):
+        """Index the method declarations; the positions of the repeated ones."""
+        self.method_decls = {}  # (recv_type, name) -> MethodDecl
+        self.methods_by_recv = {}  # recv_type -> [MethodDecl], decl order
+        repeats = set()
+        for i, d in enumerate(self.decls):
+            if isinstance(d, MethodDecl):
+                key = (d.recv_type, d.name)
+                if key in self.method_decls:
+                    repeats.add(i)
+                else:
+                    self.method_decls[key] = d
+                    self.methods_by_recv.setdefault(d.recv_type, []).append(d)
+        return repeats
+
+    def with_bodies(self, decls):
+        """The table of `decls`, which differ from this table's declarations
+        only in method bodies: it shares every derived fact, subtyping
+        answers included, and indexes the new method declarations."""
+        table = copy.copy(self)
+        table.decls = tuple(decls)
+        table._index_methods()
+        return table
+
     def is_declared(self, t):
-        return t in self.types or (self.mode == EXT and t in PRIMITIVES)
+        return t in self.kinds
 
     def kind(self, t):
         """'struct' | 'interface' | 'prim'; raises FgError for unknown names."""
-        if self.mode == EXT and t in PRIMITIVES:
-            return "prim"
-        d = self.types.get(t)
-        if d is None:
+        k = self.kinds.get(t)
+        if k is None:
             raise FgError(Diagnostic(UNKNOWN_TYPE, f"unknown type {t}"))
-        return "struct" if isinstance(d.literal, StructType) else "interface"
+        return k
 
     def struct_fields(self, t_s):
         d = self.types.get(t_s)
@@ -319,17 +340,21 @@ def methods(decls: Decls, t: str):
 
 def is_subtype(decls: Decls, t: str, u: str) -> bool:
     """Structural subtyping: reflexive on structs/primitives, superset of
-    method specs against an interface (parameter names ignored)."""
-    if not decls.is_declared(t):
-        raise FgError(Diagnostic(UNKNOWN_TYPE, f"unknown type {t}"))
-    if not decls.is_declared(u):
-        raise FgError(Diagnostic(UNKNOWN_TYPE, f"unknown type {u}"))
-    if t == u:
-        return True
-    # Primitives implement no methods; only the empty interface would apply,
-    # and we keep primitives out of the interface world entirely.
-    return decls.kind(u) == "interface" and decls.kind(t) != "prim" and \
-        decls.spec_keys[u] <= decls.spec_keys[t]
+    method specs against an interface (parameter names ignored).  Each
+    answer is kept in `decls.subtypes`; an undeclared name raises FgError on
+    every call."""
+    ok = decls.subtypes.get((t, u))
+    if ok is None:
+        kinds = decls.kinds
+        for name in (t, u):
+            if name not in kinds:
+                raise FgError(Diagnostic(UNKNOWN_TYPE, f"unknown type {name}"))
+        # Primitives implement no methods; only the empty interface would
+        # apply, and we keep primitives out of the interface world entirely.
+        ok = decls.subtypes[t, u] = t == u or (
+            kinds[u] == "interface" and kinds[t] != "prim" and
+            decls.spec_keys[u] <= decls.spec_keys[t])
+    return ok
 
 
 def method_lookup(decls: Decls, t_s: str, m: str) -> MethodDecl | None:

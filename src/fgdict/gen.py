@@ -44,7 +44,6 @@ class _Gen:
     def __init__(self, cfg: GenConfig):
         self.cfg = cfg
         self.rng = random.Random(cfg.seed)
-        self.ext = cfg.mode == fg.EXT
 
     def run(self) -> fg.Program:
         rng = self.rng
@@ -53,19 +52,18 @@ class _Gen:
         self.structs = [f"S{i}" for i in range(n_structs)]
         n_ifaces = rng.randint(min(1, cfg.max_ifaces), cfg.max_ifaces)
         self.ifaces = [f"I{i}" for i in range(n_ifaces)]
-        self.prims = (fg.INT, fg.BOOL) if self.ext else ()
+        self.prims = (fg.INT, fg.BOOL) if cfg.mode == fg.EXT else ()
 
         self._gen_templates()
         self._gen_iface_defs()
         self._gen_fields()
         self._build_table()
-        decls = self._declarations()
+        decls = tuple(self._declarations())
         # Main may call anything: the call graph is stratified by template
         # index, so evaluation always terminates.
-        self.call_ceiling = len(self.templates)
-        main = self.gen_expr(
-            {}, rng.choice(self.structs + self.ifaces), cfg.expr_depth)
-        return fg.Program(tuple(decls), main, cfg.mode)
+        self._start_body({}, len(self.templates))
+        main = self.gen_expr(rng.choice(self.structs + self.ifaces), cfg.expr_depth)
+        return _holding(fg.Program(decls, main, cfg.mode), self.table.with_bodies(decls))
 
     # -- declaration skeleton ---------------------------------------------
 
@@ -125,7 +123,11 @@ class _Gen:
 
     def _build_table(self):
         """Every declaration, with placeholder method bodies: the table that
-        body generation types against."""
+        body generation types against, and the option tables read from it:
+        the types that fit where each type is wanted (itself, and its
+        subtypes if it is an interface), and every struct call
+        (template index, struct, spec), interface call (template index,
+        interface, spec) and field selection (struct, field, type)."""
         decls = []
         for s in self.structs:
             decls.append(fg.TypeDecl(s, fg.StructType(self.fields[s])))
@@ -136,117 +138,125 @@ class _Gen:
                 spec = self.templates[t]
                 decls.append(fg.MethodDecl("this", s, spec.name, spec.sig,
                                            fg.Var("this")))
-        self.table = fg.Decls(decls, self.cfg.mode)
+        table = self.table = fg.Decls(decls, self.cfg.mode)
+        types = self._sig_types()
+        self.fits = {u: {t for t in types if fg.is_subtype(table, t, u)}
+                     if u in self.iface_defs else {u} for u in types}
+        self.struct_calls = [(ti, s, self.templates[ti])
+                             for s in self.structs for ti in self.impls[s]]
+        self.iface_calls = [(self.template_index[spec.name], I, spec)
+                            for I in self.ifaces for spec in self.iface_defs[I].specs]
+        self.selects = [(s, f, t) for s in self.structs for f, t in self.fields[s]]
 
     def _declarations(self):
         """The table's declarations, with a generated body for each method."""
-        decls = []
         for d in self.table.decls:
             if isinstance(d, fg.MethodDecl):
-                env = method_env(d)
                 # Bodies may only call strictly earlier templates, which keeps
                 # the call graph acyclic and evaluation terminating.
-                self.call_ceiling = self.template_index[d.name]
-                d = replace(d, body=self.gen_expr(env, d.sig.ret, self.cfg.expr_depth))
-            decls.append(d)
-        return decls
+                self._start_body(method_env(d), self.template_index[d.name])
+                d = fg.MethodDecl(d.recv_var, d.recv_type, d.name, d.sig,
+                                  self.gen_expr(d.sig.ret, self.cfg.expr_depth))
+            yield d
 
     # -- expressions -------------------------------------------------------
 
-    def _subtype(self, t, u):
-        return fg.is_subtype(self.table, t, u)
+    def _start_body(self, env, call_ceiling):
+        """Begin a method body or `main`, typed in `env` and calling only
+        templates below `call_ceiling`; its option lists are built on first
+        use."""
+        self.env = env
+        self.call_ceiling = call_ceiling
+        self.options = {}  # (wanted type, min(depth, 2)) -> _options
+        self.sources = {}  # (wanted type, depth > 1) -> _assert_sources
+        self.exact = {}  # (interface, depth > 0) -> _exact_iface_opts
 
-    def gen_expr(self, env, want, depth):
+    def gen_expr(self, want, depth):
         """Expression whose synthesized type is `want` for structs and
         primitives, or any subtype of `want` for interfaces."""
         rng = self.rng
+        key = want, min(depth, 2)
+        if key not in self.options:
+            self.options[key] = self._options(want, depth)
+        opts, rest = self.options[key]
+        if depth > 0:
+            if rest is not None:
+                opts = opts + [("literal", rng.choice(self.table.implementers[want]))] + rest
+            if rng.random() < ASSERT_PROBABILITY:
+                sources = self._assert_sources(want, depth > 1)
+                if sources:
+                    opts = opts + [("assert", rng.choice(sources), want)] * 3
+        choice = rng.choice(opts) if opts else ("minimal", want)
+        return self._emit(want, depth, choice)
+
+    def _options(self, want, depth):
+        """The options of `gen_expr` for `want` at `depth` in this body,
+        assertions aside.  An interface wanted at depth > 0 takes a literal
+        of an implementer chosen at each node, between the two option lists;
+        else the second is None."""
+        env = self.env
         kind = self.table.kind(want)
+        fits = self.fits[want]
         opts = []
-
         for x, t in env.items():
-            if t == want or (kind == "interface" and self._subtype(t, want)):
+            if t in fits:
                 opts += [("var", x)] * 2
-
         if kind == "struct":
             opts.append(("literal", want))
-        elif kind == "interface":
-            if depth > 0:
-                opts.append(("literal", rng.choice(self.table.implementers[want])))
-            for I in self.ifaces:
-                if I != want and self._subtype(I, want):
-                    for x, t in env.items():
-                        if t == I:
-                            opts.append(("var", x))
-        else:
+        elif kind == "prim":
             opts.append(("prim", want))
-
-        if depth > 0:
-            for s in self.structs:
-                for ti in self.impls[s]:
-                    spec = self.templates[ti]
-                    if ti < self.call_ceiling and self._fits(spec.sig.ret, want, kind):
-                        opts += [("call-struct", s, spec)] * 2
-            for I in self.ifaces:
-                for spec in self.iface_defs[I].specs:
-                    if self._callable(spec) and \
-                            self._fits(spec.sig.ret, want, kind) and \
-                            self._exact_iface_opts(env, I, depth - 1):
-                        opts += [("call-iface", I, spec)] * 6
-            for s in self.structs:
-                for f, t in self.fields[s]:
-                    if self._fits(t, want, kind):
-                        opts.append(("select", s, f))
-            if rng.random() < ASSERT_PROBABILITY:
-                if kind == "struct":
-                    sources = [I for I in self.ifaces
-                               if self._subtype(want, I) and
-                               self._exact_iface_opts(env, I, depth - 1)]
-                elif kind == "interface":
-                    sources = [I for I in self.ifaces
-                               if I != want and self._exact_iface_opts(env, I, depth - 1)]
-                else:
-                    sources = []
-                if sources:
-                    opts += [("assert", rng.choice(sources), want)] * 3
-            if kind == "prim" and self.ext:
-                opts.append(("binop", want))
-
-        choice = rng.choice(opts) if opts else ("minimal", want)
-        return self._emit(env, want, depth, choice)
-
-    def _fits(self, have, want, kind):
+        rest = []
         if kind == "interface":
-            return self._subtype(have, want)
-        return have == want
-
-    def _iface_receivers(self, env, iface):
-        return [x for x, t in env.items() if t == iface]
-
-    def _callable(self, spec):
-        return self.template_index.get(spec.name, len(self.templates)) < self.call_ceiling
-
-    def _exact_iface_opts(self, env, iface, depth):
-        """Options that synthesize exactly `iface` — required for assertion
-        subjects and interface-receiver calls (FG has no upcast syntax)."""
-        opts = [("var", x) for x, t in env.items() if t == iface]
+            for I in self.ifaces:
+                if I != want and I in fits:
+                    rest += [("var", x) for x, t in env.items() if t == I]
         if depth > 0:
-            for s in self.structs:
-                for ti in self.impls[s]:
-                    spec = self.templates[ti]
-                    if ti < self.call_ceiling and spec.sig.ret == iface:
-                        opts.append(("call-struct", s, spec))
-            for J in self.ifaces:
-                for spec in self.iface_defs[J].specs:
-                    if self._callable(spec) and spec.sig.ret == iface and \
-                            self._iface_receivers(env, J):
-                        opts.append(("call-iface", J, spec))
-            for s in self.structs:
-                for f, t in self.fields[s]:
-                    if t == iface:
-                        opts.append(("select", s, f))
-        return opts
+            deep = depth > 1
+            for ti, s, spec in self.struct_calls:
+                if ti < self.call_ceiling and spec.sig.ret in fits:
+                    rest += [("call-struct", s, spec)] * 2
+            for ti, I, spec in self.iface_calls:
+                if ti < self.call_ceiling and spec.sig.ret in fits and \
+                        self._exact_iface_opts(I, deep):
+                    rest += [("call-iface", I, spec)] * 6
+            rest += [("select", s, f) for s, f, t in self.selects if t in fits]
+            if kind == "interface":
+                return opts, rest
+            if kind == "prim":  # ext mode
+                rest.append(("binop", want))
+        return opts + rest, None
 
-    def _emit(self, env, want, depth, choice):
+    def _assert_sources(self, want, deep):
+        """The interfaces an assertion to `want` may start from: those it
+        implements if it is a struct, every other one if it is an interface
+        (none for a primitive), each only if an expression of exactly that
+        type can be built, with depth left if `deep`."""
+        key = want, deep
+        if key not in self.sources:
+            iface = want in self.iface_defs
+            self.sources[key] = [I for I in self.ifaces
+                                 if (I != want if iface else want in self.fits[I])
+                                 and self._exact_iface_opts(I, deep)]
+        return self.sources[key]
+
+    def _exact_iface_opts(self, iface, deep):
+        """Options that synthesize exactly `iface` — required for assertion
+        subjects and interface-receiver calls (FG has no upcast syntax) —
+        with depth left if `deep`."""
+        key = iface, deep
+        if key not in self.exact:
+            env = self.env
+            opts = self.exact[key] = [("var", x) for x, t in env.items() if t == iface]
+            if deep:
+                ceiling = self.call_ceiling
+                opts += [("call-struct", s, spec) for ti, s, spec in self.struct_calls
+                         if ti < ceiling and spec.sig.ret == iface]
+                opts += [("call-iface", J, spec) for ti, J, spec in self.iface_calls
+                         if ti < ceiling and spec.sig.ret == iface and J in env.values()]
+                opts += [("select", s, f) for s, f, t in self.selects if t == iface]
+        return self.exact[key]
+
+    def _emit(self, want, depth, choice):
         rng = self.rng
         op = choice[0]
         if op == "var":
@@ -254,7 +264,7 @@ class _Gen:
         if op == "literal":
             s = choice[1]
             return fg.StructLit(s, tuple(
-                self.gen_expr(env, t, max(0, depth - 1)) for _f, t in self.fields[s]))
+                self.gen_expr(t, max(0, depth - 1)) for _f, t in self.fields[s]))
         if op == "prim":
             if want == fg.INT:
                 return fg.IntLit(rng.randint(0, 9))
@@ -263,27 +273,27 @@ class _Gen:
             if want == fg.BOOL:
                 o = rng.choice(list(fg.BINOPS))
                 operand = fg.BINOPS[o][0]
-                return fg.BinOp(o, self.gen_expr(env, operand, depth - 1),
-                                self.gen_expr(env, operand, depth - 1))
+                return fg.BinOp(o, self.gen_expr(operand, depth - 1),
+                                self.gen_expr(operand, depth - 1))
             return fg.IntLit(rng.randint(0, 9))
         if op == "call-struct":
             _o, s, spec = choice
-            recv = self.gen_expr(env, s, depth - 1)
-            args = tuple(self.gen_expr(env, t, depth - 1) for _x, t in spec.sig.params)
+            recv = self.gen_expr(s, depth - 1)
+            args = tuple(self.gen_expr(t, depth - 1) for _x, t in spec.sig.params)
             return fg.Call(recv, spec.name, args)
         if op == "call-iface":
             _o, iface, spec = choice
-            exact = self._exact_iface_opts(env, iface, depth - 1)
-            recv = self._emit(env, iface, depth - 1, rng.choice(exact))
-            args = tuple(self.gen_expr(env, t, depth - 1) for _x, t in spec.sig.params)
+            exact = self._exact_iface_opts(iface, depth > 1)
+            recv = self._emit(iface, depth - 1, rng.choice(exact))
+            args = tuple(self.gen_expr(t, depth - 1) for _x, t in spec.sig.params)
             return fg.Call(recv, spec.name, args)
         if op == "select":
             _o, s, f = choice
-            return fg.Select(self.gen_expr(env, s, depth - 1), f)
+            return fg.Select(self.gen_expr(s, depth - 1), f)
         if op == "assert":
             _o, via, target = choice
-            exact = self._exact_iface_opts(env, via, depth - 1)
-            subject = self._emit(env, via, depth - 1, rng.choice(exact))
+            exact = self._exact_iface_opts(via, depth > 1)
+            subject = self._emit(via, depth - 1, rng.choice(exact))
             return fg.Assert(subject, target)
         # minimal fallback
         return minimal_value(self.table, want, rng)
@@ -323,7 +333,8 @@ def minimal_value(decls: fg.Decls, t: str, rng=None):
 
 
 def gen_program(cfg: GenConfig) -> fg.Program:
-    """Generate one program; always well-formed and type-correct."""
+    """Generate one program; always well-formed and type-correct.  It holds
+    the generator's declaration table as its own."""
     return _Gen(cfg).run()
 
 
@@ -371,12 +382,19 @@ def _typed(table, node):
     tr = Translator(table)
     if isinstance(node, fg.MethodDecl):
         code = tr.translate_method(node)
-        tr.uses.update(node.sig.param_types, (node.recv_type, node.sig.ret))
-        node = node.body
     else:
         code = tr.infer_expr({}, node)
-    return code, tr.uses | {e.type_name for e in fg.expr_nodes(node)
-                            if isinstance(e, (fg.StructLit, fg.Assert))}
+    return code, _reliance(tr, node)
+
+
+def _reliance(tr, node):
+    """The reliance set of a method, or the expression `main`, that `tr`
+    has just typed."""
+    if isinstance(node, fg.MethodDecl):
+        tr.uses.update(node.sig.param_types, (node.recv_type, node.sig.ret))
+        node = node.body
+    return tr.uses | {e.type_name for e in fg.expr_nodes(node)
+                      if isinstance(e, (fg.StructLit, fg.Assert))}
 
 
 def _typed_program(prog: fg.Program):
@@ -415,8 +433,10 @@ def _candidates(prog: fg.Program, relies):
       is a subtype of the return type, the test `coerce_to` applies, or the
       minimal value of the return type, which always fits.
 
-    A new `main` or method is typed once against the table of `prog`, and
-    a well-typed one is a `_Checked` that carries that typing.
+    A new `main` or method is typed once against the table of `prog`, a
+    body's type tested before it is coerced, so that an ill-typed one
+    builds no diagnostic, and a well-typed one is a `_Checked` that carries
+    that typing.
     """
     table = prog.table
 
@@ -435,15 +455,17 @@ def _candidates(prog: fg.Program, relies):
             bodies = _subexprs(d.body)
             if small is not None and small != d.body:
                 bodies.append(small)
+            env = method_env(d)
             for b in bodies:
                 d2 = replace(d, body=b)
                 decls = prog.decls[:i] + (d2,) + prog.decls[i + 1:]
-                try:
-                    typed = _typed(table, d2)
-                except FgError:
-                    yield fg.Program(decls, prog.main, prog.mode), False, i
-                else:
+                tr = Translator(table)
+                have, code = tr.infer_expr(env, b)
+                if fg.is_subtype(table, have, d.sig.ret):
+                    typed = tr.method_binding(d2, have, code), _reliance(tr, d2)
                     yield _Checked(decls, prog.main, prog.mode, typed=typed), True, i
+                else:
+                    yield fg.Program(decls, prog.main, prog.mode), False, i
 
 
 @dataclass(frozen=True)
@@ -457,26 +479,29 @@ class _Checked(fg.Program):
     typed: tuple = field(default=None, compare=False, repr=False)
 
 
-def _carrier(cand: fg.Program, translation, typed, table=None):
-    """`cand` as a `_Checked`; `table`, the `Decls` of the same
-    declarations if one is built already, is cached as its table."""
-    out = _Checked(cand.decls, cand.main, cand.mode, translation, typed)
-    if table is not None:
-        vars(out)["table"] = table  # the slot `cached_property` fills
-    return out
+def _holding(prog: fg.Program, table: fg.Decls):
+    """`prog` with `table`, the `Decls` of its declarations, as its table."""
+    vars(prog)["table"] = table  # the slot `cached_property` fills
+    return prog
+
+
+def _carrier(cand: fg.Program, translation, typed, table):
+    """`cand` as a `_Checked` holding `table`."""
+    return _holding(_Checked(cand.decls, cand.main, cand.mode, translation, typed), table)
 
 
 def _translated(prog: fg.Program, res: Translation, cand: fg.Program, i: int):
     """`cand`, cut from `prog` by changing node `i` (`main` is the last),
     with its translation built from `res`, the translation of `prog`.  A
     new `main` or body changes no signature, field or spec: it brings its
-    code from `_candidates`, every other binding is kept, and a new `main`
-    shares the table of `prog`.  A removal is checked for well-formedness,
-    drops the removed method's binding and can change an interface's
-    implementers, which only an interface-to-interface downcast reads: the
-    methods and `main` that assert to such an interface are translated
-    again against the table of `cand`, and the rest is kept.  Raises
-    FgError if `cand` is ill-formed."""
+    code from `_candidates`, every other binding is kept, a new `main`
+    shares the table of `prog` and a new body takes it with the body
+    replaced (`Decls.with_bodies`).  A removal is checked for
+    well-formedness, drops the removed method's binding and can change an
+    interface's implementers, which only an interface-to-interface downcast
+    reads: the methods and `main` that assert to such an interface are
+    translated again against the table of `cand`, and the rest is kept.
+    Raises FgError if `cand` is ill-formed."""
     tl_prog = res.tl_program
     if len(cand.decls) == len(prog.decls):
         code = cand.typed[0]
@@ -487,7 +512,8 @@ def _translated(prog: fg.Program, res: Translation, cand: fg.Program, i: int):
         name, lam = code
         tl_prog = replace(tl_prog, bindings=tuple(
             (n, lam if n == name else old) for n, old in tl_prog.bindings))
-        return _carrier(cand, Translation(tl_prog, res.main_type, []), cand.typed)
+        return _carrier(cand, Translation(tl_prog, res.main_type, []), cand.typed,
+                        prog.table.with_bodies(cand.decls))
     diags = fg.check_wellformed(cand)
     if diags:
         raise FgError(diags)

@@ -328,7 +328,12 @@ class Translator:
         """Curried lambda over the receiver, then a tuple-pattern lambda over
         the parameters, body coerced to the declared return type."""
         self.fresh = _fresh()
-        body = self.check_expr(method_env(d), d.body, d.sig.ret)
+        return self.method_binding(d, *self.infer_expr(method_env(d), d.body))
+
+    def method_binding(self, d: fg.MethodDecl, have, body):
+        """`translate_method` of `d`, whose body this translator has just
+        typed as `have` with code `body`."""
+        body = self.coerce_to(have, d.sig.ret, body, d.body.span, NOT_A_SUBTYPE)
         self.count("td-method")
         arg = self.fresh()
         params = [tl.fg_var(x) for x, _t in d.sig.params]

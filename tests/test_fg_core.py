@@ -10,6 +10,7 @@ from fgdict.diagnostics import (
     FG3_DUP_SPEC, FG4_DUP_METHOD, UNKNOWN_TYPE, FgError,
 )
 from fgdict.fg_parser import parse_program
+from fgdict.gen import GenConfig, gen_program
 from fgdict.translate import require_translation
 
 GOOD = """
@@ -113,6 +114,57 @@ def test_subtyping_rejects_undeclared_names(good):
         with pytest.raises(FgError) as err:
             fg.is_subtype(good.table, t, u)
         assert [d.code for d in err.value.diagnostics] == [UNKNOWN_TYPE]
+
+
+# The benchmark's compile-workload programs, as in tests/test_gen.py.
+COMPILE_PROGRAMS = [
+    dict(seed=i, mode=(fg.CORE, fg.EXT)[i % 2], max_structs=16, max_ifaces=8,
+         max_methods_per_iface=3, max_fields=3, expr_depth=4) for i in range(33)]
+
+
+def _structural_subtype(prog, t, u):
+    """t <: u read off the declarations of `prog`, which are well-formed,
+    without its table."""
+    literals = {d.name: d.literal for d in prog.decls if isinstance(d, fg.TypeDecl)}
+    if t == u:
+        return True
+    if t not in literals or not isinstance(literals.get(u), fg.InterfaceType):
+        return False
+    if isinstance(literals[t], fg.InterfaceType):
+        have = {s.key() for s in literals[t].specs}
+    else:
+        have = {d.spec().key() for d in prog.decls
+                if isinstance(d, fg.MethodDecl) and d.recv_type == t}
+    return {s.key() for s in literals[u].specs} <= have
+
+
+def test_subtyping_answers_are_kept_per_table():
+    """Each answer `is_subtype` keeps in the table is the structural one, on
+    the table a generated program holds (asked first by the generator) and
+    on one built afresh; an undeclared name raises on every call."""
+    pairs = 0
+    for cfg in COMPILE_PROGRAMS:
+        prog = gen_program(GenConfig(**cfg))
+        names = [d.name for d in prog.decls if isinstance(d, fg.TypeDecl)]
+        names += list(fg.PRIMITIVES) if prog.mode == fg.EXT else []
+        for table in (prog.table, fg.Decls(prog.decls, prog.mode)):
+            for t in names:
+                for u in names:
+                    want = _structural_subtype(prog, t, u)
+                    assert fg.is_subtype(table, t, u) == want, (cfg, t, u)
+                    assert fg.is_subtype(table, t, u) == want, (cfg, t, u)
+                    assert table.subtypes[t, u] == want
+                    pairs += 1
+            undeclared = [("Nope", names[0]), (names[0], "Nope")]
+            if prog.mode == fg.CORE:
+                undeclared += [(fg.INT, names[0]), (names[0], fg.BOOL)]
+            for t, u in undeclared:
+                for _ in range(2):
+                    with pytest.raises(FgError) as err:
+                        fg.is_subtype(table, t, u)
+                    assert [d.code for d in err.value.diagnostics] == [UNKNOWN_TYPE]
+                assert (t, u) not in table.subtypes
+    assert pairs > 10000
 
 
 def test_table_of_ill_formed_declarations_builds():

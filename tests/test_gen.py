@@ -355,6 +355,46 @@ def test_a_carried_candidate_runs_as_its_plain_program(shrink_runs):
     assert checked > 400
 
 
+# -- the table a program holds ---------------------------------------------------
+
+TABLE_FACTS = ("decls", "types", "struct_names", "iface_names", "method_decls",
+               "methods_by_recv", "repeats", "spec_keys", "implementers", "field_index")
+
+
+def _assert_own_table(prog):
+    """The table `prog` holds, not one built on first use, equals the table
+    built afresh from its declarations."""
+    table, fresh = vars(prog)["table"], fg.Decls(prog.decls, prog.mode)
+    for fact in TABLE_FACTS:
+        assert getattr(table, fact) == getattr(fresh, fact), (fact, print_program(prog))
+
+
+def test_programs_hold_the_table_of_their_declarations(shrink_runs):
+    """`gen_program` hands each program the generator's table with the
+    generated bodies, and `shrink` each body candidate its parent's table
+    with the new body."""
+    for cfg in _stream_configs():
+        _assert_own_table(gen_program(cfg))
+    bodies = 0
+    for path, out in shrink_runs:
+        failing = _same_reason(path[0])
+        current = [path[0]]
+
+        def check(cand, failing=failing, current=current):
+            nonlocal bodies
+            parent = current[0]
+            if cand.main is parent.main and len(cand.decls) == len(parent.decls):
+                _assert_own_table(cand)
+                bodies += 1
+            kept = failing(cand)
+            if kept:
+                current[0] = cand
+            return kept
+
+        assert shrink(path[0], check) == out
+    assert bodies > 100
+
+
 # -- one typing per node ---------------------------------------------------------
 
 # No node relies on B.m, and removing it takes B out of J's implementers;
