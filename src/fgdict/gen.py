@@ -17,9 +17,7 @@ from dataclasses import dataclass, field, replace
 from . import fg_ast as fg
 from . import tl_ast as tl
 from .diagnostics import FgError, rebuild
-# translate_program is bound here for bench/tracing.py, which wraps it where
-# its callers look it up.
-from .translate import Translation, Translator, method_env, translate_program  # noqa: F401
+from .translate import Translation, Translator, method_env, translate_program
 
 ASSERT_PROBABILITY = 0.3
 
@@ -351,91 +349,23 @@ def _subexprs(e):
     return subs
 
 
-def _relies(table, node):
-    """What a declaration, or the expression `main`, relies on: the type
-    names it names (field, signature and receiver types, struct literals and
-    asserted types) and the (struct, method) pairs its code relies on
-    (`Translator.uses`).  `shrink` reads these sets off the typing that
-    translates each node (`_typed`); this is the reference, typed apart."""
-    if isinstance(node, fg.TypeDecl):
-        if isinstance(node.literal, fg.StructType):
-            return {t for _f, t in node.literal.fields}
-        return {t for s in node.literal.specs for t in s.sig.param_types + (s.sig.ret,)}
-    tr = Translator(table)
-    if isinstance(node, fg.MethodDecl):
-        tr.check_expr(method_env(node), node.body, node.sig.ret)
-        tr.uses.update(node.sig.param_types, (node.recv_type, node.sig.ret))
-        node = node.body
-    else:
-        tr.infer_expr({}, node)
-    return tr.uses | {e.type_name for e in fg.expr_nodes(node)
-                      if isinstance(e, (fg.StructLit, fg.Assert))}
-
-
-def _typed(table, node):
-    """The one typing of a declaration, or of the expression `main`,
-    against `table`: its TL code, a method's (name, lambda) binding or
-    `main`'s (type, code) (None for a type declaration), and its reliance
-    set, the one `_relies` gives.  Raises FgError if `node` is ill-typed."""
-    if isinstance(node, fg.TypeDecl):
-        return None, _relies(table, node)
-    tr = Translator(table)
-    if isinstance(node, fg.MethodDecl):
-        code = tr.translate_method(node)
-    else:
-        code = tr.infer_expr({}, node)
-    return code, _reliance(tr, node)
-
-
-def _reliance(tr, node):
-    """The reliance set of a method, or the expression `main`, that `tr`
-    has just typed."""
-    if isinstance(node, fg.MethodDecl):
-        tr.uses.update(node.sig.param_types, (node.recv_type, node.sig.ret))
-        node = node.body
-    return tr.uses | {e.type_name for e in fg.expr_nodes(node)
-                      if isinstance(e, (fg.StructLit, fg.Assert))}
-
-
-def _typed_program(prog: fg.Program):
-    """The translation of `prog` and the reliance set of each declaration,
-    then of `main`, from one typing of each node (`_typed`).  Raises FgError
-    with the diagnostics `translate_program` gives an ill-formed or
-    ill-typed program."""
-    diags = fg.check_wellformed(prog)
-    if diags:
-        raise FgError(diags)
-    typed = []
-    for node in prog.decls + (prog.main,):
-        try:
-            typed.append(_typed(prog.table, node))
-        except FgError as err:
-            diags.extend(err.diagnostics)
-    if diags:
-        raise FgError(diags)
-    codes = [code for code, _r in typed if code is not None]
-    main_type, main_code = codes.pop()
-    return Translation(tl.TLProgram(tuple(codes), main_code), main_type, []), \
-        [r for _code, r in typed]
-
-
 def _candidates(prog: fg.Program, relies):
     """Each one-step reduction of the well-typed `prog`, in greedy order,
     with whether it is well-typed and the index of the node it changed
-    (`main` is the last).  `relies` holds `_relies` of each declaration of
-    `prog`, then of `main`.  FG expressions bind nothing, so the typing of
-    `prog` decides every candidate without checking it:
+    (`main` is the last).  `relies` holds the reliance set of each
+    declaration of `prog`, then of `main` (`Translation.relies`).  FG
+    expressions bind nothing, so the typing of `prog` decides every
+    removal and new `main` without checking it:
 
-    - removing a declaration is well-typed iff no other node relies on it
-      (`_relies`): names the type, or relies on the method (T, m);
+    - removing a declaration is well-typed iff no other node relies on it:
+      names the type, or relies on the method (T, m);
     - a subexpression of `main` is always well-typed;
-    - a method body may become one of its subexpressions iff that one's type
-      is a subtype of the return type, the test `coerce_to` applies, or the
-      minimal value of the return type, which always fits.
+    - a method body may become one of its subexpressions iff that one's
+      type is a subtype of the return type, which typing the new method
+      decides, or the minimal value of the return type, which always fits.
 
-    A new `main` or method is typed once against the table of `prog`, a
-    body's type tested before it is coerced, so that an ill-typed one
-    builds no diagnostic, and a well-typed one is a `_Checked` that carries
+    A new `main` or method is typed once against the table of `prog`
+    (`Translator.typed`); a well-typed one is a `_Checked` that carries
     that typing.
     """
     table = prog.table
@@ -445,7 +375,8 @@ def _candidates(prog: fg.Program, relies):
         ok = not any(key in r for j, r in enumerate(relies) if j != i)
         yield fg.Program(prog.decls[:i] + prog.decls[i + 1:], prog.main, prog.mode), ok, i
     for sub in _subexprs(prog.main):
-        yield _Checked(prog.decls, sub, prog.mode, typed=_typed(table, sub)), True, len(prog.decls)
+        typed = Translator(table).typed(sub)
+        yield _Checked(prog.decls, sub, prog.mode, typed=typed), True, len(prog.decls)
     for i, d in enumerate(prog.decls):
         if isinstance(d, fg.MethodDecl):
             try:
@@ -455,25 +386,24 @@ def _candidates(prog: fg.Program, relies):
             bodies = _subexprs(d.body)
             if small is not None and small != d.body:
                 bodies.append(small)
-            env = method_env(d)
             for b in bodies:
                 d2 = replace(d, body=b)
                 decls = prog.decls[:i] + (d2,) + prog.decls[i + 1:]
-                tr = Translator(table)
-                have, code = tr.infer_expr(env, b)
-                if fg.is_subtype(table, have, d.sig.ret):
-                    typed = tr.method_binding(d2, have, code), _reliance(tr, d2)
-                    yield _Checked(decls, prog.main, prog.mode, typed=typed), True, i
-                else:
+                try:
+                    typed = Translator(table).typed(d2)
+                except FgError:
                     yield fg.Program(decls, prog.main, prog.mode), False, i
+                else:
+                    yield _Checked(decls, prog.main, prog.mode, typed=typed), True, i
 
 
 @dataclass(frozen=True)
 class _Checked(fg.Program):
-    """A well-typed shrink candidate with `typed`, the `_typed` of the body
-    or `main` it replaced (None for a removal), which `_candidates` gives
-    it, and its translation, which `_translated` gives it and
-    `relate.diff_run` uses instead of translating the program again."""
+    """A well-typed shrink candidate with `typed`, the `Translator.typed`
+    of the method or `main` it replaced (None for a removal), which
+    `_candidates` gives it, and its translation, which `_translated` gives
+    it and `relate.diff_run` uses instead of translating the program
+    again."""
 
     translation: Translation = field(default=None, compare=False, repr=False)
     typed: tuple = field(default=None, compare=False, repr=False)
@@ -527,11 +457,12 @@ def _translated(prog: fg.Program, res: Translation, cand: fg.Program, i: int):
     gone = prog.decls[i]
     drop = tl.method_var_name(gone.name, gone.recv_type) \
         if isinstance(gone, fg.MethodDecl) else None
-    redone = dict(Translator(table).translate_method(d) for d in cand.decls
+    tr = Translator(table)
+    redone = dict(tr.typed(d)[0] for d in cand.decls
                   if isinstance(d, fg.MethodDecl) and stale(d.body))
     main = tl_prog.main
     if stale(cand.main):
-        main = Translator(table).infer_expr({}, cand.main)[1]
+        main = tr.typed(cand.main)[0][1]
     tl_prog = tl.TLProgram(tuple((n, redone.get(n, lam)) for n, lam in tl_prog.bindings
                                  if n != drop), main)
     return _carrier(cand, Translation(tl_prog, res.main_type, []), None, table)
@@ -543,15 +474,19 @@ def shrink(prog: fg.Program, failing) -> fg.Program:
     FgError carries its diagnostics.  Only well-typed candidates, decided
     from the typing of the current program, reach `failing`; a candidate on
     which `failing` raises FgError is skipped, and any other exception
-    propagates.  Each node is typed once (`_typed`), which gives its code
-    and its reliance set: the input's nodes once per input, and a step
+    propagates.  Each node is typed once (`Translator.typed`), which gives
+    its code and its reliance set: the input's nodes once, by
+    `translate_program`, whose `Translation.relies` holds them, and a step
     removes a declaration no other node relies on, or replaces a body or
     `main` without changing a signature, so only the changed node is typed
     anew, as a candidate, and not again once kept.  Each candidate carries
     a translation built from the current program's (`_translated`), which
     `relate.diff_run` uses; a removal retranslates only the nodes whose
     downcasts it changes.  The result is a plain `fg.Program`."""
-    res, relies = _typed_program(prog)
+    res = translate_program(prog)
+    if not res.ok:
+        raise FgError(res.diagnostics)
+    relies = res.relies
     while True:
         for cand, ok, i in _candidates(prog, relies):
             if not ok:

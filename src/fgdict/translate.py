@@ -12,6 +12,9 @@ the method bindings, matching the presentation style of hand-written
 dictionary-passing code.  Either way each helper is built once per program:
 an inline use site shares the one lambda.  Every TL name is spelled by
 `tl_ast`.
+
+`Translator.typed` is the one typing of a node, a declaration or `main`:
+`translate_program` folds it over a program, and the shrinker reads it.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ class Translation:
     main_type: str | None
     diagnostics: list
     rule_counts: dict = field(default_factory=dict)
+    relies: list = field(default_factory=list)  # each declaration's, then main's
 
     @property
     def ok(self):
@@ -63,13 +67,13 @@ class Translator:
         self.decls = decls
         self.hoist = hoist_helpers
         self.counts = {}
-        self.helpers = {}  # name -> Lam, in order of first use
+        self.helpers = {}  # name -> (Lam, the pairs it relies on), in order of first use
         self.fresh = _fresh()
-        # (struct, method) pairs the code typed so far relies on: removing
-        # any one of those method declarations makes that code ill-typed.
-        # A struct call adds its own pair; a struct-to-interface upcast or
-        # an interface-to-struct downcast adds one pair per interface spec
-        # when its helper is built, on its first use.
+        # What the node being typed relies on, recorded at each use: removing
+        # any one of these declarations makes its code ill-typed.  A struct
+        # literal or assertion adds its type name, a method its signature and
+        # receiver types, a struct call its (struct, method) pair, and each use
+        # of a struct upcast or downcast helper one pair per interface spec.
         self.uses = set()
 
     def count(self, rule):
@@ -155,6 +159,7 @@ class Translator:
         t = type(e)
         if t is fg.StructLit:
             self.count("td-struct")
+            self.uses.add(e.type_name)
             return e.type_name, tl.CtorApp(tl.struct_ctor(e.type_name), tuple(codes))
         if t is fg.Call:
             return self._call(e, codes[0], *first, tuple(codes[1:]))
@@ -237,12 +242,8 @@ class Translator:
                 f"{e.type_name} does not implement {t_expr}",
                 e.span))
         self.count("td-assert")
+        self.uses.add(e.type_name)
         return e.type_name, tl.App(self.build_downcast(t_expr, e.type_name), code)
-
-    def check_expr(self, env, e, want):
-        """Infer then coerce."""
-        have, out = self.infer_expr(env, e)
-        return self.coerce_to(have, want, out, e.span, NOT_A_SUBTYPE)
 
     def coerce_to(self, have, want, code, span, diag_code):
         """The single place where subsumption applies."""
@@ -258,12 +259,15 @@ class Translator:
     # -- interface-value constructors and destructors ----------------------
 
     def _helper(self, name, build, *args):
-        """The helper `name`, built once by `build(fresh, *args)` with its own
-        fresh-variable supply: its binding when hoisting, else the lambda."""
-        lam = self.helpers.get(name)
-        if lam is None:
-            lam = self.helpers[name] = build(_fresh(), *args)
-        return tl.MethodVar(name) if self.hoist else lam
+        """The helper `name`: its binding when hoisting, else its lambda.
+        `build(fresh, *args)` builds it once, with its own fresh-variable
+        supply, and gives the lambda and the (struct, method) pairs it relies
+        on; every use adds those pairs to `uses`."""
+        helper = self.helpers.get(name)
+        if helper is None:
+            helper = self.helpers[name] = build(_fresh(), *args)
+        self.uses.update(helper[1])
+        return tl.MethodVar(name) if self.hoist else helper[0]
 
     def build_upcast(self, t, u_i):
         return self._helper(tl.upcast_name(t, u_i), self._upcast, t, u_i)
@@ -279,9 +283,9 @@ class Translator:
         if decls.kind(t) == "struct":
             self.count("td-cons-struct-iface")
             assert fg.is_subtype(decls, t, u_i)
-            self.uses.update((t, s.name) for s in specs)
             slots = tuple(tl.MethodVar(tl.method_var_name(s.name, t)) for s in specs)
-            return tl.Lam(x, tl.CtorApp(tl.struct_ctor(u_i), (tl.TLVar(x),) + slots))
+            return tl.Lam(x, tl.CtorApp(tl.struct_ctor(u_i), (tl.TLVar(x),) + slots)), \
+                [(t, s.name) for s in specs]
         self.count("td-cons-iface-iface")
         given = decls.iface_specs(t)
         keys = [r.key() for r in given]
@@ -290,7 +294,7 @@ class Translator:
         xs = [fresh() for _ in given]
         body = tl.CtorApp(tl.struct_ctor(u_i),
                           (tl.TLVar(xv),) + tuple(tl.TLVar(xs[p]) for p in perm))
-        return tl.Lam(x, _match(tl.TLVar(x), tl.struct_ctor(t), [xv] + xs, body))
+        return tl.Lam(x, _match(tl.TLVar(x), tl.struct_ctor(t), [xv] + xs, body)), ()
 
     def _downcast(self, fresh, t_i, u):
         decls = self.decls
@@ -301,13 +305,14 @@ class Translator:
         if decls.kind(u) == "struct":
             self.count("td-destr-iface-struct")
             assert fg.is_subtype(decls, u, t_i)
-            self.uses.update((u, s.name) for s in decls.iface_specs(t_i))
+            relies = [(u, s.name) for s in decls.iface_specs(t_i)]
             ys = [fresh() for _ in decls.struct_fields(u)]
             inner = _match(tl.TLVar(y), tl.struct_ctor(u), ys,
                            tl.CtorApp(tl.struct_ctor(u), tuple(map(tl.TLVar, ys))))
         else:
             self.count("td-destr-iface-iface")
             specs = decls.iface_specs(u)
+            relies = ()
             clauses = []
             for t_sj in decls.implementers[u]:
                 # Build the target interface value directly (the reduct of the
@@ -320,26 +325,35 @@ class Translator:
                     tl.Pattern(tl.struct_ctor(t_sj), ys),
                     tl.CtorApp(tl.struct_ctor(u), (repacked,) + slots)))
             inner = tl.Case(tl.TLVar(y), tuple(clauses))
-        return tl.Lam(x, _match(tl.TLVar(x), tl.struct_ctor(t_i), [y] + dict_vars, inner))
+        return tl.Lam(x, _match(tl.TLVar(x), tl.struct_ctor(t_i), [y] + dict_vars, inner)), \
+            relies
 
     # -- methods and programs ----------------------------------------------
 
-    def translate_method(self, d: fg.MethodDecl):
-        """Curried lambda over the receiver, then a tuple-pattern lambda over
-        the parameters, body coerced to the declared return type."""
+    def typed(self, node):
+        """The one typing of a declaration, or of the expression `main`: its
+        code, a method's (name, lambda) binding (a lambda over the receiver,
+        then over the parameter tuple) or `main`'s (type, code) (None for a
+        type declaration), and its reliance set (`uses`, recorded at each
+        use).  Raises FgError if `node` is ill-typed."""
+        if isinstance(node, fg.TypeDecl):
+            lit = node.literal
+            if isinstance(lit, fg.StructType):
+                return None, {t for _f, t in lit.fields}
+            return None, {t for s in lit.specs for t in s.sig.param_types + (s.sig.ret,)}
+        self.uses = set()
         self.fresh = _fresh()
-        return self.method_binding(d, *self.infer_expr(method_env(d), d.body))
-
-    def method_binding(self, d: fg.MethodDecl, have, body):
-        """`translate_method` of `d`, whose body this translator has just
-        typed as `have` with code `body`."""
-        body = self.coerce_to(have, d.sig.ret, body, d.body.span, NOT_A_SUBTYPE)
+        if not isinstance(node, fg.MethodDecl):
+            return self.infer_expr({}, node), self.uses
+        have, body = self.infer_expr(method_env(node), node.body)
+        body = self.coerce_to(have, node.sig.ret, body, node.body.span, NOT_A_SUBTYPE)
         self.count("td-method")
+        self.uses.update(node.sig.param_types, (node.recv_type, node.sig.ret))
         arg = self.fresh()
-        params = [tl.fg_var(x) for x, _t in d.sig.params]
+        params = [tl.fg_var(x) for x, _t in node.sig.params]
         body = _match(tl.TLVar(arg), tl.tuple_ctor(len(params)), params, body)
-        return tl.method_var_name(d.name, d.recv_type), \
-            tl.Lam(tl.fg_var(d.recv_var), tl.Lam(arg, body))
+        return (tl.method_var_name(node.name, node.recv_type),
+                tl.Lam(tl.fg_var(node.recv_var), tl.Lam(arg, body))), self.uses
 
 
 def method_env(d: fg.MethodDecl):
@@ -351,37 +365,33 @@ def method_env(d: fg.MethodDecl):
 
 def translate_method(decls: fg.Decls, d: fg.MethodDecl):
     """Standalone, deterministic translation of one method declaration."""
-    return Translator(decls).translate_method(d)
+    return Translator(decls).typed(d)[0]
 
 
 def translate_program(prog: fg.Program, hoist_helpers=False) -> Translation:
-    """Check a program, then translate it.  An ill-formed program gets its
-    well-formedness diagnostics and no translation; type diagnostics are
-    aggregated instead of stopping at the first."""
+    """Check a program, then translate it: each declaration, then `main`,
+    typed by one translator (`Translator.typed`).  An ill-formed program
+    gets its well-formedness diagnostics and no translation; type
+    diagnostics are aggregated instead of stopping at the first."""
     diags = fg.check_wellformed(prog)
     if diags:
         return Translation(None, None, diags)
     tr = Translator(prog.table, hoist_helpers=hoist_helpers)
-    bindings = []
-    for d in prog.decls:
-        if not isinstance(d, fg.MethodDecl):
-            continue
+    typed = []
+    for node in prog.decls + (prog.main,):
         try:
-            bindings.append(tr.translate_method(d))
+            typed.append(tr.typed(node))
         except FgError as err:
             diags.extend(err.diagnostics)
-    main_type = main_code = None
-    tr.fresh = _fresh()
-    try:
-        main_type, main_code = tr.infer_expr({}, prog.main)
-    except FgError as err:
-        diags.extend(err.diagnostics)
     tr.count("td-prog")
     if diags:
         return Translation(None, None, diags, tr.counts)
+    codes = [code for code, _r in typed if code is not None]
+    main_type, main_code = codes.pop()
     if tr.hoist:
-        bindings.extend(tr.helpers.items())
-    return Translation(tl.TLProgram(tuple(bindings), main_code), main_type, [], tr.counts)
+        codes.extend((name, lam) for name, (lam, _p) in tr.helpers.items())
+    return Translation(tl.TLProgram(tuple(codes), main_code), main_type, [], tr.counts,
+                       [r for _code, r in typed])
 
 
 def require_translation(prog: fg.Program, **kw) -> Translation:

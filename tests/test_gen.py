@@ -1,15 +1,18 @@
 """Program generator and shrinker."""
 
+import glob
 import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 from fgdict import fg_ast as fg, gen
-from fgdict.diagnostics import FgError
+from fgdict.diagnostics import NOT_A_SUBTYPE, FgError
 from fgdict.fg_parser import parse_program, print_program
-from fgdict.gen import GenConfig, _candidates, _relies, gen_program, minimal_value, shrink
+from fgdict.gen import GenConfig, _candidates, gen_program, minimal_value, shrink
 from fgdict.relate import BOTH_STUCK, diff_run
-from fgdict.translate import Translator, translate_program
+from fgdict.translate import Translator, method_env, translate_program
 
 # sha256 over the printed programs of `_stream_configs`, recorded before the
 # generator read subtyping from the declaration table.
@@ -135,8 +138,51 @@ def _program_nodes(prog):
     return len(prog.decls) + sum(1 for _ in fg.program_exprs(prog))
 
 
+def _relies(table, node):
+    """What a declaration, or the expression `main`, relies on: the type
+    names it names (field, signature and receiver types, struct literals and
+    asserted types) and the (struct, method) pairs its code relies on.  The
+    reference for `Translation.relies`: the node is typed by a translator of
+    its own, whose (struct, method) pairs are kept, and the type names are
+    read off the declaration and its expression."""
+    if isinstance(node, fg.TypeDecl):
+        if isinstance(node.literal, fg.StructType):
+            return {t for _f, t in node.literal.fields}
+        return {t for s in node.literal.specs for t in s.sig.param_types + (s.sig.ret,)}
+    tr = Translator(table)
+    names = set()
+    if isinstance(node, fg.MethodDecl):
+        have, code = tr.infer_expr(method_env(node), node.body)
+        tr.coerce_to(have, node.sig.ret, code, node.body.span, NOT_A_SUBTYPE)
+        names.update(node.sig.param_types, (node.recv_type, node.sig.ret))
+        node = node.body
+    else:
+        tr.infer_expr({}, node)
+    pairs = {u for u in tr.uses if type(u) is tuple}
+    return pairs | names | {e.type_name for e in fg.expr_nodes(node)
+                            if isinstance(e, (fg.StructLit, fg.Assert))}
+
+
 def _relies_from_scratch(prog):
     return [_relies(prog.table, n) for n in prog.decls + (prog.main,)]
+
+
+def test_translation_relies_match_the_reference():
+    """`translate_program` types every node with one translator, which
+    builds each helper once; the reliance sets it records must still be
+    those of each node typed alone, in both helper modes."""
+    manifest = json.loads(Path("corpus/manifest.json").read_text(encoding="utf-8"))
+    programs = [parse_program(Path("corpus", e["path"]).read_text(encoding="utf-8"),
+                              mode=e["mode"]) for e in manifest["files"]]
+    programs += [parse_program(Path(path).read_text(encoding="utf-8"))
+                 for path in sorted(glob.glob("bench/ladder/*.fg"))]
+    programs += [gen_program(GenConfig(seed=seed, mode=mode))
+                 for mode in (fg.CORE, fg.EXT) for seed in range(300)]
+    for prog in programs:
+        expected = _relies_from_scratch(prog)
+        for hoist in (False, True):
+            assert translate_program(prog, hoist_helpers=hoist).relies == expected, \
+                print_program(prog)
 
 
 @pytest.fixture(scope="module")
@@ -417,12 +463,10 @@ func main() { _ = A{}.i(B{}).(J) }
 
 def test_a_removal_retranslates_only_the_downcasts_it_changes():
     prog = parse_program(DOWNCAST_PROGRAM)
-    res, relies = gen._typed_program(prog)
-    full = translate_program(prog)
-    assert (res.tl_program, res.main_type) == (full.tl_program, full.main_type)
+    res = translate_program(prog)
     parent = dict(res.tl_program.bindings)
     removed = {}
-    for cand, ok, i in _candidates(prog, relies):
+    for cand, ok, i in _candidates(prog, res.relies):
         if not ok or len(cand.decls) == len(prog.decls):
             continue
         d = prog.decls[i]

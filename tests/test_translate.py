@@ -9,7 +9,7 @@ import pytest
 
 from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
 from fgdict.fg_parser import parse_program
-from fgdict.gen import GenConfig, _candidates, _relies, gen_program
+from fgdict.gen import GenConfig, _candidates, gen_program
 from fgdict.relate import AGREE, BOTH_STUCK, diff_run
 from fgdict.tl_ast import downcast_name, method_var_name, upcast_name
 from fgdict.translate import Translator, require_translation, translate_program
@@ -323,7 +323,7 @@ def _translation_programs():
             prog = gen_program(GenConfig(seed=seed, mode=mode))
             yield f"gen-{mode}-{seed}", prog
             if seed < 100:
-                relies = [_relies(prog.table, n) for n in prog.decls + (prog.main,)]
+                relies = translate_program(prog).relies
                 for i, (cand, _ok, _j) in enumerate(_candidates(prog, relies)):
                     yield f"gen-{mode}-{seed}-cand{i}", cand
 
