@@ -87,13 +87,18 @@ class Diagnostic:
 
 
 class FgError(Exception):
-    """Raised for unrecoverable errors carrying one or more diagnostics."""
+    """Raised for unrecoverable errors carrying one or more diagnostics.
+    The message is formatted when read, so an error that is caught and
+    dropped works out none of its spans."""
 
     def __init__(self, diagnostics):
         if isinstance(diagnostics, Diagnostic):
             diagnostics = [diagnostics]
         self.diagnostics = list(diagnostics)
-        super().__init__("; ".join(str(d) for d in self.diagnostics))
+        super().__init__(self.diagnostics)
+
+    def __str__(self):
+        return "; ".join(str(d) for d in self.diagnostics)
 
 
 # Binary operators of FG and TL by precedence; the comparisons (== and <)

@@ -15,9 +15,8 @@ import random
 from dataclasses import dataclass, field, replace
 
 from . import fg_ast as fg
-from . import tl_ast as tl
 from .diagnostics import FgError, rebuild
-from .translate import Translation, Translator, method_env, translate_program
+from .translate import Translation, Translator, fold, method_env, translate_program
 
 ASSERT_PROBABILITY = 0.3
 
@@ -349,34 +348,34 @@ def _subexprs(e):
     return subs
 
 
-def _candidates(prog: fg.Program, relies):
+def _candidates(prog: fg.Program, res: Translation):
     """Each one-step reduction of the well-typed `prog`, in greedy order,
-    with whether it is well-typed and the index of the node it changed
-    (`main` is the last).  `relies` holds the reliance set of each
-    declaration of `prog`, then of `main` (`Translation.relies`).  FG
+    with whether it is well-typed.  `res` is the translation of `prog`.  FG
     expressions bind nothing, so the typing of `prog` decides every
     removal and new `main` without checking it:
 
-    - removing a declaration is well-typed iff no other node relies on it:
-      names the type, or relies on the method (T, m);
+    - removing a declaration is well-typed iff no other node relies on it
+      (`Translation.relies`): names the type, or relies on the method (T, m);
     - a subexpression of `main` is always well-typed;
     - a method body may become one of its subexpressions iff that one's
       type is a subtype of the return type, which typing the new method
       decides, or the minimal value of the return type, which always fits.
 
-    A new `main` or method is typed once against the table of `prog`
-    (`Translator.typed`); a well-typed one is a `_Checked` that carries
-    that typing.
+    A well-typed candidate is a `_Checked` carrying the fold of the typings
+    of `prog` (`Translation.typed`) with one entry removed (`_removed`) or
+    replaced: a new `main` or method, typed once against the table of `prog`.
     """
-    table = prog.table
+    table, typed, relies = prog.table, res.typed, res.relies
 
     for i, d in enumerate(prog.decls):
         key = d.name if isinstance(d, fg.TypeDecl) else (d.recv_type, d.name)
-        ok = not any(key in r for j, r in enumerate(relies) if j != i)
-        yield fg.Program(prog.decls[:i] + prog.decls[i + 1:], prog.main, prog.mode), ok, i
+        if any(key in r for j, r in enumerate(relies) if j != i):
+            yield fg.Program(prog.decls[:i] + prog.decls[i + 1:], prog.main, prog.mode), False
+        else:
+            yield _removed(prog, res, i), True
     for sub in _subexprs(prog.main):
-        typed = Translator(table).typed(sub)
-        yield _Checked(prog.decls, sub, prog.mode, typed=typed), True, len(prog.decls)
+        yield _carrier(prog.decls, sub, prog.mode,
+                       typed[:-1] + [Translator(table).typed(sub)], table), True
     for i, d in enumerate(prog.decls):
         if isinstance(d, fg.MethodDecl):
             try:
@@ -390,23 +389,24 @@ def _candidates(prog: fg.Program, relies):
                 d2 = replace(d, body=b)
                 decls = prog.decls[:i] + (d2,) + prog.decls[i + 1:]
                 try:
-                    typed = Translator(table).typed(d2)
+                    node = Translator(table).typed(d2)
                 except FgError:
-                    yield fg.Program(decls, prog.main, prog.mode), False, i
+                    yield fg.Program(decls, prog.main, prog.mode), False
                 else:
-                    yield _Checked(decls, prog.main, prog.mode, typed=typed), True, i
+                    yield _carrier(decls, prog.main, prog.mode, typed[:i] + [node] + typed[i + 1:],
+                                   table.with_bodies(decls)), True
 
 
 @dataclass(frozen=True)
 class _Checked(fg.Program):
-    """A well-typed shrink candidate with `typed`, the `Translator.typed`
-    of the method or `main` it replaced (None for a removal), which
-    `_candidates` gives it, and its translation, which `_translated` gives
-    it and `relate.diff_run` uses instead of translating the program
-    again."""
+    """A well-typed shrink candidate with its translation, which
+    `_candidates` gives it and `relate.diff_run` uses instead of
+    translating the program again.  That translation is folded from the
+    typing of each node, so its `relies` are whole, but its `rule_counts`
+    are empty: a shared helper's rule is counted once per program, at its
+    first use, so counts summed over nodes would not be a program's."""
 
     translation: Translation = field(default=None, compare=False, repr=False)
-    typed: tuple = field(default=None, compare=False, repr=False)
 
 
 def _holding(prog: fg.Program, table: fg.Decls):
@@ -415,57 +415,31 @@ def _holding(prog: fg.Program, table: fg.Decls):
     return prog
 
 
-def _carrier(cand: fg.Program, translation, typed, table):
-    """`cand` as a `_Checked` holding `table`."""
-    return _holding(_Checked(cand.decls, cand.main, cand.mode, translation, typed), table)
+def _carrier(decls, main, mode, typed, table):
+    """The candidate `decls` and `main`, carrying the fold of `typed`, the
+    typing of each of its nodes, and holding `table`."""
+    return _holding(_Checked(decls, main, mode, fold(typed)), table)
 
 
-def _translated(prog: fg.Program, res: Translation, cand: fg.Program, i: int):
-    """`cand`, cut from `prog` by changing node `i` (`main` is the last),
-    with its translation built from `res`, the translation of `prog`.  A
-    new `main` or body changes no signature, field or spec: it brings its
-    code from `_candidates`, every other binding is kept, a new `main`
-    shares the table of `prog` and a new body takes it with the body
-    replaced (`Decls.with_bodies`).  A removal is checked for
-    well-formedness, drops the removed method's binding and can change an
-    interface's implementers, which only an interface-to-interface downcast
-    reads: the methods and `main` that assert to such an interface are
-    translated again against the table of `cand`, and the rest is kept.
-    Raises FgError if `cand` is ill-formed."""
-    tl_prog = res.tl_program
-    if len(cand.decls) == len(prog.decls):
-        code = cand.typed[0]
-        if i == len(prog.decls):
-            main_type, main = code
-            return _carrier(cand, Translation(replace(tl_prog, main=main), main_type, []),
-                            cand.typed, prog.table)
-        name, lam = code
-        tl_prog = replace(tl_prog, bindings=tuple(
-            (n, lam if n == name else old) for n, old in tl_prog.bindings))
-        return _carrier(cand, Translation(tl_prog, res.main_type, []), cand.typed,
-                        prog.table.with_bodies(cand.decls))
-    diags = fg.check_wellformed(cand)
-    if diags:
-        raise FgError(diags)
-    table, old = cand.table, prog.table.implementers
+def _removed(prog: fg.Program, res: Translation, i: int):
+    """`prog`, whose translation is `res`, without its declaration `i`, on
+    which no other node relies.  That can change an interface's
+    implementers, which only an interface-to-interface downcast reads: the
+    methods and `main` that assert to such an interface are typed again
+    against the new table, and every other node keeps its typing."""
+    decls = prog.decls[:i] + prog.decls[i + 1:]
+    table, old = fg.Decls(decls, prog.mode), prog.table.implementers
     changed = {u for u, ts in table.implementers.items() if ts != old[u]}
 
-    def stale(e):
-        return changed and any(type(x) is fg.Assert and x.type_name in changed
-                               for x in fg.expr_nodes(e))
+    def stale(node):
+        e = node.body if isinstance(node, fg.MethodDecl) else node
+        return changed and not isinstance(e, fg.TypeDecl) and any(
+            type(x) is fg.Assert and x.type_name in changed for x in fg.expr_nodes(e))
 
-    gone = prog.decls[i]
-    drop = tl.method_var_name(gone.name, gone.recv_type) \
-        if isinstance(gone, fg.MethodDecl) else None
     tr = Translator(table)
-    redone = dict(tr.typed(d)[0] for d in cand.decls
-                  if isinstance(d, fg.MethodDecl) and stale(d.body))
-    main = tl_prog.main
-    if stale(cand.main):
-        main = tr.typed(cand.main)[0][1]
-    tl_prog = tl.TLProgram(tuple((n, redone.get(n, lam)) for n, lam in tl_prog.bindings
-                                 if n != drop), main)
-    return _carrier(cand, Translation(tl_prog, res.main_type, []), None, table)
+    kept = res.typed[:i] + res.typed[i + 1:]
+    typed = [tr.typed(n) if stale(n) else t for n, t in zip(decls + (prog.main,), kept)]
+    return _carrier(decls, prog.main, prog.mode, typed, table)
 
 
 def shrink(prog: fg.Program, failing) -> fg.Program:
@@ -476,31 +450,24 @@ def shrink(prog: fg.Program, failing) -> fg.Program:
     which `failing` raises FgError is skipped, and any other exception
     propagates.  Each node is typed once (`Translator.typed`), which gives
     its code and its reliance set: the input's nodes once, by
-    `translate_program`, whose `Translation.relies` holds them, and a step
-    removes a declaration no other node relies on, or replaces a body or
-    `main` without changing a signature, so only the changed node is typed
-    anew, as a candidate, and not again once kept.  Each candidate carries
-    a translation built from the current program's (`_translated`), which
-    `relate.diff_run` uses; a removal retranslates only the nodes whose
-    downcasts it changes.  The result is a plain `fg.Program`."""
+    `translate_program`, and a step removes a declaration no other node
+    relies on, or replaces a body or `main` without changing a signature,
+    so only the changed node is typed anew, as a candidate, and not again
+    once kept.  Each candidate carries the fold of its nodes' typings,
+    which `relate.diff_run` uses and the next round starts from.  The
+    result is a plain `fg.Program`."""
     res = translate_program(prog)
     if not res.ok:
         raise FgError(res.diagnostics)
-    relies = res.relies
     while True:
-        for cand, ok, i in _candidates(prog, relies):
+        for cand, ok in _candidates(prog, res):
             if not ok:
                 continue
             try:
-                cand = _translated(prog, res, cand, i)
                 if failing(cand):
                     break
             except FgError:
                 continue
         else:
             return fg.Program(prog.decls, prog.main, prog.mode)
-        if cand.typed is None:
-            del relies[i]
-        else:
-            relies[i] = cand.typed[1]
         prog, res = cand, cand.translation

@@ -13,8 +13,9 @@ dictionary-passing code.  Either way each helper is built once per program:
 an inline use site shares the one lambda.  Every TL name is spelled by
 `tl_ast`.
 
-`Translator.typed` is the one typing of a node, a declaration or `main`:
-`translate_program` folds it over a program, and the shrinker reads it.
+`Translator.typed` is the one typing of a node, a declaration or `main`;
+`fold` puts a program's code together from its nodes' typings, for
+`translate_program` and for each shrink candidate.
 """
 
 from __future__ import annotations
@@ -55,11 +56,15 @@ class Translation:
     main_type: str | None
     diagnostics: list
     rule_counts: dict = field(default_factory=dict)
-    relies: list = field(default_factory=list)  # each declaration's, then main's
+    typed: list = field(default_factory=list)  # each declaration's `Translator.typed`, then main's
 
     @property
     def ok(self):
         return not self.diagnostics
+
+    @property
+    def relies(self):  # each declaration's reliance set, then main's
+        return [r for _code, r in self.typed]
 
 
 class Translator:
@@ -370,9 +375,10 @@ def translate_method(decls: fg.Decls, d: fg.MethodDecl):
 
 def translate_program(prog: fg.Program, hoist_helpers=False) -> Translation:
     """Check a program, then translate it: each declaration, then `main`,
-    typed by one translator (`Translator.typed`).  An ill-formed program
-    gets its well-formedness diagnostics and no translation; type
-    diagnostics are aggregated instead of stopping at the first."""
+    typed by one translator (`Translator.typed`), and the typings folded
+    (`fold`).  An ill-formed program gets its well-formedness diagnostics
+    and no translation; type diagnostics are aggregated instead of stopping
+    at the first."""
     diags = fg.check_wellformed(prog)
     if diags:
         return Translation(None, None, diags)
@@ -386,12 +392,18 @@ def translate_program(prog: fg.Program, hoist_helpers=False) -> Translation:
     tr.count("td-prog")
     if diags:
         return Translation(None, None, diags, tr.counts)
+    helpers = [(name, lam) for name, (lam, _p) in tr.helpers.items()] if tr.hoist else ()
+    return fold(typed, helpers, tr.counts)
+
+
+def fold(typed, helpers=(), rule_counts=None) -> Translation:
+    """The translation of a well-typed program whose declarations, then
+    `main`, have the typings `typed` (`Translator.typed`): the methods'
+    bindings, then `helpers` (hoisted helper bindings), then `main`'s code."""
     codes = [code for code, _r in typed if code is not None]
     main_type, main_code = codes.pop()
-    if tr.hoist:
-        codes.extend((name, lam) for name, (lam, _p) in tr.helpers.items())
-    return Translation(tl.TLProgram(tuple(codes), main_code), main_type, [], tr.counts,
-                       [r for _code, r in typed])
+    return Translation(tl.TLProgram(tuple(codes) + tuple(helpers), main_code), main_type, [],
+                       rule_counts or {}, typed)
 
 
 def require_translation(prog: fg.Program, **kw) -> Translation:

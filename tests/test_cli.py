@@ -48,7 +48,7 @@ def test_check_ok(capsys):
 
 def test_check_reports_diagnostics(tmp_path, capsys):
     f = tmp_path / "bad.fg"
-    f.write_text(BAD_FG4)
+    f.write_text(BAD_FG4, encoding="utf-8")
     assert cli_dispatch(["check", str(f)]) == EXIT_DIAGNOSTICS
     err = capsys.readouterr().err
     assert err.count("error:") == 1
@@ -58,7 +58,7 @@ def test_check_reports_diagnostics(tmp_path, capsys):
 def test_compile_writes_file(tmp_path, capsys):
     out = tmp_path / "eq.tl"
     assert cli_dispatch(["compile", EQ, "--ext", "-o", str(out)]) == EXIT_OK
-    text = out.read_text()
+    text = out.read_text(encoding="utf-8")
     assert text.startswith("let")
     assert "eq_Pair" in text
 
@@ -93,7 +93,7 @@ def test_run_tl_has_no_mode(tmp_path, capsys):
 
 def test_run_tl_reports_a_duplicate_binding_where_it_is(tmp_path, capsys):
     f = tmp_path / "dup.tl"
-    f.write_text("let\n  f = \\x -> x;\n  f = \\y -> y\nin\nf 1\n")
+    f.write_text("let\n  f = \\x -> x;\n  f = \\y -> y\nin\nf 1\n", encoding="utf-8")
     assert cli_dispatch(["run-tl", str(f)]) == EXIT_DIAGNOSTICS
     assert capsys.readouterr().err == \
         f"{f}:3:3: error: duplicate let binding f [dup-binding]\n"
@@ -107,7 +107,7 @@ def test_run_fg_trace(capsys):
 
 def test_run_fg_budget(tmp_path):
     f = tmp_path / "loop.fg"
-    f.write_text(LOOP)
+    f.write_text(LOOP, encoding="utf-8")
     assert cli_dispatch(["run-fg", str(f), "--steps", "10"]) == EXIT_BUDGET
 
 
@@ -130,7 +130,7 @@ def test_diff_both_stuck_exits_zero(capsys):
 
 def test_diff_budget_exit_code(tmp_path):
     f = tmp_path / "loop.fg"
-    f.write_text(LOOP)
+    f.write_text(LOOP, encoding="utf-8")
     assert cli_dispatch(["diff", str(f), "--steps", "10"]) == EXIT_BUDGET
 
 
@@ -147,7 +147,7 @@ def test_diff_reports_a_disagreement(tmp_path, capsys, monkeypatch):
     out = fg_interp.Value(fg.StructLit("B", ()), 0)
     monkeypatch.setattr(fg_interp, "fg_eval", lambda decls, e, fuel, trace=None: out)
     f = tmp_path / "pair.fg"
-    f.write_text(PAIR)
+    f.write_text(PAIR, encoding="utf-8")
     assert cli_dispatch(["diff", str(f)]) == EXIT_DISAGREE
     assert capsys.readouterr().out == \
         "disagree: values unrelated at type A (fg 0 steps, tl 0 steps)\n"
@@ -160,7 +160,7 @@ def test_diff_reports_the_stuck_side(tmp_path, capsys, monkeypatch):
     out = fg_interp.StuckOutcome(fg_interp.NO_METHOD, "no method m on A", 2)
     monkeypatch.setattr(fg_interp, "fg_eval", lambda decls, e, fuel, trace=None: out)
     f = tmp_path / "pair.fg"
-    f.write_text(PAIR)
+    f.write_text(PAIR, encoding="utf-8")
     detail = "FG side stuck (no-method: no method m on A), other side produced a value"
     assert cli_dispatch(["diff", str(f)]) == EXIT_DISAGREE
     assert capsys.readouterr().out == f"disagree: {detail} (fg 2 steps, tl 0 steps)\n"
@@ -181,7 +181,7 @@ def test_fuzz_keeps_failing_programs(tmp_path, capsys, monkeypatch):
         prog = gen_program(GenConfig(seed=7, mode=mode))
         [name] = os.listdir(keep)
         assert name == f"seed-7-{tag}{program_hash(prog)}.fg"
-        assert parse_program((keep / name).read_text(), mode=mode) == prog
+        assert parse_program((keep / name).read_text(encoding="utf-8"), mode=mode) == prog
 
 
 def test_fuzz_text_and_summary(capsys):
@@ -233,7 +233,7 @@ def test_method_with_many_parameters(tmp_path, capsys):
     f = tmp_path / "wide.fg"
     f.write_text("package main\ntype A struct {}\n"
                  f"func (this A) m({params}) A {{ return this }}\n"
-                 f"func main() {{ _ = A{{}}.m({args}) }}\n")
+                 f"func main() {{ _ = A{{}}.m({args}) }}\n", encoding="utf-8")
     assert cli_dispatch(["check", str(f)]) == EXIT_OK
     assert cli_dispatch(["diff", str(f)]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[-1] == \
@@ -243,7 +243,7 @@ def test_method_with_many_parameters(tmp_path, capsys):
 def test_run_tl_wide_tuple(tmp_path, capsys):
     text = "(" + ", ".join(["K_A"] * 40) + ")\n"
     f = tmp_path / "wide.tl"
-    f.write_text(text)
+    f.write_text(text, encoding="utf-8")
     assert cli_dispatch(["run-tl", str(f)]) == EXIT_OK
     assert capsys.readouterr().out == text
 
@@ -293,7 +293,7 @@ def _python(*args):
     """Run a fresh interpreter on `args` with the package on its path."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, encoding="utf-8", timeout=60)
 
 
 def test_run_as_module_is_quiet():

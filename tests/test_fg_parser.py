@@ -16,6 +16,7 @@ from fgdict.cli import EXIT_DIAGNOSTICS, EXIT_OK, cli_dispatch
 from fgdict.diagnostics import Diagnostic, FgError
 from fgdict.fg_parser import parse_expr, parse_program, print_expr, print_program
 from fgdict.gen import GenConfig, gen_program
+from fgdict.translate import translate_program
 
 
 def test_roundtrip_is_structural_identity():
@@ -347,6 +348,18 @@ def test_a_span_has_only_its_fields():
         span.nope
     assert not hasattr(span, "__setstate__")
     assert dataclasses.astuple(span) == ("<input>", 1, 2, 1, 2)
+
+
+def test_a_caught_type_error_works_out_no_span():
+    """`translate_program` catches one `FgError` per ill-typed node and
+    keeps its diagnostics; the error's message, which works out every
+    span, is formatted only when read."""
+    prog = parse_program("package main\ntype A struct {}\nfunc main() { _ = A{}.m() }\n")
+    diags = translate_program(prog).diagnostics
+    assert [d.code for d in diags] == ["unknown-method"]
+    assert all("_at" in vars(d.span) for d in diags)
+    assert str(FgError(diags)) == "; ".join(str(d) for d in diags)
+    assert str(FgError(diags[0])) == "<input>:3:22: error: no method m on A [unknown-method]"
 
 
 def test_a_node_made_without_a_text_is_at_the_start_of_input():

@@ -12,7 +12,7 @@ from fgdict.diagnostics import NOT_A_SUBTYPE, FgError
 from fgdict.fg_parser import parse_program, print_program
 from fgdict.gen import GenConfig, _candidates, gen_program, minimal_value, shrink
 from fgdict.relate import BOTH_STUCK, diff_run
-from fgdict.translate import Translator, method_env, translate_program
+from fgdict.translate import Translator, fold, method_env, translate_program
 
 # sha256 over the printed programs of `_stream_configs`, recorded before the
 # generator read subtyping from the declaration table.
@@ -167,6 +167,13 @@ def _relies_from_scratch(prog):
     return [_relies(prog.table, n) for n in prog.decls + (prog.main,)]
 
 
+def _with_reference_relies(prog):
+    """The translation of `prog` with each node's reliance set replaced by
+    the reference's."""
+    typed = translate_program(prog).typed
+    return fold([(code, r) for (code, _r), r in zip(typed, _relies_from_scratch(prog))])
+
+
 def test_translation_relies_match_the_reference():
     """`translate_program` types every node with one translator, which
     builds each helper once; the reliance sets it records must still be
@@ -227,7 +234,7 @@ def test_candidate_decisions_match_the_checker(shrink_runs):
                  for mode in (fg.CORE, fg.EXT) for seed in range(100)]
     checked = rejected = 0
     for prog in programs:
-        for cand, ok, _i in _candidates(prog, _relies_from_scratch(prog)):
+        for cand, ok in _candidates(prog, _with_reference_relies(prog)):
             assert ok == translate_program(cand).ok, print_program(cand)
             checked += 1
             rejected += not ok
@@ -272,10 +279,10 @@ def test_shrink_keeps_the_reliance_sets(shrink_runs, monkeypatch):
     equal the current program's, computed from scratch."""
     restarts = []
 
-    def candidates(prog, relies):
-        assert relies == _relies_from_scratch(prog), print_program(prog)
+    def candidates(prog, res):
+        assert res.relies == _relies_from_scratch(prog), print_program(prog)
         restarts.append(prog)
-        return _candidates(prog, relies)
+        return _candidates(prog, res)
 
     monkeypatch.setattr(gen, "_candidates", candidates)
     for path, out in shrink_runs:
@@ -351,6 +358,7 @@ def test_candidates_carry_the_translation_of_a_full_check(shrink_runs):
             carried = cand.translation
             assert carried.tl_program == full.tl_program, print_program(cand)
             assert carried.main_type == full.main_type, print_program(cand)
+            assert carried.relies == full.relies, print_program(cand)
             checked += 1
             return failing(cand)
         return check
@@ -466,11 +474,11 @@ def test_a_removal_retranslates_only_the_downcasts_it_changes():
     res = translate_program(prog)
     parent = dict(res.tl_program.bindings)
     removed = {}
-    for cand, ok, i in _candidates(prog, res.relies):
+    for i, (cand, ok) in enumerate(_candidates(prog, res)):
         if not ok or len(cand.decls) == len(prog.decls):
             continue
         d = prog.decls[i]
-        carried = gen._translated(prog, res, cand, i).translation
+        carried = gen._removed(prog, res, i).translation
         full = translate_program(cand)
         assert (carried.tl_program, carried.main_type) == (full.tl_program, full.main_type)
         changed = cand.table.implementers != {
@@ -498,21 +506,21 @@ def test_shrink_types_each_node_once(shrink_runs, monkeypatch):
     runs = [(path[0], _same_reason(path[0]), out) for path, out in shrink_runs]
     typed, retyped = [], []
     infer = Translator.infer_expr
-    translated = gen._translated
+    removal = gen._removed
 
     def counting(self, env, e):
         typed.append(e)
         return infer(self, env, e)
 
-    def removing(prog, res, cand, i):
+    def removing(prog, res, i):
         start = len(typed)
-        out = translated(prog, res, cand, i)
+        out = removal(prog, res, i)
         retyped.extend(typed[start:])
         del typed[start:]
         return out
 
     monkeypatch.setattr(Translator, "infer_expr", counting)
-    monkeypatch.setattr(gen, "_translated", removing)
+    monkeypatch.setattr(gen, "_removed", removing)
     for prog, failing, out in runs:
         start = len(typed)
         accepted = []  # (new body or `main`, typings before it was accepted)

@@ -95,7 +95,7 @@ def test_user_method_named_like_a_helper():
 
 def test_diff_rejects_ill_formed_program(tmp_path, capsys):
     f = tmp_path / "dup.fg"
-    f.write_text(DUP_FIELD)
+    f.write_text(DUP_FIELD, encoding="utf-8")
     code, out, err = _run(capsys, "diff", str(f))
     assert code == EXIT_DIAGNOSTICS
     assert out == ""
@@ -106,11 +106,11 @@ def test_diff_rejects_ill_formed_program(tmp_path, capsys):
                          ids=["tl-lookalikes", "param-lookalike"])
 def test_compiled_program_reloads_to_the_related_value(src, tmp_path, capsys):
     f, out_tl = tmp_path / "p.fg", tmp_path / "p.tl"
-    f.write_text(src)
+    f.write_text(src, encoding="utf-8")
     verdict = diff_run(parse_program(src))
     assert verdict.kind == AGREE
     assert _run(capsys, "compile", str(f), "-o", str(out_tl))[0] == EXIT_OK
-    loaded = tl.parse_program(out_tl.read_text())
+    loaded = tl.parse_program(out_tl.read_text(encoding="utf-8"))
     assert tl.validate_program(loaded) == []
     code, out, _err = _run(capsys, "run-tl", str(out_tl))
     assert code == EXIT_OK

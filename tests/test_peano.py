@@ -72,7 +72,7 @@ def test_deep_value_is_not_a_budget_verdict():
 
 def test_diff_prints_a_value_deeper_than_the_recursion_limit(tmp_path, capsys):
     f = tmp_path / "mul100.fg"
-    f.write_text(NAT % f"{numeral(100)}.mul({numeral(100)})")
+    f.write_text(NAT % f"{numeral(100)}.mul({numeral(100)})", encoding="utf-8")
     assert cli_dispatch(["diff", str(f)]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("agree: S{S{")
@@ -81,7 +81,7 @@ def test_diff_prints_a_value_deeper_than_the_recursion_limit(tmp_path, capsys):
 
 def test_run_tl_prints_a_value_deeper_than_the_recursion_limit(tmp_path, capsys):
     f, out = tmp_path / "mul100.fg", tmp_path / "mul100.tl"
-    f.write_text(NAT % f"{numeral(100)}.mul({numeral(100)})")
+    f.write_text(NAT % f"{numeral(100)}.mul({numeral(100)})", encoding="utf-8")
     assert cli_dispatch(["compile", str(f), "-o", str(out)]) == EXIT_OK
     assert cli_dispatch(["run-tl", str(out)]) == EXIT_OK
     assert capsys.readouterr().out == "K_Nat (K_S (" * 10000 + \
@@ -90,7 +90,7 @@ def test_run_tl_prints_a_value_deeper_than_the_recursion_limit(tmp_path, capsys)
 
 def test_relation_fuel_deeper_than_the_recursion_limit(tmp_path, capsys):
     f = tmp_path / "mul100.fg"
-    f.write_text(NAT % f"{numeral(100)}.mul({numeral(100)})")
+    f.write_text(NAT % f"{numeral(100)}.mul({numeral(100)})", encoding="utf-8")
     assert cli_dispatch(["diff", str(f), "--rel-fuel", "5000"]) == EXIT_OK
     assert capsys.readouterr().out.startswith("agree: S{S{")
 
@@ -145,7 +145,8 @@ def test_deep_numeral_at_the_default_recursion_limit(tmp_path):
     n = 20000
     fg_file = tmp_path / "deep.fg"
     fg_file.write_text((NAT % numeral(n)).replace(
-        "func main", f"func (this Z) deep() Nat {{ return {numeral(2000)} }}\nfunc main"))
+        "func main", f"func (this Z) deep() Nat {{ return {numeral(2000)} }}\nfunc main"),
+        encoding="utf-8")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     start = time.monotonic()

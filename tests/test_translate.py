@@ -323,8 +323,8 @@ def _translation_programs():
             prog = gen_program(GenConfig(seed=seed, mode=mode))
             yield f"gen-{mode}-{seed}", prog
             if seed < 100:
-                relies = translate_program(prog).relies
-                for i, (cand, _ok, _j) in enumerate(_candidates(prog, relies)):
+                res = translate_program(prog)
+                for i, (cand, _ok) in enumerate(_candidates(prog, res)):
                     yield f"gen-{mode}-{seed}-cand{i}", cand
 
 
