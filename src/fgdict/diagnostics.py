@@ -7,12 +7,12 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from itertools import accumulate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a `record`: a lazy span keeps its fields in __dict__
 class SourceSpan:
     """Where a token is in a file: its offsets and the line and column of
     its first character.  `TokenReader.span` makes one that holds only its
@@ -51,6 +51,30 @@ class SourceSpan:
 
 _SPAN_FIELDS = tuple(f.name for f in fields(SourceSpan))
 
+
+def record(cls):
+    """`cls` as a frozen, slotted dataclass whose `__init__` stores each
+    field through its slot's member descriptor.  The `__init__` a frozen
+    dataclass makes goes through `object.__setattr__` once per field, which
+    costs nearly twice as much; equality, hashing, repr, `replace`, pickling
+    and the `FrozenInstanceError` on assignment stay the dataclass's own.
+    A class with a `__post_init__` or a `default_factory` field is refused,
+    since this `__init__` would skip them."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    fs = fields(cls)
+    if hasattr(cls, "__post_init__") or any(f.default_factory is not MISSING for f in fs):
+        raise TypeError(f"record {cls.__name__} may have no __post_init__ or default_factory")
+    ns = {f"_set_{f.name}": getattr(cls, f.name).__set__ for f in fs}
+    ns.update((f"_default_{f.name}", f.default) for f in fs if f.default is not MISSING)
+    params = ", ".join(f.name if f.default is MISSING else f"{f.name}=_default_{f.name}"
+                       for f in fs)
+    body = "".join(f"\n    _set_{f.name}(self, {f.name})" for f in fs)
+    exec(f"def __init__(self, {params}):{body}", ns)
+    cls.__init__ = ns["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
 # The span of a node or diagnostic that no source text gave a place.
 NO_SPAN = SourceSpan("<input>", 0, 0, 1, 1)
 
@@ -76,7 +100,7 @@ PRIM_OP_TYPE = "prim-op-type"
 DUP_BINDING = "dup-binding"
 
 
-@dataclass(frozen=True)
+@record
 class Diagnostic:
     code: str
     message: str

@@ -26,6 +26,7 @@ from .diagnostics import (
     NO_SPAN,
     SourceSpan,
     rebuild,
+    record,
 )
 
 CORE = "core"
@@ -52,7 +53,7 @@ def _span_field():
 # Declarations
 
 
-@dataclass(frozen=True)
+@record
 class MethodSig:
     """Parameter list (name, type) pairs plus return type."""
 
@@ -64,7 +65,7 @@ class MethodSig:
         return tuple(t for _, t in self.params)
 
 
-@dataclass(frozen=True)
+@record
 class MethodSpec:
     name: str
     sig: MethodSig
@@ -75,7 +76,7 @@ class MethodSpec:
         return (self.name, self.sig.param_types, self.sig.ret)
 
 
-@dataclass(frozen=True)
+@record
 class StructType:
     """Struct type literal: ordered (field name, type) pairs."""
 
@@ -86,21 +87,21 @@ class StructType:
         return tuple(f for f, _ in self.fields)
 
 
-@dataclass(frozen=True)
+@record
 class InterfaceType:
     """Interface type literal: method specs in declaration order."""
 
     specs: tuple
 
 
-@dataclass(frozen=True)
+@record
 class TypeDecl:
     name: str
     literal: object  # StructType | InterfaceType
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@record
 class MethodDecl:
     recv_var: str
     recv_type: str
@@ -117,27 +118,27 @@ class MethodDecl:
 # Expressions
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@record
 class StructLit:
     type_name: str
     args: tuple
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@record
 class Select:
     recv: object
     fld: str
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     recv: object
     method: str
@@ -145,26 +146,26 @@ class Call:
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@record
 class Assert:
     expr: object
     type_name: str
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@record
 class IntLit:
     value: int
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@record
 class BoolLit:
     value: bool
     span: SourceSpan = _span_field()
 
 
-@dataclass(frozen=True)
+@record
 class BinOp:
     op: str
     left: object
@@ -224,7 +225,7 @@ def subst(e, env):
     return rebuild(e, children, build)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a `record`: its cached `table` lives in __dict__
 class Program:
     decls: tuple
     main: object

@@ -21,7 +21,7 @@ from .translate import Translation, Translator, fold, method_env, translate_prog
 ASSERT_PROBABILITY = 0.3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a `record`: __post_init__ validates the bounds
 class GenConfig:
     seed: int = 0
     max_structs: int = 4

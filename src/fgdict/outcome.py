@@ -16,30 +16,30 @@ would have produced at that point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .diagnostics import record
 
 BAD_PRIM = "bad-prim"
 
 
-@dataclass(frozen=True)
+@record
 class Value:
     value: object
     steps: int
 
 
-@dataclass(frozen=True)
+@record
 class StuckOutcome:
     reason: str
     detail: str
     steps: int
 
 
-@dataclass(frozen=True)
+@record
 class OutOfFuel:
     steps: int
 
 
-@dataclass(frozen=True)
+@record
 class Stepped:
     expr: object
     rule: str

@@ -16,12 +16,12 @@ The relation checker decides relatedness of final values:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from . import fg_ast as fg
 from . import fg_interp
 from . import tl_ast as tl
 from . import tl_interp
+from .diagnostics import record
 from .fg_parser import print_program as print_fg
 from .outcome import OutOfFuel, StuckOutcome
 # translate_program is bound here for bench/tracing.py, which wraps it where
@@ -126,7 +126,7 @@ def _same_term(a, b) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@record
 class Verdict:
     kind: str  # agree | both-stuck | disagree | budget
     main_type: str = None

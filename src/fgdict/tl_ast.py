@@ -24,80 +24,78 @@ start with a letter, so a prefixed name never meets a fresh variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagnostics import (
     DUP_BINDING, EOF, PREC, PREC_CMP, Diagnostic, FgError, TokenReader, lexicon, push_items,
-    rebuild,
+    rebuild, record,
 )
 
 _TL_KEYWORDS = {"let", "in", "case", "of", "true", "false"}
 
 
-@dataclass(frozen=True)
+@record
 class TLVar:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class MethodVar:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class CtorApp:
     ctor: str
     args: tuple
 
 
-@dataclass(frozen=True)
+@record
 class Lam:
     var: str
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class App:
     fn: object
     arg: object
 
 
-@dataclass(frozen=True)
+@record
 class Pattern:
     ctor: str
     vars: tuple
 
 
-@dataclass(frozen=True)
+@record
 class Clause:
     pat: Pattern
     body: object
 
 
-@dataclass(frozen=True)
+@record
 class Case:
     scrut: object
     clauses: tuple
 
 
-@dataclass(frozen=True)
+@record
 class TLInt:
     value: int
 
 
-@dataclass(frozen=True)
+@record
 class TLBool:
     value: bool
 
 
-@dataclass(frozen=True)
+@record
 class TLPrim:
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
+@record
 class TLProgram:
     bindings: tuple  # ordered (name, Lam) pairs
     main: object

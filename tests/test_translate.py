@@ -10,7 +10,8 @@ import pytest
 from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
 from fgdict.fg_parser import parse_program
 from fgdict.gen import GenConfig, _candidates, gen_program
-from fgdict.relate import AGREE, BOTH_STUCK, diff_run
+from fgdict.outcome import Value
+from fgdict.relate import AGREE, BOTH_STUCK, DEFAULT_EVAL_FUEL, diff_run
 from fgdict.tl_ast import downcast_name, method_var_name, upcast_name
 from fgdict.translate import Translator, require_translation, translate_program
 
@@ -123,6 +124,27 @@ def test_helpers_are_built_once_per_program(equality):
         uses = inline.rule_counts.get("td-sub", 0) + inline.rule_counts.get("td-assert", 0)
         reused += uses > helpers
     assert reused > 0  # some program uses a helper more than once
+
+
+def test_hoisted_translation_runs_as_the_inline_one():
+    """On generated programs, the program with hoisted helpers ends as the
+    inline one does: the same outcome kind, and the same printed value or
+    stuck reason.  How their step counts relate is not stated yet."""
+    kinds = set()
+    for mode in (fg.CORE, fg.EXT):
+        for seed in range(300):
+            prog = gen_program(GenConfig(seed=seed, mode=mode))
+            inline, hoisted = (
+                tl_interp.run_program(translate_program(prog, hoist_helpers=h).tl_program,
+                                      DEFAULT_EVAL_FUEL)
+                for h in (False, True))
+            assert type(inline) is type(hoisted), (mode, seed)
+            if type(inline) is Value:
+                assert tl.print_expr(inline.value) == tl.print_expr(hoisted.value), (mode, seed)
+            else:
+                assert inline.reason == hoisted.reason, (mode, seed)
+            kinds.add(type(inline).__name__)
+    assert kinds == {"Value", "StuckOutcome"}
 
 
 def test_translation_is_deterministic(equality):
