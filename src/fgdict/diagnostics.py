@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from functools import cached_property
 from itertools import accumulate
 
@@ -52,15 +52,30 @@ class SourceSpan:
 _SPAN_FIELDS = tuple(f.name for f in fields(SourceSpan))
 
 
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
 def record(cls):
     """`cls` as a frozen, slotted dataclass whose `__init__` stores each
     field through its slot's member descriptor.  The `__init__` a frozen
     dataclass makes goes through `object.__setattr__` once per field, which
-    costs nearly twice as much; equality, hashing, repr, `replace`, pickling
-    and the `FrozenInstanceError` on assignment stay the dataclass's own.
-    A class with a `__post_init__` or a `default_factory` field is refused,
-    since this `__init__` would skip them."""
+    costs nearly twice as much; equality, hashing, repr, `replace` and
+    pickling stay the dataclass's own.  Assigning or deleting any attribute
+    raises `FrozenInstanceError` from a `__setattr__` and `__delattr__` of
+    record's own: the dataclass's refer to the class that `slots=True`
+    replaces, which would keep it alive.  A class with a `__post_init__` or
+    a `default_factory` field is refused, since this `__init__` would skip
+    them."""
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    if "__weakref__" in cls.__dict__:  # 3.10 copies in that class's descriptor
+        del cls.__weakref__
     fs = fields(cls)
     if hasattr(cls, "__post_init__") or any(f.default_factory is not MISSING for f in fs):
         raise TypeError(f"record {cls.__name__} may have no __post_init__ or default_factory")

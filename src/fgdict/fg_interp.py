@@ -9,18 +9,22 @@ receiver, then call arguments left to right.
 
 The machine holds a control expression, an environment binding the
 enclosing method's receiver and parameters, and the evaluation context as
-an explicit stack of frames, one shape for every node: the node, its
-environment, its subexpressions and the values of those evaluated so far.
-A method call binds its receiver and arguments in a fresh environment
-instead of substituting them into the body, so a value, once built, is
-never walked again.  `fg_step` and traces plug the stack back into the term
-the substitution semantics shows.
+an explicit stack of frames over one shared list of values.  A frame is
+(node, environment, base): `base` is the length of the value list when the
+frame is pushed, so its values are those from `base` up to the next
+frame's.  The machine reads a node's subexpressions by its type, in
+`children` order; a field selection or assertion keeps no values, and a
+call with no arguments fires as soon as its receiver returns.  A method
+call binds its receiver and arguments in a fresh environment instead of
+substituting them into the body, so a value, once built, is never walked
+again.  `fg_step` and traces plug the stack back, through `fg_ast.children`
+and `fg_ast.remake`, into the term the substitution semantics shows.
 """
 
 from __future__ import annotations
 
 from . import fg_ast as fg
-from .fg_ast import Assert, BoolLit, Call, IntLit, Select, StructLit, Var
+from .fg_ast import Assert, BinOp, BoolLit, Call, IntLit, Select, StructLit, Var
 from .fg_parser import print_expr
 from .outcome import (  # noqa: F401  (re-exported outcome vocabulary)
     BAD_PRIM, OutOfFuel, Stepped, StuckOutcome, Value,
@@ -45,7 +49,8 @@ def value_type(v) -> str:
 
 def _run(decls, e, fuel, on_step):
     methods = decls.method_decls
-    stack = []  # frames [node, env, subexpressions, values so far]
+    stack = []  # frames (node, env, base)
+    vals = []  # each frame's values, from its base up to the next frame's
     push, pop = stack.append, stack.pop
     steps = 0
     c, env = e, {}
@@ -54,35 +59,40 @@ def _run(decls, e, fuel, on_step):
             # Descend to the next subterm in evaluation order, until it is
             # a value v.
             while True:
-                if type(c) is Var:
+                t = type(c)
+                if t is Var:
                     v = env.get(c.name)
                     if v is None:
                         raise _Stuck(FREE_VAR, f"free variable {c.name}")
                     break
-                try:
-                    subs = fg.children(c)
-                except TypeError:
-                    raise _Stuck(BAD_PRIM, f"cannot reduce {c!r}") from None
-                if not subs:  # a literal or a struct value with no fields
+                if t is Call or t is Select:
+                    push((c, env, len(vals)))
+                    c = c.recv
+                elif t is StructLit:
+                    if not c.args:
+                        v = c
+                        break
+                    push((c, env, len(vals)))
+                    c = c.args[0]
+                elif t is Assert:
+                    push((c, env, len(vals)))
+                    c = c.expr
+                elif t is BinOp:
+                    push((c, env, len(vals)))
+                    c = c.left
+                elif t is IntLit or t is BoolLit:
                     v = c
                     break
-                push([c, env, subs, []])
-                c = subs[0]
+                else:
+                    raise _Stuck(BAD_PRIM, f"cannot reduce {c!r}")
             # Return v to the innermost frame; once it has every value, fire
             # its axiom or build its struct value.
             while stack:
-                node, fenv, subs, done = stack[-1]
-                done.append(v)
-                if len(done) < len(subs):
-                    c, env = subs[len(done)], fenv
-                    break
-                pop()
+                node, fenv, base = stack[-1]
                 t = type(node)
-                if t is StructLit:
-                    v = StructLit(node.type_name, tuple(done), span=node.span)
-                    continue
                 if t is Select:
-                    if not isinstance(v, StructLit):
+                    pop()
+                    if type(v) is not StructLit:
                         raise _Stuck(BAD_FIELD, f"selecting {node.fld} from non-struct value")
                     i = decls.field_index.get(v.type_name, {}).get(node.fld)
                     if i is None:
@@ -90,23 +100,56 @@ def _run(decls, e, fuel, on_step):
                     v = v.args[i]
                     rule = "fg-field"
                 elif t is Call:
-                    c, env = _call(methods, node, done[0], tuple(done[1:]))
+                    n = len(vals) - base  # the receiver and arguments so far
+                    args = node.args
+                    if n < len(args):
+                        vals.append(v)
+                        c, env = args[n], fenv
+                        break
+                    pop()
+                    if n:
+                        recv, args = vals[base], (*vals[base + 1:], v)
+                        del vals[base:]
+                    else:
+                        recv, args = v, ()
+                    c, env = _call(methods, node, recv, args)
                     v = None
                     rule = "fg-call"
+                elif t is StructLit:
+                    n = len(vals) - base + 1
+                    args = node.args
+                    if n < len(args):
+                        vals.append(v)
+                        c, env = args[n], fenv
+                        break
+                    pop()
+                    if n > 1:
+                        vals.append(v)
+                        v = StructLit(node.type_name, tuple(vals[base:]), span=node.span)
+                        del vals[base:]
+                    else:
+                        v = StructLit(node.type_name, (v,), span=node.span)
+                    continue
                 elif t is Assert:
+                    pop()
                     t_dyn = value_type(v)
                     if not fg.is_subtype(decls, t_dyn, node.type_name):
                         raise _Stuck(ASSERT_FAILURE,
                                      f"{t_dyn} does not conform to {node.type_name}")
                     rule = "fg-assert"
+                elif len(vals) == base:
+                    vals.append(v)
+                    c, env = node.right, fenv
+                    break
                 else:
-                    v = prim(node.op, done[0], v, IntLit, BoolLit)
+                    pop()
+                    v = prim(node.op, vals.pop(), v, IntLit, BoolLit)
                     rule = "fg-prim"
                 if steps >= fuel:
                     return OutOfFuel(steps)
                 steps += 1
                 if on_step is not None:
-                    on_step(steps, rule, (v, c, env, stack))
+                    on_step(steps, rule, (v, c, env, stack, vals))
                 if v is None:
                     break
             else:
@@ -133,19 +176,18 @@ def _call(methods, node, recv, args):
 
 
 def _plug(state):
-    """The term a machine state stands for."""
-    v, c, env, stack = state
+    """The term a machine state stands for: each frame's node with the term
+    so far in the hole, its values before it and the rest of its
+    subexpressions, under the frame's environment, after."""
+    v, c, env, stack, vals = state
     e = v if v is not None else fg.subst(c, env)
-    for f in reversed(stack):
-        e = _plug_frame(f, e)
+    end = len(vals)
+    for node, env, base in reversed(stack):
+        done = vals[base:end]
+        end = base
+        rest = fg.children(node)[len(done) + 1:]
+        e = fg.remake(node, [*done, e, *(fg.subst(s, env) for s in rest)])
     return e
-
-
-def _plug_frame(f, e):
-    """The node of frame `f` with `e` in the hole: the values before it, the
-    rest of its subexpressions under the frame's environment after."""
-    node, env, subs, done = f
-    return fg.remake(node, [*done, e, *(fg.subst(s, env) for s in subs[len(done) + 1:])])
 
 
 def fg_step(decls: fg.Decls, e):

@@ -9,15 +9,19 @@ method variable is the value of the function expression.
 
 The machine holds a control term, an environment of lambda- and
 pattern-bound variables, and the evaluation context as an explicit stack of
-frames, one shape for every node, as in the FG machine: the node, its
-environment and the values of its subterms evaluated so far.  Lambdas
-evaluate to closures; a free variable is a value.  Closures are read back
-to terms only for the final value, stuck details, `tl_step` and traces,
-each by one simultaneous substitution of its environment (`tl_ast.subst`),
-and frames are plugged back with `tl_ast.remake`.  Binding is lexical, so
-the machine and the substitution semantics differ only where a value
-carrying a free variable is substituted under a binder of that name, which
-a closed program never does.
+frames: the node, its environment and the values of its subterms evaluated
+so far (`()` for a case, which fires on its scrutinee's value).  An atom (a
+variable, a method variable, a literal, a nullary constructor or a lambda)
+is evaluated where it stands, with no frame: an application of a
+closure-valued atom to an atom and a case on a variable fire at once, and a
+constructor's frame starts with the values of its leading atoms.  A lambda
+evaluates to a closure, the pair (lambda, environment); a free variable is a
+value.  Closures are read back to terms only for the final value, stuck
+details, `tl_step` and traces, each by one simultaneous substitution of its
+environment (`tl_ast.subst`), and frames are plugged back with
+`tl_ast.remake`.  Binding is lexical, so the machine and the substitution
+semantics differ only where a value carrying a free variable is substituted
+under a binder of that name, which a closed program never does.
 """
 
 from __future__ import annotations
@@ -35,54 +39,97 @@ UNBOUND_METHOD = "unbound-method"
 NON_FUNCTION = "non-function-application"
 
 
-class _Closure:
-    """A term and the environment it closes over: the value of a lambda,
-    and, for read-back, any term the machine holds with its environment."""
-
-    __slots__ = ("term", "env")
-
-    def __init__(self, term, env):
-        self.term = term
-        self.env = env
+def _atom(e, env):
+    """The value of `e` under `env` if `e` is an atom, else None.  The
+    machine's descent reads a variable or lambda in control, an
+    application's function and a case's scrutinee without it, which
+    measured faster."""
+    t = type(e)
+    if t is TLVar:
+        return env.get(e.name, e)
+    if t is Lam:
+        return (e, env)
+    if t is MethodVar or t is TLInt or t is TLBool or (t is CtorApp and not e.args):
+        return e
+    return None
 
 
 def _run(mu, e, fuel, on_step):
-    stack = []  # frames [node, env, values so far]
+    stack = []  # frames (node, env, values so far: a list, or () for a case)
     push, pop = stack.append, stack.pop
     steps = 0
     c, env = e, {}
     try:
         while True:
             # Descend to the next subterm in evaluation order, until it is
-            # a value v.
+            # a value v, or fire in place an axiom whose operands are atoms.
             while True:
                 t = type(c)
                 if t is App:
-                    push((c, env, []))
-                    c = c.fn
+                    f = c.fn
+                    ft = type(f)
+                    if ft is TLVar:
+                        f = env.get(f.name, f)
+                    elif ft is Lam:
+                        f = (f, env)
+                    elif ft is not MethodVar:
+                        push((c, env, []))
+                        c = f
+                        continue
+                    if type(f) is MethodVar:
+                        push((c, env, []))
+                        v = f
+                        break
+                    a = _atom(c.arg, env) if type(f) is tuple else None
+                    if a is None:
+                        push((c, env, [f]))
+                        c = c.arg
+                        continue
+                    lam, env = f
+                    c, env = lam.body, {**env, lam.var: a}
+                    rule = "tl-lambda"
+                elif t is Case:
+                    s = c.scrut
+                    if type(s) is not TLVar:
+                        push((c, env, ()))
+                        c = c.scrut
+                        continue
+                    c, env = _match(c, env, env.get(s.name, s))
+                    rule = "tl-case"
+                elif t is CtorApp:
+                    args = c.args
+                    done = []
+                    for a in args:
+                        x = _atom(a, env)
+                        if x is None:
+                            break
+                        done.append(x)
+                    else:
+                        v = CtorApp(c.ctor, tuple(done)) if done else c
+                        break
+                    push((c, env, done))
+                    c = args[len(done)]
+                    continue
                 elif t is TLVar:
                     v = env.get(c.name, c)
                     break
-                elif t is Case:
-                    push((c, env, []))
-                    c = c.scrut
                 elif t is Lam:
-                    v = _Closure(c, env)
-                    break
-                elif t is CtorApp:
-                    if not c.args:
-                        v = c
-                        break
-                    push((c, env, []))
-                    c = c.args[0]
-                elif t is MethodVar or t is TLInt or t is TLBool:
-                    v = c
+                    v = (c, env)
                     break
                 elif t is TLPrim:
                     push((c, env, []))
                     c = c.left
+                    continue
                 else:
-                    raise TypeError(f"not a TL expression: {c!r}")
+                    v = _atom(c, env)
+                    if v is None:
+                        raise TypeError(f"not a TL expression: {c!r}")
+                    break
+                if steps >= fuel:
+                    return OutOfFuel(steps)
+                steps += 1
+                if on_step is not None:
+                    on_step(steps, rule, (None, c, env, stack))
             # Return v to the innermost frame; once it has the values its
             # axiom needs, fire the axiom or build the constructor value.
             while stack:
@@ -92,11 +139,11 @@ def _run(mu, e, fuel, on_step):
                     if done:
                         pop()
                         fn = done[0]
-                        if type(fn) is not _Closure:
+                        if type(fn) is not tuple:
                             raise _Stuck(NON_FUNCTION,
                                          f"applying non-function {tl.print_expr(_value_term(fn))}")
-                        lam = fn.term
-                        c, env, v = lam.body, {**fn.env, lam.var: v}, None
+                        lam, env = fn
+                        c, env, v = lam.body, {**env, lam.var: v}, None
                         rule = "tl-lambda"
                     elif type(v) is not MethodVar:
                         done.append(v)
@@ -154,6 +201,8 @@ def _match(node, env, v):
                 raise _Stuck(MATCH_FAILURE, f"pattern arity mismatch for {v.ctor}")
             if not names:
                 return c.body, env
+            if len(names) == 1:
+                return c.body, {**env, names[0]: v.args[0]}
             # As with substituting one by one, a repeated pattern variable
             # is bound by its first occurrence.
             env = dict(env)
@@ -170,7 +219,7 @@ def _value_term(v):
     todo = [v]
     while todo:
         w = todo.pop()
-        if type(w) is _Closure:
+        if type(w) is tuple:
             break
         if type(w) is CtorApp:
             todo += w.args
@@ -181,23 +230,19 @@ def _value_term(v):
         t = type(w)
         if t is CtorApp:
             return w.args
-        if t is _Closure:
-            return tuple(w.env.values())
+        if t is tuple:
+            return tuple(w[1].values())
         return None
 
     def build(w, subs):
         if type(w) is CtorApp:
             return CtorApp(w.ctor, tuple(subs)) if subs else w
-        if type(w) is _Closure:
-            return tl.subst(w.term, dict(zip(w.env, subs)))
+        if type(w) is tuple:
+            term, env = w
+            return tl.subst(term, dict(zip(env, subs)))
         return w
 
     return rebuild(v, children, build)
-
-
-def _term(e, env):
-    """The term `e` stands for under the machine environment `env`."""
-    return _value_term(_Closure(e, env))
 
 
 def _plug(state):
@@ -205,11 +250,11 @@ def _plug(state):
     so far in the hole, the values before it and the rest of its subterms,
     under the frame's environment, after."""
     v, c, env, stack = state
-    e = _value_term(v) if v is not None else _term(c, env)
+    e = _value_term(v if v is not None else (c, env))
     for node, env, done in reversed(stack):
         rest = tl.children(node)[len(done) + 1:]
         e = tl.remake(node, [*map(_value_term, done), e, *(
-            _term(s, {x: w for x, w in env.items() if x not in xs}) for s, xs in rest)])
+            _value_term((s, {x: w for x, w in env.items() if x not in xs})) for s, xs in rest)])
     return e
 
 

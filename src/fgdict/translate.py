@@ -73,6 +73,7 @@ class Translator:
         self.hoist = hoist_helpers
         self.counts = {}
         self.helpers = {}  # name -> (Lam, the pairs it relies on), in order of first use
+        self.upcasts = {}  # (have, want) -> (upcast code, the pairs it relies on)
         self.fresh = _fresh()
         # What the node being typed relies on, recorded at each use: removing
         # any one of these declarations makes its code ill-typed.  A struct
@@ -251,34 +252,43 @@ class Translator:
         return e.type_name, tl.App(self.build_downcast(t_expr, e.type_name), code)
 
     def coerce_to(self, have, want, code, span, diag_code):
-        """The single place where subsumption applies."""
-        decls = self.decls
+        """The single place where subsumption applies.  Each (have, want)
+        pair is checked, and its upcast looked up, once per translator."""
         if have == want:
             return code
-        if decls.kind(want) == "interface" and fg.is_subtype(decls, have, want):
+        upcast = self.upcasts.get((have, want))
+        if upcast is None:
+            decls = self.decls
+            if decls.kind(want) != "interface" or not fg.is_subtype(decls, have, want):
+                raise FgError(Diagnostic(
+                    diag_code, f"{have} is not a subtype of {want}", span))
+            self.count("td-sub")  # before the rule that builds the helper
+            upcast = self.upcasts[have, want] = self._helper(
+                tl.upcast_name(have, want), self._upcast, have, want)
+        else:
             self.count("td-sub")
-            return tl.App(self.build_upcast(have, want), code)
-        raise FgError(Diagnostic(
-            diag_code, f"{have} is not a subtype of {want}", span))
+            self.uses.update(upcast[1])
+        return tl.App(upcast[0], code)
 
     # -- interface-value constructors and destructors ----------------------
 
     def _helper(self, name, build, *args):
-        """The helper `name`: its binding when hoisting, else its lambda.
+        """The code for helper `name`, its binding when hoisting, else its
+        lambda, and the (struct, method) pairs it relies on.
         `build(fresh, *args)` builds it once, with its own fresh-variable
-        supply, and gives the lambda and the (struct, method) pairs it relies
-        on; every use adds those pairs to `uses`."""
+        supply, and gives the lambda and those pairs; every use adds them to
+        `uses`."""
         helper = self.helpers.get(name)
         if helper is None:
             helper = self.helpers[name] = build(_fresh(), *args)
         self.uses.update(helper[1])
-        return tl.MethodVar(name) if self.hoist else helper[0]
+        return tl.MethodVar(name) if self.hoist else helper[0], helper[1]
 
     def build_upcast(self, t, u_i):
-        return self._helper(tl.upcast_name(t, u_i), self._upcast, t, u_i)
+        return self._helper(tl.upcast_name(t, u_i), self._upcast, t, u_i)[0]
 
     def build_downcast(self, t_i, u):
-        return self._helper(tl.downcast_name(t_i, u), self._downcast, t_i, u)
+        return self._helper(tl.downcast_name(t_i, u), self._downcast, t_i, u)[0]
 
     def _upcast(self, fresh, t, u_i):
         decls = self.decls
