@@ -12,13 +12,16 @@ from functools import cached_property
 from itertools import accumulate
 
 
-@dataclass(frozen=True)  # not a `record`: a lazy span keeps its fields in __dict__
+@dataclass(frozen=True)  # not a `record`: a lazy span fills its slots on first read
 class SourceSpan:
     """Where a token is in a file: its offsets and the line and column of
-    its first character.  `TokenReader.span` makes one that holds only its
-    reader and token index and works the fields out when one is first read;
-    so the fields have no class-level defaults, which would be read
-    instead."""
+    its first character.  `TokenReader.span` makes one that fills only its
+    `_at` slot, with its reader and token index; when a field is first read,
+    `__getattr__` works out all five, fills their slots and clears `_at`.
+    So the fields have no class-level defaults, which would be read instead,
+    and copies and pickles are made from the fields (`__reduce__`)."""
+
+    __slots__ = ("file", "start", "end", "line", "column", "_at")
 
     file: str
     start: int
@@ -31,25 +34,26 @@ class SourceSpan:
             raise ValueError("span start must not exceed end")
 
     def __getattr__(self, name):
-        # Reached only for an attribute the span does not hold: a field of
-        # a span not yet worked out, or a name no span has.
-        at = self.__dict__.get("_at")
-        if at is None or name not in _SPAN_FIELDS:
+        # Reached only for an empty slot or a name no span has: a field of a
+        # span not yet worked out reads `_at`, which only such a span holds.
+        if name not in _SPAN_FIELDS:
             raise AttributeError(f"'SourceSpan' object has no attribute {name!r}")
-        reader, i = at
-        self.__dict__.update(zip(_SPAN_FIELDS, reader.where(i)))
-        del self.__dict__["_at"]
-        return self.__dict__[name]
+        reader, i = self._at
+        for set_field, value in zip(_SET_FIELDS, reader.where(i)):
+            set_field(self, value)
+        _DEL_AT(self)
+        return getattr(self, name)
 
-    def __getstate__(self):
-        # Copies and pickles hold the fields, not the reader.
-        return {name: getattr(self, name) for name in _SPAN_FIELDS}
+    def __reduce__(self):
+        return SourceSpan, tuple([getattr(self, name) for name in _SPAN_FIELDS])
 
     def __str__(self):
         return f"{self.file}:{self.line}:{self.column}"
 
 
 _SPAN_FIELDS = tuple(f.name for f in fields(SourceSpan))
+_SET_FIELDS = tuple(getattr(SourceSpan, name).__set__ for name in _SPAN_FIELDS)
+_SET_AT, _DEL_AT = SourceSpan._at.__set__, SourceSpan._at.__delete__
 
 
 def _frozen_setattr(self, name, value):
@@ -241,7 +245,7 @@ class TokenReader:
         """The span of token `i`, worked out when a field of it is first
         read."""
         span = object.__new__(SourceSpan)
-        span.__dict__["_at"] = self, i
+        _SET_AT(span, (self, i))
         return span
 
     def where(self, i):

@@ -173,9 +173,6 @@ class BinOp:
     span: SourceSpan = _span_field()
 
 
-EXT_NODES = (IntLit, BoolLit, BinOp)
-
-
 def children(e):
     """The subexpressions of `e` in evaluation order: struct arguments left
     to right, then receiver, then call arguments left to right, and the
@@ -358,11 +355,6 @@ def is_subtype(decls: Decls, t: str, u: str) -> bool:
     return ok
 
 
-def method_lookup(decls: Decls, t_s: str, m: str) -> MethodDecl | None:
-    """The declaration of method m with receiver struct t_s, or None."""
-    return decls.method_decls.get((t_s, m))
-
-
 # ---------------------------------------------------------------------------
 # Well-formedness
 
@@ -448,14 +440,34 @@ def check_wellformed(prog: Program):
                 f"recursive struct declaration involving {', '.join(cycles[name])}",
                 table.types[name].span))
 
-    for e in program_exprs(prog):
-        if mode == CORE and isinstance(e, EXT_NODES):
-            diags.append(Diagnostic(
-                EXT_NODE_IN_CORE, "int/bool extension used in core mode", e.span))
-        if isinstance(e, Assert):
-            check_type_name(e.type_name, e.span, "asserted type")
-        if isinstance(e, StructLit):
+    # Every expression node of the method bodies, then of main, in
+    # pre-order, its subexpressions read by its type in `children` order.
+    core = mode == CORE
+    stack = [prog.main, *[d.body for d in reversed(prog.decls) if isinstance(d, MethodDecl)]]
+    push, pop = stack.append, stack.pop
+    while stack:
+        e = pop()
+        t = type(e)
+        if t is Call:
+            stack += reversed(e.args)
+            push(e.recv)
+        elif t is Select:
+            push(e.recv)
+        elif t is StructLit:
             check_type_name(e.type_name, e.span, "struct type")
+            stack += reversed(e.args)
+        elif t is Assert:
+            check_type_name(e.type_name, e.span, "asserted type")
+            push(e.expr)
+        elif t is BinOp or t is IntLit or t is BoolLit:
+            if core:
+                diags.append(Diagnostic(
+                    EXT_NODE_IN_CORE, "int/bool extension used in core mode", e.span))
+            if t is BinOp:
+                push(e.right)
+                push(e.left)
+        elif t is not Var:
+            raise TypeError(f"not an FG expression: {e!r}")
 
     return diags
 

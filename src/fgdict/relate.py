@@ -26,7 +26,7 @@ from .fg_parser import print_program as print_fg
 from .outcome import OutOfFuel, StuckOutcome
 # translate_program is bound here for bench/tracing.py, which wraps it where
 # its callers look it up.
-from .translate import require_translation, translate_method, translate_program  # noqa: F401
+from .translate import require_translation, translate_program  # noqa: F401
 
 DEFAULT_EVAL_FUEL = 10 ** 5
 DEFAULT_RELATION_FUEL = 64
@@ -92,38 +92,6 @@ def _dict_slots(decls: fg.Decls, mu, t: str, ctor: str):
             return None
         dictionary.append(tl.MethodVar(name))
     return u_s, tuple(dictionary)
-
-
-def methods_related(decls: fg.Decls, prog: tl.TLProgram) -> bool:
-    """Every FG method declaration must map, under the program's method
-    substitution, to exactly the translation of that declaration."""
-    mu = prog.method_subst()
-    for d in decls.decls:
-        if not isinstance(d, fg.MethodDecl):
-            continue
-        name, lam = translate_method(decls, d)
-        if not _same_term(mu.get(name), lam):
-            return False
-    return True
-
-
-def _same_term(a, b) -> bool:
-    """`a == b` for TL terms, compared pairwise from an explicit stack
-    (dataclass `==` recurses once per nesting level)."""
-    todo = [(a, b)]
-    while todo:
-        a, b = todo.pop()
-        if type(a) is not type(b):
-            return False
-        if type(a) is tuple:
-            if len(a) != len(b):
-                return False
-            todo.extend(zip(a, b))
-        elif hasattr(a, "__dataclass_fields__"):
-            todo.extend((getattr(a, f), getattr(b, f)) for f in a.__dataclass_fields__)
-        elif a != b:
-            return False
-    return True
 
 
 @record
@@ -194,39 +162,6 @@ def diff_run(prog: fg.Program, fuel=DEFAULT_EVAL_FUEL,
                    fg_value=fg_out.value, tl_value=tl_out.value,
                    fg_steps=fg_out.steps, tl_steps=tl_out.steps,
                    detail=f"values unrelated at type {res.main_type}")
-
-
-def harvest_related(decls: fg.Decls, t: str, v, V):
-    """Collect, in pre-order, the (type, fg value, tl value) triples below a
-    related root pair, for the monotonicity/preservation suites."""
-    out = []
-    todo = [(t, v, V)]
-    while todo:
-        t, v, V = todo.pop()
-        out.append((t, v, V))
-        kind = decls.kind(t)
-        if kind == "struct" and isinstance(V, tl.CtorApp):
-            todo.extend(reversed([(ft, va, Va) for (_f, ft), va, Va
-                                  in zip(decls.struct_fields(t), v.args, V.args)]))
-        elif kind == "interface" and isinstance(V, tl.CtorApp) and V.args:
-            payload = V.args[0]
-            u_s = isinstance(payload, tl.CtorApp) and tl.ctor_type(payload.ctor)
-            if u_s:
-                todo.append((u_s, v, payload))
-    return out
-
-
-def monotonicity_violations(decls, mu, samples, kmax=DEFAULT_RELATION_FUEL):
-    """Check that relatedness at k implies relatedness at every k' <= k,
-    exhaustively up to kmax.  Returns a list of violation descriptions."""
-    violations = []
-    for t, v, V in samples:
-        flags = [values_related(decls, mu, t, v, V, k) for k in range(kmax + 1)]
-        for k in range(kmax + 1):
-            if flags[k] and not all(flags[:k]):
-                violations.append((t, k, v, V))
-                break
-    return violations
 
 
 def program_hash(prog: fg.Program) -> str:

@@ -247,9 +247,15 @@ def validate_program(prog: TLProgram):
     """Constructor names and arities, clause well-formedness, closure up to
     method variables.  Returns a list of human-readable problems: for main
     and then each binding, the structural ones in pre-order, then the free
-    variables and the unbound method variables, each sorted."""
+    variables and the unbound method variables, each sorted.
+
+    The walk reads each node's subterms by its type, in `children` order,
+    so it makes no `children` tuple.  A (constructor, arity) pair is
+    checked again only while it has raised a problem, so each problem is
+    reported at every occurrence."""
     problems = []
     arities = {}
+    passed = set()  # the (constructor, arity) pairs that raised no problem
 
     def see_ctor(name, arity, where):
         if not _is_ctor_name(name):
@@ -262,43 +268,67 @@ def validate_program(prog: TLProgram):
         if name in arities and arities[name] != arity:
             problems.append(
                 f"{where}: constructor {name} used with arity {arity} and {arities[name]}")
-        arities.setdefault(name, arity)
+            return
+        arities[name] = arity
+        passed.add((name, arity))
 
     bound = prog.method_subst()
     for where, top in [("main", prog.main), *prog.bindings]:
         free, mvars = set(), set()
         scope = {}  # variable -> the binders in scope that bind it
-        # Terms in pre-order, with (names, +1 or -1) entering or leaving the
-        # scope of a binder around its body.
+        # Terms in pre-order.  A lambda counts its variable in scope when
+        # its body is pushed and leaves the variable, a str, to count it out;
+        # a clause body sits between (names, +1) and (names, -1).
         stack = [top]
+        push, pop = stack.append, stack.pop
         while stack:
-            e = stack.pop()
+            e = pop()
             t = type(e)
-            if t is tuple:
-                _bind(scope, *e)
-                continue
             if t is TLVar:
                 if not scope.get(e.name):
                     free.add(e.name)
-                continue
-            if t is MethodVar:
+            elif t is App:
+                push(e.arg)
+                push(e.fn)
+            elif t is MethodVar:
                 mvars.add(e.name)
-                continue
-            if t is CtorApp:
-                see_ctor(e.ctor, len(e.args), where)
+            elif t is CtorApp:
+                args = e.args
+                if (e.ctor, len(args)) not in passed:
+                    see_ctor(e.ctor, len(args), where)
+                stack += reversed(args)
+            elif t is Lam:
+                x = e.var
+                scope[x] = scope.get(x, 0) + 1
+                push(x)
+                push(e.body)
+            elif t is str:
+                scope[e] -= 1
             elif t is Case:
-                heads = [c.pat.ctor for c in e.clauses]
+                clauses = e.clauses
+                heads = [c.pat.ctor for c in clauses]
                 if len(set(heads)) != len(heads):
                     problems.append(f"{where}: duplicate clause constructors {heads}")
-                for c in e.clauses:
-                    if len(set(c.pat.vars)) != len(c.pat.vars):
-                        problems.append(f"{where}: non-linear pattern {c.pat}")
-                    see_ctor(c.pat.ctor, len(c.pat.vars), where)
-            for s, xs in reversed(children(e)):
-                if xs:
-                    stack += [(xs, -1), s, (xs, 1)]
-                else:
-                    stack.append(s)
+                for c in clauses:
+                    pat = c.pat
+                    if len(set(pat.vars)) != len(pat.vars):
+                        problems.append(f"{where}: non-linear pattern {pat}")
+                    if (pat.ctor, len(pat.vars)) not in passed:
+                        see_ctor(pat.ctor, len(pat.vars), where)
+                for c in reversed(clauses):
+                    xs = c.pat.vars
+                    if xs:
+                        stack += [(xs, -1), c.body, (xs, 1)]
+                    else:
+                        push(c.body)
+                push(e.scrut)
+            elif t is tuple:
+                _bind(scope, *e)
+            elif t is TLPrim:
+                push(e.right)
+                push(e.left)
+            elif t is not TLInt and t is not TLBool:
+                raise TypeError(f"not a TL expression: {e!r}")
         problems.extend(f"{where}: free variable {x}" for x in sorted(free))
         problems.extend(f"{where}: unbound method variable {m}"
                         for m in sorted(mvars - bound.keys()))
@@ -438,6 +468,10 @@ class _TLParser(TokenReader):
         self.classes = {tok: _token_class(tok, kind) for tok, kind in self.kinds.items()}
         self.let_bound = set()
         self.fresh = 0
+        # One leaf per distinct token, shared by all its occurrences: a
+        # variable or nullary constructor in `leaves`, a method variable in
+        # `mvars`.
+        self.leaves, self.mvars = {}, {}
 
     def fresh_var(self):
         self.fresh += 1
@@ -488,6 +522,7 @@ class _TLParser(TokenReader):
         So input of any depth parses.  The scope is the binders of the open
         frames: `scope` counts, for each variable, the frames binding it."""
         toks, classes, let_bound = self.tokens, self.classes, self.let_bound
+        leaves, mvars = self.leaves, self.mvars
         frames = []
         push, pop = frames.append, frames.pop
         scope = {}
@@ -519,14 +554,17 @@ class _TLParser(TokenReader):
             c = classes[tok]
             if c < _KEYWORD or not parts:  # the atoms of an application
                 if c == _NAME:
-                    parts.append(MethodVar(tok) if tok in let_bound and not scope.get(tok)
-                                 else TLVar(tok))
+                    if tok in let_bound and not scope.get(tok):
+                        parts.append(mvars.get(tok) or mvars.setdefault(tok, MethodVar(tok)))
+                    else:
+                        parts.append(leaves.get(tok) or leaves.setdefault(tok, TLVar(tok)))
                 elif c == _CTOR:
-                    parts.append(CtorApp(tok, ()))
+                    parts.append(leaves.get(tok) or leaves.setdefault(tok, CtorApp(tok, ())))
                 elif c == _OPEN:
                     if toks[i + 1] == ")":
                         i += 1
-                        parts.append(CtorApp(tuple_ctor(0), ()))
+                        tok = tuple_ctor(0)
+                        parts.append(leaves.get(tok) or leaves.setdefault(tok, CtorApp(tok, ())))
                     else:
                         push((_APP, parts))
                         push((_PAREN, []))

@@ -378,11 +378,6 @@ def method_env(d: fg.MethodDecl):
     return env
 
 
-def translate_method(decls: fg.Decls, d: fg.MethodDecl):
-    """Standalone, deterministic translation of one method declaration."""
-    return Translator(decls).typed(d)[0]
-
-
 def translate_program(prog: fg.Program, hoist_helpers=False) -> Translation:
     """Check a program, then translate it: each declaration, then `main`,
     typed by one translator (`Translator.typed`), and the typings folded

@@ -14,11 +14,9 @@ import pytest
 from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
 from fgdict.fg_parser import parse_program, print_expr, print_program
 from fgdict.gen import GenConfig, gen_program
-from fgdict.relate import (
-    AGREE, BOTH_STUCK, BUDGET, DISAGREE, diff_run, harvest_related,
-    monotonicity_violations, values_related,
-)
+from fgdict.relate import AGREE, BOTH_STUCK, BUDGET, DISAGREE, diff_run, values_related
 from fgdict.translate import Translator, require_translation, translate_program
+from helpers import harvest_related, monotonicity_violations
 
 EVAL_FUEL = 10 ** 5
 REL_FUEL = 64

@@ -12,6 +12,7 @@ from fgdict.diagnostics import (
 from fgdict.fg_parser import parse_program
 from fgdict.gen import GenConfig, gen_program
 from fgdict.translate import require_translation
+from helpers import method_lookup
 
 GOOD = """
 package main
@@ -79,9 +80,9 @@ def test_no_subtyping_between_distinct_structs(good):
 
 def test_method_lookup(good):
     decls = good.table
-    d = fg.method_lookup(decls, "B", "n")
+    d = method_lookup(decls, "B", "n")
     assert d.recv_type == "B" and d.name == "n"
-    assert fg.method_lookup(decls, "A", "n") is None
+    assert method_lookup(decls, "A", "n") is None
 
 
 def test_implementers_in_declaration_order():

@@ -13,7 +13,7 @@ import pytest
 
 from fgdict import fg_ast as fg
 from fgdict.cli import EXIT_DIAGNOSTICS, EXIT_OK, cli_dispatch
-from fgdict.diagnostics import Diagnostic, FgError
+from fgdict.diagnostics import Diagnostic, FgError, SourceSpan
 from fgdict.fg_parser import parse_expr, parse_program, print_expr, print_program
 from fgdict.gen import GenConfig, gen_program
 from fgdict.translate import translate_program
@@ -350,6 +350,46 @@ def test_a_span_has_only_its_fields():
     assert dataclasses.astuple(span) == ("<input>", 1, 2, 1, 2)
 
 
+def test_a_parsed_span_is_one_slotted_object():
+    span = parse_expr("a.f").span
+    assert not hasattr(span, "__dict__")
+    assert hasattr(span, "_at")  # its reader and token index, until a field is read
+    assert span.line == 1
+    assert not hasattr(span, "_at")
+
+
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "replace": dataclasses.replace,
+    "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+}
+
+
+@pytest.mark.parametrize("read_first", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("clone", list(_COPIES.values()), ids=list(_COPIES))
+def test_a_lazy_span_is_its_eager_twin(clone, read_first):
+    lazy = parse_expr("a.f").span
+    eager = SourceSpan("<input>", 1, 2, 1, 2)
+    if read_first:
+        assert lazy.column == 2
+    else:
+        assert parse_expr("a.f").span == eager and hash(parse_expr("a.f").span) == hash(eager)
+    twin = clone(lazy)
+    assert not hasattr(twin, "_at") and not hasattr(twin, "__dict__")
+    for span in (twin, lazy):
+        assert span == eager and hash(span) == hash(eager)
+        assert dataclasses.astuple(span) == dataclasses.astuple(eager)
+
+
+def test_a_span_is_frozen():
+    span = parse_expr("a.f").span
+    for name in ("line", "_at"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(span, name, 7)
+    assert str(span) == "<input>:1:2"
+
+
 def test_a_caught_type_error_works_out_no_span():
     """`translate_program` catches one `FgError` per ill-typed node and
     keeps its diagnostics; the error's message, which works out every
@@ -357,7 +397,7 @@ def test_a_caught_type_error_works_out_no_span():
     prog = parse_program("package main\ntype A struct {}\nfunc main() { _ = A{}.m() }\n")
     diags = translate_program(prog).diagnostics
     assert [d.code for d in diags] == ["unknown-method"]
-    assert all("_at" in vars(d.span) for d in diags)
+    assert all(hasattr(d.span, "_at") for d in diags)  # the slot a span clears when worked out
     assert str(FgError(diags)) == "; ".join(str(d) for d in diags)
     assert str(FgError(diags[0])) == "<input>:3:22: error: no method m on A [unknown-method]"
 

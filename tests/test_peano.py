@@ -104,7 +104,7 @@ import contextlib, io, sys
 from fgdict import tl_ast as tl
 from fgdict.cli import cli_dispatch
 from fgdict.fg_parser import parse_program, print_program
-from fgdict.relate import methods_related
+from helpers import methods_related
 
 limit = sys.getrecursionlimit()
 fg_file, tl_file, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
@@ -147,8 +147,9 @@ def test_deep_numeral_at_the_default_recursion_limit(tmp_path):
     fg_file.write_text((NAT % numeral(n)).replace(
         "func main", f"func (this Z) deep() Nat {{ return {numeral(2000)} }}\nfunc main"),
         encoding="utf-8")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src}
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(tests), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, tests])}
     start = time.monotonic()
     subprocess.run([sys.executable, "-c", DEEP_SCRIPT, str(fg_file),
                     str(tmp_path / "deep.tl"), str(n)],

@@ -8,11 +8,10 @@ from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
 from fgdict.fg_parser import parse_program
 from fgdict.gen import GenConfig, gen_program
 from fgdict.relate import (
-    AGREE, BOTH_STUCK, BUDGET, DISAGREE, diff_run, harvest_related,
-    methods_related, monotonicity_violations, program_hash, values_related,
-    verdict_json,
+    AGREE, BOTH_STUCK, BUDGET, DISAGREE, diff_run, program_hash, values_related, verdict_json,
 )
 from fgdict.translate import require_translation
+from helpers import harvest_related, methods_related, monotonicity_violations
 
 EQUALITY = Path("corpus/equality.fg").read_text(encoding="utf-8")
 

@@ -291,21 +291,6 @@ def test_validate_problem_lists_are_pinned():
         [expected for _, expected in table]
 
 
-def test_validate_skips_children_of_leaves(monkeypatch):
-    asked = []
-    children = tl.children
-
-    def counted(e):
-        asked.append(type(e))
-        return children(e)
-
-    monkeypatch.setattr(tl, "children", counted)
-    prog = tl.TLProgram((("f", Lam("x", TLVar("x"))),),
-                        App(MethodVar("f"), _k("K_A", TLVar("y"), TLInt(1))))
-    assert tl.validate_program(prog) == ["main: free variable y"]
-    assert TLVar not in asked and MethodVar not in asked
-
-
 def test_validate_is_stack_safe():
     deep = _k("K_Z")
     for _ in range(20000):
