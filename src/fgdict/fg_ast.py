@@ -197,14 +197,14 @@ def remake(e, subs):
     """`e` with its subexpressions, in `children` order, replaced by `subs`."""
     t = type(e)
     if t is Call:
-        return Call(subs[0], e.method, tuple(subs[1:]), span=e.span)
+        return Call(subs[0], e.method, tuple(subs[1:]), e.span)
     if t is StructLit:
-        return StructLit(e.type_name, tuple(subs), span=e.span)
+        return StructLit(e.type_name, tuple(subs), e.span)
     if t is Select:
-        return Select(subs[0], e.fld, span=e.span)
+        return Select(subs[0], e.fld, e.span)
     if t is Assert:
-        return Assert(subs[0], e.type_name, span=e.span)
-    return BinOp(e.op, subs[0], subs[1], span=e.span)
+        return Assert(subs[0], e.type_name, e.span)
+    return BinOp(e.op, subs[0], subs[1], e.span)
 
 
 def subst(e, env):

@@ -13,8 +13,9 @@ an explicit stack of frames over one shared list of values.  A frame is
 (node, environment, base): `base` is the length of the value list when the
 frame is pushed, so its values are those from `base` up to the next
 frame's.  The machine reads a node's subexpressions by its type, in
-`children` order; a field selection or assertion keeps no values, and a
-call with no arguments fires as soon as its receiver returns.  A method
+`children` order; a field selection or assertion keeps no values, a call
+with no arguments fires as soon as its receiver returns, and a struct
+literal whose arguments all return as themselves is its own value.  A method
 call binds its receiver and arguments in a fresh environment instead of
 substituting them into the body, so a value, once built, is never walked
 again.  `fg_step` and traces plug the stack back, through `fg_ast.children`
@@ -22,6 +23,8 @@ and `fg_ast.remake`, into the term the substitution semantics shows.
 """
 
 from __future__ import annotations
+
+from operator import is_
 
 from . import fg_ast as fg
 from .fg_ast import Assert, BinOp, BoolLit, Call, IntLit, Select, StructLit, Var
@@ -123,12 +126,18 @@ def _run(decls, e, fuel, on_step):
                         c, env = args[n], fenv
                         break
                     pop()
+                    # A literal whose arguments come back as themselves is
+                    # its own value.
                     if n > 1:
                         vals.append(v)
-                        v = StructLit(node.type_name, tuple(vals[base:]), span=node.span)
+                        built = vals[base:]
                         del vals[base:]
+                        v = node if all(map(is_, built, args)) else \
+                            StructLit(node.type_name, tuple(built), node.span)
+                    elif v is args[0]:
+                        v = node
                     else:
-                        v = StructLit(node.type_name, (v,), span=node.span)
+                        v = StructLit(node.type_name, (v,), node.span)
                     continue
                 elif t is Assert:
                     pop()
@@ -170,6 +179,8 @@ def _call(methods, node, recv, args):
         raise _Stuck(NO_METHOD, f"arity mismatch calling {node.method} on {recv.type_name}")
     # As with substituting one by one: the receiver shadows a parameter of
     # the same name, and an earlier parameter shadows a later one.
+    if len(args) == 1:
+        return d.body, {params[0][0]: args[0], d.recv_var: recv}
     env = {x: a for (x, _t), a in zip(reversed(params), reversed(args))}
     env[d.recv_var] = recv
     return d.body, env

@@ -83,7 +83,7 @@ class _Parser(TokenReader):
             lit, j = self.iface_literal(i + 3)
         else:
             self.fail("expected 'struct' or 'interface'", i + 2)
-        return fg.TypeDecl(name, lit, span=self.span(i)), j
+        return fg.TypeDecl(name, lit, self.span(i)), j
 
     def struct_literal(self, i):
         toks, fields = self.tokens, []
@@ -128,7 +128,7 @@ class _Parser(TokenReader):
         sig, j = self.signature(i + 6)
         body, j = self.expr(self.expect_at(self.expect_at(j, "{"), "return"))
         j = self.expect_at(self.skip(j, ";"), "}")
-        return fg.MethodDecl(recv_var, recv_type, name, sig, body, span=self.span(i)), j
+        return fg.MethodDecl(recv_var, recv_type, name, sig, body, self.span(i)), j
 
     def main_body(self, i):
         toks, bindings = self.tokens, []
@@ -179,10 +179,10 @@ class _Parser(TokenReader):
                 if kind == "num":
                     if not ext:
                         self.fail("int literals require extension mode", i)
-                    e = fg.IntLit(self.number(i), span=self.span(i))
+                    e = fg.IntLit(self.number(i), self.span(i))
                     i += 1
                 elif text in EXT_KEYWORDS and ext:
-                    e = fg.BoolLit(text == "true", span=self.span(i))
+                    e = fg.BoolLit(text == "true", self.span(i))
                     i += 1
                 elif text == "(":
                     push((_PAREN, min_prec))
@@ -192,10 +192,10 @@ class _Parser(TokenReader):
                 elif kind == "ident" and text not in KEYWORDS:
                     name = self.ident(i)
                     if toks[i + 1] != "{":
-                        e = fg.Var(name, span=self.span(i))
+                        e = fg.Var(name, self.span(i))
                         i += 1
                     elif toks[i + 2] == "}":
-                        e = fg.StructLit(name, (), span=self.span(i))
+                        e = fg.StructLit(name, (), self.span(i))
                         i += 3
                     else:
                         push((_STRUCT, min_prec, [], name, self.span(i)))
@@ -210,14 +210,14 @@ class _Parser(TokenReader):
                 if toks[i] == "(":
                     t = self.ident(i + 1, "type name")
                     i = self.expect_at(i + 2, ")")
-                    e = fg.Assert(e, t, span=dot)
+                    e = fg.Assert(e, t, dot)
                     continue
                 name = self.ident(i, "field or method name")
                 if toks[i + 1] != "(":
-                    e = fg.Select(e, name, span=dot)
+                    e = fg.Select(e, name, dot)
                     i += 1
                 elif toks[i + 2] == ")":
-                    e = fg.Call(e, name, (), span=dot)
+                    e = fg.Call(e, name, (), dot)
                     i += 3
                 else:
                     push((_CALL, min_prec, [], e, name, dot))
@@ -243,7 +243,7 @@ class _Parser(TokenReader):
                     tag, min_prec = f[0], f[1]
                     if tag is _BIN:
                         op = f[3]
-                        e = fg.BinOp(toks[op], f[2], e, span=self.span(op))
+                        e = fg.BinOp(toks[op], f[2], e, self.span(op))
                         first = False
                         continue
                     if tag is _PAREN:
@@ -259,9 +259,9 @@ class _Parser(TokenReader):
                         break
                     i = self.expect_at(self.skip(i, ","), close)
                     if tag is _STRUCT:
-                        e = fg.StructLit(f[3], tuple(args), span=f[4])
+                        e = fg.StructLit(f[3], tuple(args), f[4])
                     else:
-                        e = fg.Call(f[3], f[4], tuple(args), span=f[5])
+                        e = fg.Call(f[3], f[4], tuple(args), f[5])
                     break
 
 
@@ -283,48 +283,52 @@ def parse_expr(text, mode=fg.CORE, filename="<input>"):
 # Canonical printer
 
 def print_expr(e):
-    """Canonical text of an expression.  The stack holds text still to be
-    written and (expression, precedence) pairs still to be printed, so values
-    of any depth print."""
+    """Canonical text of an expression, by node type.  The stack holds text
+    still to be written and (expression, precedence) pairs still to be
+    printed, so values of any depth print."""
     out = []
     stack = [(e, 0)]
-    push = stack.append
+    push, write = stack.append, out.append
     while stack:
         item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
+        if type(item) is str:
+            write(item)
             continue
         e, prec = item
-        if isinstance(e, fg.Var):
-            out.append(e.name)
-        elif isinstance(e, fg.StructLit):
-            out.append(f"{e.type_name}{{")
+        t = type(e)
+        if t is fg.StructLit:
+            write(e.type_name + "{")
             push("}")
-            push_items(push, e.args, 0, ", ")
-        elif isinstance(e, fg.Call):
+            if len(e.args) == 1:
+                push((e.args[0], 0))
+            else:
+                push_items(push, e.args, 0, ", ")
+        elif t is fg.Var:
+            write(e.name)
+        elif t is fg.Call:
             push(")")
             push_items(push, e.args, 0, ", ")
             push(f".{e.method}(")
             push((e.recv, _PREC_POSTFIX))
-        elif isinstance(e, fg.Select):
+        elif t is fg.Select:
             push(f".{e.fld}")
             push((e.recv, _PREC_POSTFIX))
-        elif isinstance(e, fg.Assert):
+        elif t is fg.Assert:
             push(f".({e.type_name})")
             push((e.expr, _PREC_POSTFIX))
-        elif isinstance(e, fg.BinOp):
+        elif t is fg.BinOp:
             mine = PREC[e.op]
             if mine < prec:
-                out.append("(")
+                write("(")
                 push(")")
             push((e.right, mine + 1))
             push(f" {e.op} ")
             # Comparisons do not chain: their left operand binds tighter too.
             push((e.left, mine + 1 if mine == PREC_CMP else mine))
-        elif isinstance(e, fg.IntLit):
-            out.append(str(e.value))
-        elif isinstance(e, fg.BoolLit):
-            out.append("true" if e.value else "false")
+        elif t is fg.IntLit:
+            write(str(e.value))
+        elif t is fg.BoolLit:
+            write("true" if e.value else "false")
         else:
             raise TypeError(f"not an FG expression: {e!r}")
     return "".join(out)

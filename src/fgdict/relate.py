@@ -40,31 +40,39 @@ BUDGET = "budget"
 def values_related(decls: fg.Decls, mu, t: str, v, V, k: int) -> bool:
     """Decidable witness for the value relation at type t and index k.  The
     pairs still to relate wait on an explicit stack, in pre-order, so values
-    of any depth relate."""
+    of any depth relate; each type's facts are read once per call."""
+    facts = {}  # type -> (kind, constructor, field types)
     slots = {}  # (interface, payload constructor) -> _dict_slots
     todo = [(t, v, V, k)]
+    pop, push = todo.pop, todo.append
     while todo:
-        t, v, V, k = todo.pop()
+        t, v, V, k = pop()
         if k <= 0:
             continue
-        kind = decls.kind(t)
-        if kind == "prim":
+        fact = facts.get(t)
+        if fact is None:
+            kind = decls.kind(t)
+            fact = facts[t] = kind, tl.struct_ctor(t), kind == "struct" and tuple(
+                ft for _f, ft in decls.struct_fields(t))
+        kind, ctor, types = fact
+        if kind == "struct":
+            if not (type(v) is fg.StructLit and v.type_name == t
+                    and type(V) is tl.CtorApp and V.ctor == ctor):
+                return False
+            args, tl_args = v.args, V.args
+            i = len(types)
+            if len(tl_args) != i or len(args) != i:
+                return False
+            while i:
+                i -= 1
+                push((types[i], args[i], tl_args[i], k))
+        elif kind == "prim":
             lit, tl_lit = (fg.IntLit, tl.TLInt) if t == fg.INT else (fg.BoolLit, tl.TLBool)
             if not (isinstance(v, lit) and isinstance(V, tl_lit) and v.value == V.value):
                 return False
-        elif kind == "struct":
-            if not (isinstance(v, fg.StructLit) and v.type_name == t):
-                return False
-            if not (isinstance(V, tl.CtorApp) and V.ctor == tl.struct_ctor(t)):
-                return False
-            fields = decls.struct_fields(t)
-            if len(V.args) != len(fields) or len(v.args) != len(fields):
-                return False
-            todo.extend((fields[i][1], v.args[i], V.args[i], k)
-                        for i in range(len(fields) - 1, -1, -1))
         else:  # interface type
-            if not (isinstance(V, tl.CtorApp) and V.ctor == tl.struct_ctor(t)
-                    and V.args and isinstance(V.args[0], tl.CtorApp)):
+            if not (type(V) is tl.CtorApp and V.ctor == ctor
+                    and V.args and type(V.args[0]) is tl.CtorApp):
                 return False
             payload = V.args[0]
             key = t, payload.ctor
@@ -73,7 +81,7 @@ def values_related(decls: fg.Decls, mu, t: str, v, V, k: int) -> bool:
             want = slots[key]
             if want is None or V.args[1:] != want[1]:
                 return False
-            todo.append((want[0], v, payload, k - 1))
+            push((want[0], v, payload, k - 1))
     return True
 
 

@@ -130,6 +130,9 @@ def _run(mu, e, fuel, on_step):
                 steps += 1
                 if on_step is not None:
                     on_step(steps, rule, (None, c, env, stack))
+                if type(c) is Lam:  # a curried lambda's closure, in place
+                    v = (c, env)
+                    break
             # Return v to the innermost frame; once it has the values its
             # axiom needs, fire the axiom or build the constructor value.
             while stack:
@@ -143,7 +146,8 @@ def _run(mu, e, fuel, on_step):
                             raise _Stuck(NON_FUNCTION,
                                          f"applying non-function {tl.print_expr(_value_term(fn))}")
                         lam, env = fn
-                        c, env, v = lam.body, {**env, lam.var: v}, None
+                        c, env = lam.body, {**env, lam.var: v}
+                        v = (c, env) if type(c) is Lam else None
                         rule = "tl-lambda"
                     elif type(v) is not MethodVar:
                         done.append(v)
@@ -153,7 +157,8 @@ def _run(mu, e, fuel, on_step):
                         lam = mu.get(v.name)
                         if lam is None:
                             raise _Stuck(UNBOUND_METHOD, f"unbound method variable {v.name}")
-                        c, env, v = lam, {}, None
+                        c, env = lam, {}
+                        v = (lam, env) if type(lam) is Lam else None
                         rule = "tl-method"
                 elif t is Case:
                     pop()

@@ -167,3 +167,57 @@ def test_subst_replaces_every_bound_variable_at_once():
     e = parse_expr("Pair{x, y}.fst()")
     a, b = parse_expr("A{}"), parse_expr("y")
     assert print_expr(fg.subst(e, {"x": b, "y": a})) == "Pair{y, A{}}.fst()"
+
+
+BOXES = """
+package main
+type A struct {}
+type Box struct { a A }
+type Pair struct { x A; y A }
+func (this A) m(x A) A { return x }
+func (this A) id() A { return this }
+func main() { _ = A{} }
+"""
+
+
+@pytest.mark.parametrize("src", ["A{}", "Box{A{}}", "Pair{A{}, A{}}", "Box{Box{Pair{A{}, A{}}}}"])
+def test_a_closed_value_is_its_own_result(src):
+    """A struct literal whose arguments all come back as themselves is not
+    rebuilt, at any depth, and a method returns the very value it was
+    given."""
+    decls = parse_program(BOXES).table
+    v = parse_expr(src)
+    out = fg_interp.fg_eval(decls, v, 10)
+    assert out.value is v and out.steps == 0
+    call = fg.Call(fg.StructLit("A", ()), "m", (v,))
+    out = fg_interp.fg_eval(decls, call, 10)
+    assert out.value is v and out.steps == 1
+
+
+@pytest.mark.parametrize("src", ["Box{A{}.id()}", "Pair{A{}, A{}.id()}", "Pair{A{}.id(), A{}}"])
+def test_a_literal_with_a_redex_is_built_with_its_own_span(src):
+    e = parse_expr(src)
+    out = fg_interp.fg_eval(parse_program(BOXES).table, e, 10)
+    assert out.steps == 1 and print_expr(out.value) == src.replace(".id()", "")
+    assert out.value is not e and out.value.span is e.span
+    assert [a is b for a, b in zip(out.value.args, e.args)] == \
+        [type(a) is fg.StructLit for a in e.args]
+
+
+SHADOWS = """
+package main
+type A struct {}
+type B struct {}
+func (x A) one(x B) A { return x }
+func (x A) two(y B, y A) B { return y }
+func main() { _ = A{} }
+"""
+
+
+def test_receiver_and_earlier_parameters_shadow_as_substitution_does():
+    """Ill-formed, so only the machine sees it: the receiver shadows a
+    parameter of its name, and an earlier parameter a later one, as
+    substituting them one by one would."""
+    decls = parse_program(SHADOWS).table
+    assert print_expr(eval_src(decls, "A{}.one(B{})").value) == "A{}"
+    assert print_expr(eval_src(decls, "A{}.two(B{}, A{})").value) == "B{}"

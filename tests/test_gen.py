@@ -1,9 +1,6 @@
 """Program generator and shrinker."""
 
-import glob
 import hashlib
-import json
-from pathlib import Path
 
 import pytest
 
@@ -13,6 +10,7 @@ from fgdict.fg_parser import parse_program, print_program
 from fgdict.gen import GenConfig, _candidates, gen_program, minimal_value, shrink
 from fgdict.relate import BOTH_STUCK, diff_run
 from fgdict.translate import Translator, fold, method_env, translate_program
+from helpers import sample_programs
 
 # sha256 over the printed programs of `_stream_configs`, recorded before the
 # generator read subtyping from the declaration table.
@@ -178,14 +176,7 @@ def test_translation_relies_match_the_reference():
     """`translate_program` types every node with one translator, which
     builds each helper once; the reliance sets it records must still be
     those of each node typed alone, in both helper modes."""
-    manifest = json.loads(Path("corpus/manifest.json").read_text(encoding="utf-8"))
-    programs = [parse_program(Path("corpus", e["path"]).read_text(encoding="utf-8"),
-                              mode=e["mode"]) for e in manifest["files"]]
-    programs += [parse_program(Path(path).read_text(encoding="utf-8"))
-                 for path in sorted(glob.glob("bench/ladder/*.fg"))]
-    programs += [gen_program(GenConfig(seed=seed, mode=mode))
-                 for mode in (fg.CORE, fg.EXT) for seed in range(300)]
-    for prog in programs:
+    for prog in sample_programs():
         expected = _relies_from_scratch(prog)
         for hoist in (False, True):
             assert translate_program(prog, hoist_helpers=hoist).relies == expected, \

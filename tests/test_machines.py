@@ -6,7 +6,11 @@ same term, replugging the whole term each time, must report the same
 sequence and end in the same way.  This covers every frame shape the
 machines build, through their plugs, and it pins each machine's descent
 order to the context order `fg_ast.children` and `tl_ast.children` state.
+The rules the two machines fire on a program and its translation are
+pinned against each other too.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -14,6 +18,7 @@ from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
 from fgdict.fg_parser import print_expr
 from fgdict.gen import GenConfig, gen_program
 from fgdict.outcome import OutOfFuel, Stepped, StuckOutcome, Value
+from fgdict.relate import DEFAULT_EVAL_FUEL
 from fgdict.translate import translate_program
 
 SEEDS = range(75)
@@ -77,3 +82,37 @@ def test_tl_machine_is_its_one_step_semantics(mode):
         steps += _agree(tl_interp.tl_step, tl_interp.tl_eval, tl_prog.method_subst(),
                         tl_prog.main, tl.print_expr)
     assert steps > 0
+
+
+def _rules(run, ctx, e):
+    """The outcome of a machine's run and how often it fired each rule."""
+    counts = Counter()
+    out = run(ctx, e, DEFAULT_EVAL_FUEL, lambda _n, rule, _state: counts.update((rule,)))
+    return out, counts
+
+
+@pytest.mark.parametrize("mode", [fg.CORE, fg.EXT])
+def test_step_identities(mode):
+    """Each FG primitive is one TL primitive; each FG method call is one TL
+    method unfolding when both sides end in a value.  TL unfolds a method
+    variable as soon as it is in function position, before the receiver or
+    arguments it is applied to are values, so when both sides get stuck the
+    calls waiting on the stuck subterm count on the TL side only: here at
+    most five."""
+    ends = Counter()
+    for seed in range(300):
+        prog = gen_program(GenConfig(seed=seed, mode=mode))
+        tl_prog = translate_program(prog).tl_program
+        fg_out, fg_rules = _rules(fg_interp._run, prog.table, prog.main)
+        tl_out, tl_rules = _rules(tl_interp._run, tl_prog.method_subst(), tl_prog.main)
+        assert fg_rules["fg-prim"] == tl_rules["tl-prim"], seed
+        extra = tl_rules["tl-method"] - fg_rules["fg-call"]
+        if type(fg_out) is Value:
+            assert type(tl_out) is Value, seed
+            assert extra == 0, seed
+            ends["agree"] += 1
+        else:
+            assert type(fg_out) is StuckOutcome and type(tl_out) is StuckOutcome, seed
+            assert 0 <= extra <= 5, seed
+            ends["both-stuck"] += 1
+    assert ends["agree"] > 200 and ends["both-stuck"] > 40

@@ -1,12 +1,14 @@
 """Records: the frozen, slotted dataclasses every AST node, outcome, verdict
 and diagnostic is, built through their slots."""
 
+import ast
 import copy
 import dataclasses
 import importlib
 import inspect
 import pickle
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -147,3 +149,29 @@ def test_record_refuses_what_its_init_would_skip():
         @record
         class Listed:
             items: list = dataclasses.field(default_factory=list)
+
+
+FG_NODES = [cls for cls in RECORDS if cls.__module__ == "fgdict.fg_ast"
+            and "span" in {f.name for f in dataclasses.fields(cls)}]
+
+
+def test_span_is_the_last_field_of_every_fg_node():
+    """So every FG node can take its span as its last positional argument."""
+    assert {fg.Var, fg.StructLit, fg.Call, fg.BinOp, fg.TypeDecl, fg.MethodDecl} <= \
+        set(FG_NODES)
+    for cls in FG_NODES:
+        assert dataclasses.fields(cls)[-1].name == "span", cls
+
+
+@pytest.mark.parametrize("module", ["fg_parser", "fg_interp", "fg_ast"])
+def test_fg_nodes_are_built_with_a_positional_span(module):
+    """A keyword argument makes a record's `__init__` about half as dear
+    again as a positional one (`Var("x", span=s)` 390 ns against 260 ns in
+    CPython 3.11), on every node the parser and machine build."""
+    names = {cls.__name__ for cls in FG_NODES}
+    path = Path(fgdict.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    keyed = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) in names
+             and any(k.arg == "span" for k in node.keywords)]
+    assert keyed == []
