@@ -9,7 +9,6 @@ import re
 from bisect import bisect_right
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from functools import cached_property
-from itertools import accumulate
 
 
 @dataclass(frozen=True)  # not a `record`: a lazy span fills its slots on first read
@@ -190,22 +189,17 @@ INT_MAX = 2 ** 63 - 1  # the largest value of Go's int
 
 
 def lexicon(comment, **kinds):
-    """The LEX, CHUNKS and KINDS patterns of a TokenReader, for comments
-    that `comment` matches and one pattern per token kind, tried in order.
-    Any other character is a token of kind `bad`, and EOF is of kind `eof`.
-    A match of LEX or CHUNKS is the whitespace and comments before the next
-    token and that token, or nothing at the end of the text.  LEX captures
-    the token, so its `findall` gives the tokens and then EOF; CHUNKS does
-    not, so the lengths of its matches add up to the end of each token.
-    KINDS names the kind of a token."""
+    """The LEX and KINDS patterns of a TokenReader, for comments that
+    `comment` matches and one pattern per token kind, tried in order.  Any
+    other character is a token of kind `bad`, and EOF is of kind `eof`.  A
+    match of LEX is the whitespace and comments before the next token and
+    that token, or nothing at the end of the text: it captures the token, so
+    its `findall` gives the tokens and then EOF, and each match ends where
+    its token ends.  KINDS names the kind of a token."""
     alts = "|".join(kinds.values())
-
-    def tokens(group):
-        return re.compile(rf"\s*(?:(?:{comment})\s*)*({group}{alts}|.)?", re.DOTALL)
-
     kind = re.compile("|".join(f"(?P<{k}>{p})" for k, p in kinds.items())
                       + r"|(?P<bad>.)|(?P<eof>\Z)", re.DOTALL)
-    return tokens(""), tokens("?:"), kind
+    return re.compile(rf"\s*(?:(?:{comment})\s*)*({alts}|.)?", re.DOTALL), kind
 
 
 class TokenReader:
@@ -219,7 +213,7 @@ class TokenReader:
     when a field of a span is first read.
     """
 
-    LEX = CHUNKS = KINDS = None
+    LEX = KINDS = None
 
     def __init__(self, text, filename="<input>"):
         self.text = text
@@ -235,7 +229,7 @@ class TokenReader:
 
     @cached_property
     def _ends(self):
-        return list(accumulate(map(len, self.CHUNKS.findall(self.text))))
+        return [m.end() for m in self.LEX.finditer(self.text)]
 
     @cached_property
     def _line_starts(self):

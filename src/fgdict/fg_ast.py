@@ -82,10 +82,6 @@ class StructType:
 
     fields: tuple
 
-    @property
-    def field_names(self):
-        return tuple(f for f, _ in self.fields)
-
 
 @record
 class InterfaceType:
@@ -302,9 +298,6 @@ class Decls:
         table._index_methods()
         return table
 
-    def is_declared(self, t):
-        return t in self.kinds
-
     def kind(self, t):
         """'struct' | 'interface' | 'prim'; raises FgError for unknown names."""
         k = self.kinds.get(t)
@@ -384,7 +377,7 @@ def check_wellformed(prog: Program):
     mode = prog.mode
 
     def check_type_name(t, span, what):
-        if not table.is_declared(t):
+        if t not in table.kinds:
             diags.append(Diagnostic(UNKNOWN_TYPE, f"unknown {what} {t}", span))
 
     for i, d in enumerate(prog.decls):

@@ -29,8 +29,8 @@ _BIN, _PAREN, _STRUCT, _CALL = "bin", "paren", "struct", "call"
 
 
 class _Parser(TokenReader):
-    LEX, CHUNKS, KINDS = lexicon(r"//[^\n]*", ident=r"[A-Za-z_][A-Za-z0-9_]*",
-                                 op=r"==|&&|\|\||[{}().,;<=]", num=r"[0-9]+")
+    LEX, KINDS = lexicon(r"//[^\n]*", ident=r"[A-Za-z_][A-Za-z0-9_]*",
+                         op=r"==|&&|\|\||[{}().,;<=]", num=r"[0-9]+")
 
     def __init__(self, text, mode, filename):
         super().__init__(text, filename)

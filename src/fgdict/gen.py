@@ -165,7 +165,6 @@ class _Gen:
         self.env = env
         self.call_ceiling = call_ceiling
         self.options = {}  # (wanted type, min(depth, 2)) -> _options
-        self.sources = {}  # (wanted type, depth > 1) -> _assert_sources
         self.exact = {}  # (interface, depth > 0) -> _exact_iface_opts
 
     def gen_expr(self, want, depth):
@@ -227,14 +226,12 @@ class _Gen:
         """The interfaces an assertion to `want` may start from: those it
         implements if it is a struct, every other one if it is an interface
         (none for a primitive), each only if an expression of exactly that
-        type can be built, with depth left if `deep`."""
-        key = want, deep
-        if key not in self.sources:
-            iface = want in self.iface_defs
-            self.sources[key] = [I for I in self.ifaces
-                                 if (I != want if iface else want in self.fits[I])
-                                 and self._exact_iface_opts(I, deep)]
-        return self.sources[key]
+        type can be built, with depth left if `deep`.  It draws no random
+        number, and `_exact_iface_opts` memoises the work in it."""
+        iface = want in self.iface_defs
+        return [I for I in self.ifaces
+                if (I != want if iface else want in self.fits[I])
+                and self._exact_iface_opts(I, deep)]
 
     def _exact_iface_opts(self, iface, deep):
         """Options that synthesize exactly `iface` — required for assertion
@@ -366,6 +363,7 @@ def _candidates(prog: fg.Program, res: Translation):
     replaced: a new `main` or method, typed once against the table of `prog`.
     """
     table, typed, relies = prog.table, res.typed, res.relies
+    typer = Translator(table)  # `typed` resets what one node's typing records
 
     for i, d in enumerate(prog.decls):
         key = d.name if isinstance(d, fg.TypeDecl) else (d.recv_type, d.name)
@@ -375,7 +373,7 @@ def _candidates(prog: fg.Program, res: Translation):
             yield _removed(prog, res, i), True
     for sub in _subexprs(prog.main):
         yield _carrier(prog.decls, sub, prog.mode,
-                       typed[:-1] + [Translator(table).typed(sub)], table), True
+                       typed[:-1] + [typer.typed(sub)], table), True
     for i, d in enumerate(prog.decls):
         if isinstance(d, fg.MethodDecl):
             try:
@@ -389,7 +387,7 @@ def _candidates(prog: fg.Program, res: Translation):
                 d2 = replace(d, body=b)
                 decls = prog.decls[:i] + (d2,) + prog.decls[i + 1:]
                 try:
-                    node = Translator(table).typed(d2)
+                    node = typer.typed(d2)
                 except FgError:
                     yield fg.Program(decls, prog.main, prog.mode), False
                 else:

@@ -460,8 +460,8 @@ def _token_class(tok, kind):
 
 
 class _TLParser(TokenReader):
-    LEX, CHUNKS, KINDS = lexicon(r"--[^\n]*", ident=r"[A-Za-z_][A-Za-z0-9_]*",
-                                 op=r"->|==|&&|\|\||[\\(){},;<=]", num=r"[0-9]+")
+    LEX, KINDS = lexicon(r"--[^\n]*", ident=r"[A-Za-z_][A-Za-z0-9_]*",
+                         op=r"->|==|&&|\|\||[\\(){},;<=]", num=r"[0-9]+")
 
     def __init__(self, text, filename="<input>"):
         super().__init__(text, filename)

@@ -41,9 +41,9 @@ NON_FUNCTION = "non-function-application"
 
 def _atom(e, env):
     """The value of `e` under `env` if `e` is an atom, else None.  The
-    machine's descent reads a variable or lambda in control, an
-    application's function and a case's scrutinee without it, which
-    measured faster."""
+    machine's descent reads an application's function and a case's
+    scrutinee in place, which measured faster; every other atom, a variable
+    or lambda in control included, is read here."""
     t = type(e)
     if t is TLVar:
         return env.get(e.name, e)
@@ -110,12 +110,6 @@ def _run(mu, e, fuel, on_step):
                     push((c, env, done))
                     c = args[len(done)]
                     continue
-                elif t is TLVar:
-                    v = env.get(c.name, c)
-                    break
-                elif t is Lam:
-                    v = (c, env)
-                    break
                 elif t is TLPrim:
                     push((c, env, []))
                     c = c.left
@@ -130,9 +124,6 @@ def _run(mu, e, fuel, on_step):
                 steps += 1
                 if on_step is not None:
                     on_step(steps, rule, (None, c, env, stack))
-                if type(c) is Lam:  # a curried lambda's closure, in place
-                    v = (c, env)
-                    break
             # Return v to the innermost frame; once it has the values its
             # axiom needs, fire the axiom or build the constructor value.
             while stack:

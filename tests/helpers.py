@@ -2,14 +2,16 @@
 standalone translation of one method and its comparison with a program's
 method substitution, the samples and check of the relation's
 monotonicity, the programs the reference comparisons run over, and the
-implementations of the value relation and the FG printer that the faster
-ones replaced, kept as references.
+implementations of the value relation, the FG printer and the token
+offsets that the faster or shorter ones replaced, kept as references.
 
 Tests import this module as `helpers`: pytest puts `tests/` on the path,
 and `tests/test_peano.py` adds it to its child interpreter's."""
 
 import glob
 import json
+import re
+from itertools import accumulate
 from pathlib import Path
 
 from fgdict import fg_ast as fg, tl_ast as tl
@@ -191,3 +193,23 @@ def reference_print_expr(e):
         else:
             raise TypeError(f"not an FG expression: {e!r}")
     return "".join(out)
+
+
+def reference_where(reader_class, text, filename="<input>"):
+    """The (file, start, end, line, column) of each token, EOF included, of
+    `text` read by `reader_class`, as `TokenReader.where` worked them out
+    before it read the ends of its LEX matches: a copy of LEX that does not
+    capture the token (which `lexicon` made as CHUNKS), whose match lengths
+    add up to the end of each token."""
+    lex = reader_class.LEX.pattern
+    head = lex.index(r"\s*)*(") + len(r"\s*)*(")
+    chunks = re.compile(lex[:head] + "?:" + lex[head:], re.DOTALL)
+    assert chunks.groups == 0
+    out = []
+    for tok, end in zip(reader_class.LEX.findall(text),
+                        accumulate(map(len, chunks.findall(text))), strict=True):
+        start = end - len(tok)
+        line_start = text.rfind("\n", 0, start) + 1
+        out.append((filename, start, end, text.count("\n", 0, start) + 1, start - line_start + 1))
+        if not tok:  # EOF; trailing whitespace gives a second, empty match
+            return out

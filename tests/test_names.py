@@ -143,7 +143,7 @@ def rename(prog, seed):
             continue
         types.add(d.name)
         if isinstance(d.literal, fg.StructType):
-            fields.update(d.literal.field_names)
+            fields.update(f for f, _t in d.literal.fields)
             continue
         ifaces.add(d.name)
         for s in d.literal.specs:

@@ -89,9 +89,9 @@ def reference_expr_diagnostics(prog):
         if prog.mode == fg.CORE and isinstance(e, (fg.IntLit, fg.BoolLit, fg.BinOp)):
             diags.append(Diagnostic(
                 EXT_NODE_IN_CORE, "int/bool extension used in core mode", e.span))
-        if isinstance(e, fg.Assert) and not table.is_declared(e.type_name):
+        if isinstance(e, fg.Assert) and e.type_name not in table.kinds:
             diags.append(Diagnostic(UNKNOWN_TYPE, f"unknown asserted type {e.type_name}", e.span))
-        if isinstance(e, fg.StructLit) and not table.is_declared(e.type_name):
+        if isinstance(e, fg.StructLit) and e.type_name not in table.kinds:
             diags.append(Diagnostic(UNKNOWN_TYPE, f"unknown struct type {e.type_name}", e.span))
     return diags
 
