@@ -1,14 +1,15 @@
 """Source spans and diagnostics shared by the parsers, checker and
 translator, the token reader and operator table both parsers and both
-printers are built on, and the bottom-up tree rebuild the substitutions and
-value builders share."""
+printers are built on, the bottom-up tree rebuild the substitutions and
+value builders share, and the collector pause the passes run under."""
 
 from __future__ import annotations
 
+import gc
 import re
 from bisect import bisect_right
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
-from functools import cached_property
+from functools import cached_property, wraps
 
 
 @dataclass(frozen=True)  # not a `record`: a lazy span fills its slots on first read
@@ -180,6 +181,25 @@ def rebuild(root, children, build):
             del done[n:]
         done.append(build(node, subs))
     return done[0]
+
+
+def collector_paused(fn):
+    """`fn` run with the cyclic garbage collector disabled.  No pass makes a
+    reference cycle, so reference counting frees every tree it builds, and
+    the collector's generation passes would only rescan trees still being
+    built (tests/test_collector.py).  The collector is enabled again after
+    the call only if it was enabled before, so nested passes, a caller's own
+    `gc.disable()` and an exception leave it as they found it."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 # The last token of every text.

@@ -27,6 +27,7 @@ from __future__ import annotations
 from operator import is_
 
 from . import fg_ast as fg
+from .diagnostics import collector_paused
 from .fg_ast import Assert, BinOp, BoolLit, Call, IntLit, Select, StructLit, Var
 from .fg_parser import print_expr
 from .outcome import (  # noqa: F401  (re-exported outcome vocabulary)
@@ -207,6 +208,7 @@ def fg_step(decls: fg.Decls, e):
     return step_once(_run, _plug, decls, e)
 
 
+@collector_paused
 def fg_eval(decls: fg.Decls, e, fuel: int, trace=None):
     """Evaluate up to `fuel` axiom steps.  `trace`, if given, is called as
     trace(step_number, rule, expr_text) after each step."""

@@ -16,7 +16,7 @@ alone.
 from __future__ import annotations
 
 from . import fg_ast as fg
-from .diagnostics import EOF, PREC, PREC_CMP, TokenReader, lexicon, push_items
+from .diagnostics import EOF, PREC, PREC_CMP, TokenReader, collector_paused, lexicon, push_items
 
 KEYWORDS = {"type", "struct", "interface", "func", "return", "main", "var", "package"}
 EXT_KEYWORDS = {"true", "false"}
@@ -265,6 +265,7 @@ class _Parser(TokenReader):
                     break
 
 
+@collector_paused
 def parse_program(text, mode=fg.CORE, filename="<input>"):
     """Parse FG source text into a Program.  Raises FgError with span-carrying
     diagnostics on lexical or syntactic failure."""

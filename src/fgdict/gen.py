@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field, replace
 
 from . import fg_ast as fg
-from .diagnostics import FgError, rebuild
+from .diagnostics import FgError, collector_paused, rebuild
 from .translate import Translation, Translator, fold, method_env, translate_program
 
 ASSERT_PROBABILITY = 0.3
@@ -326,6 +326,7 @@ def minimal_value(decls: fg.Decls, t: str, rng=None):
     return rebuild((t, frozenset()), children, build)
 
 
+@collector_paused
 def gen_program(cfg: GenConfig) -> fg.Program:
     """Generate one program; always well-formed and type-correct.  It holds
     the generator's declaration table as its own."""

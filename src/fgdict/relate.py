@@ -21,7 +21,7 @@ from . import fg_ast as fg
 from . import fg_interp
 from . import tl_ast as tl
 from . import tl_interp
-from .diagnostics import record
+from .diagnostics import collector_paused, record
 from .fg_parser import print_program as print_fg
 from .outcome import OutOfFuel, StuckOutcome
 # translate_program is bound here for bench/tracing.py, which wraps it where
@@ -119,6 +119,7 @@ class Verdict:
         return {AGREE: 0, BOTH_STUCK: 0, DISAGREE: 2, BUDGET: 3}[self.kind]
 
 
+@collector_paused
 def diff_run(prog: fg.Program, fuel=DEFAULT_EVAL_FUEL,
              rel_fuel=DEFAULT_RELATION_FUEL) -> Verdict:
     """Run main under both semantics and relate the outcomes.  Raises

@@ -25,8 +25,8 @@ start with a letter, so a prefixed name never meets a fresh variable.
 from __future__ import annotations
 
 from .diagnostics import (
-    DUP_BINDING, EOF, PREC, PREC_CMP, Diagnostic, FgError, TokenReader, lexicon, push_items,
-    rebuild, record,
+    DUP_BINDING, EOF, PREC, PREC_CMP, Diagnostic, FgError, TokenReader, collector_paused,
+    lexicon, push_items, rebuild, record,
 )
 
 _TL_KEYWORDS = {"let", "in", "case", "of", "true", "false"}
@@ -243,6 +243,7 @@ def _bind(scope, names, by):
         scope[x] = scope.get(x, 0) + by
 
 
+@collector_paused
 def validate_program(prog: TLProgram):
     """Constructor names and arities, clause well-formedness, closure up to
     method variables.  Returns a list of human-readable problems: for main
@@ -421,6 +422,7 @@ def _wrap(write, push, parens):
         push(")")
 
 
+@collector_paused
 def print_program(prog: TLProgram) -> str:
     """Canonical text: let bindings in declaration order, then the main
     expression.  print . parse . print is the identity on this format."""
@@ -680,6 +682,7 @@ class _TLParser(TokenReader):
         return Pattern(name, tuple(toks[start:i])), i
 
 
+@collector_paused
 def parse_program(text: str, filename="<input>") -> TLProgram:
     """Parse TL text.  Raises FgError with a span-carrying diagnostic on
     lexical or syntactic failure."""

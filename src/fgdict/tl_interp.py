@@ -27,7 +27,7 @@ under a binder of that name, which a closed program never does.
 from __future__ import annotations
 
 from . import tl_ast as tl
-from .diagnostics import rebuild
+from .diagnostics import collector_paused, rebuild
 from .outcome import (  # noqa: F401  (re-exported outcome vocabulary)
     BAD_PRIM, OutOfFuel, Stepped, StuckOutcome, Value,
     _Stuck, check_fuel, prim, step_once, tracer,
@@ -259,6 +259,7 @@ def tl_step(mu, e):
     return step_once(_run, _plug, mu, e)
 
 
+@collector_paused
 def tl_eval(mu, e, fuel: int, trace=None):
     """Evaluate up to `fuel` axiom steps under method substitution mu."""
     check_fuel(fuel)

@@ -37,6 +37,7 @@ from .diagnostics import (
     UNKNOWN_VAR,
     Diagnostic,
     FgError,
+    collector_paused,
 )
 
 
@@ -378,6 +379,7 @@ def method_env(d: fg.MethodDecl):
     return env
 
 
+@collector_paused
 def translate_program(prog: fg.Program, hoist_helpers=False) -> Translation:
     """Check a program, then translate it: each declaration, then `main`,
     typed by one translator (`Translator.typed`), and the typings folded

@@ -307,3 +307,19 @@ def test_import_leaves_the_recursion_limit_alone():
                         "print(before, sys.getrecursionlimit())")
     before, after = res.stdout.split()
     assert res.returncode == 0 and before == after
+
+
+def test_package_runs_as_a_module():
+    res = _python("-m", "fgdict", "diff", "--ext", "corpus/arith.fg")
+    assert (res.returncode, res.stderr) == (EXIT_OK, "")
+    assert res.stdout.startswith("agree: ")
+
+
+def test_import_leaves_the_collector_alone():
+    # Compared before and after, not with fixed values: the defaults differ
+    # by version (generation-0 threshold 700 or 2000; 3.12.1 starts with
+    # frozen objects).
+    state = "(gc.isenabled(), gc.get_threshold(), gc.get_freeze_count())"
+    res = _python("-c", f"import gc; before = {state}; import fgdict, fgdict.relate, "
+                        f"fgdict.gen; print(before == {state}, before)")
+    assert res.returncode == 0 and res.stdout.startswith("True ("), res.stdout + res.stderr

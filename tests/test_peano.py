@@ -100,7 +100,7 @@ def test_relation_fuel_deeper_than_the_recursion_limit(tmp_path, capsys):
 # methods returns one 2,000 deep.  Deep trees are compared by their printed
 # text or by `methods_related`: dataclass `==` recurses.
 DEEP_SCRIPT = """
-import contextlib, io, sys
+import contextlib, gc, io, sys
 from fgdict import tl_ast as tl
 from fgdict.cli import cli_dispatch
 from fgdict.fg_parser import parse_program, print_program
@@ -138,6 +138,7 @@ assert run("diff", fg_file).startswith(f"agree: {numeral} (")
 text = run("parse", fg_file)
 assert print_program(parse_program(text)) == text
 assert sys.getrecursionlimit() == limit
+assert gc.isenabled()
 """
 
 
