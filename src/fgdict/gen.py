@@ -347,10 +347,10 @@ def _subexprs(e):
 
 
 def _candidates(prog: fg.Program, res: Translation):
-    """Each one-step reduction of the well-typed `prog`, in greedy order,
-    with whether it is well-typed.  `res` is the translation of `prog`.  FG
-    expressions bind nothing, so the typing of `prog` decides every
-    removal and new `main` without checking it:
+    """Each well-typed one-step reduction of the well-typed `prog`, in
+    greedy order; an ill-typed one is skipped before it is built.  `res` is
+    the translation of `prog`.  FG expressions bind nothing, so the typing
+    of `prog` decides every removal and new `main` without checking it:
 
     - removing a declaration is well-typed iff no other node relies on it
       (`Translation.relies`): names the type, or relies on the method (T, m);
@@ -359,8 +359,8 @@ def _candidates(prog: fg.Program, res: Translation):
       type is a subtype of the return type, which typing the new method
       decides, or the minimal value of the return type, which always fits.
 
-    A well-typed candidate is a `_Checked` carrying the fold of the typings
-    of `prog` (`Translation.typed`) with one entry removed (`_removed`) or
+    Each candidate is a `_Checked` carrying the fold of the typings of
+    `prog` (`Translation.typed`) with one entry removed (`_removed`) or
     replaced: a new `main` or method, typed once against the table of `prog`.
     """
     table, typed, relies = prog.table, res.typed, res.relies
@@ -368,13 +368,10 @@ def _candidates(prog: fg.Program, res: Translation):
 
     for i, d in enumerate(prog.decls):
         key = d.name if isinstance(d, fg.TypeDecl) else (d.recv_type, d.name)
-        if any(key in r for j, r in enumerate(relies) if j != i):
-            yield fg.Program(prog.decls[:i] + prog.decls[i + 1:], prog.main, prog.mode), False
-        else:
-            yield _removed(prog, res, i), True
+        if not any(key in r for j, r in enumerate(relies) if j != i):
+            yield _removed(prog, res, i)
     for sub in _subexprs(prog.main):
-        yield _carrier(prog.decls, sub, prog.mode,
-                       typed[:-1] + [typer.typed(sub)], table), True
+        yield _carrier(prog.decls, sub, prog.mode, typed[:-1] + [typer.typed(sub)], table)
     for i, d in enumerate(prog.decls):
         if isinstance(d, fg.MethodDecl):
             try:
@@ -386,14 +383,13 @@ def _candidates(prog: fg.Program, res: Translation):
                 bodies.append(small)
             for b in bodies:
                 d2 = replace(d, body=b)
-                decls = prog.decls[:i] + (d2,) + prog.decls[i + 1:]
                 try:
                     node = typer.typed(d2)
                 except FgError:
-                    yield fg.Program(decls, prog.main, prog.mode), False
-                else:
-                    yield _carrier(decls, prog.main, prog.mode, typed[:i] + [node] + typed[i + 1:],
-                                   table.with_bodies(decls)), True
+                    continue
+                decls = prog.decls[:i] + (d2,) + prog.decls[i + 1:]
+                yield _carrier(decls, prog.main, prog.mode, typed[:i] + [node] + typed[i + 1:],
+                               table.with_bodies(decls))
 
 
 @dataclass(frozen=True)
@@ -444,11 +440,11 @@ def _removed(prog: fg.Program, res: Translation, i: int):
 def shrink(prog: fg.Program, failing) -> fg.Program:
     """Greedy fixpoint minimization preserving well-typedness and the
     failure predicate.  The input must be well-formed and well-typed, or
-    FgError carries its diagnostics.  Only well-typed candidates, decided
-    from the typing of the current program, reach `failing`; a candidate on
-    which `failing` raises FgError is skipped, and any other exception
-    propagates.  Each node is typed once (`Translator.typed`), which gives
-    its code and its reliance set: the input's nodes once, by
+    FgError carries its diagnostics.  `failing` sees every candidate
+    `_candidates` builds, each well-typed by the typing of the current
+    program; one on which it raises FgError is skipped, and any other
+    exception propagates.  Each node is typed once (`Translator.typed`),
+    which gives its code and its reliance set: the input's nodes once, by
     `translate_program`, and a step removes a declaration no other node
     relies on, or replaces a body or `main` without changing a signature,
     so only the changed node is typed anew, as a candidate, and not again
@@ -459,9 +455,7 @@ def shrink(prog: fg.Program, failing) -> fg.Program:
     if not res.ok:
         raise FgError(res.diagnostics)
     while True:
-        for cand, ok in _candidates(prog, res):
-            if not ok:
-                continue
+        for cand in _candidates(prog, res):
             try:
                 if failing(cand):
                     break

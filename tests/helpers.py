@@ -1,9 +1,10 @@
 """Functions only the tests use: looking up a method declaration, the
 standalone translation of one method and its comparison with a program's
 method substitution, the samples and check of the relation's
-monotonicity, the programs the reference comparisons run over, and the
-implementations of the value relation, the FG printer and the token
-offsets that the faster or shorter ones replaced, kept as references.
+monotonicity, the programs the reference comparisons run over, every
+one-step reduction the shrinker may try, and the implementations of the
+value relation, the FG printer and the token offsets that the faster or
+shorter ones replaced, kept as references.
 
 Tests import this module as `helpers`: pytest puts `tests/` on the path,
 and `tests/test_peano.py` adds it to its child interpreter's."""
@@ -17,7 +18,7 @@ from pathlib import Path
 from fgdict import fg_ast as fg, tl_ast as tl
 from fgdict.diagnostics import PREC, PREC_CMP, push_items
 from fgdict.fg_parser import _PREC_POSTFIX, parse_program
-from fgdict.gen import GenConfig, gen_program
+from fgdict.gen import GenConfig, gen_program, minimal_value
 from fgdict.relate import DEFAULT_RELATION_FUEL, _dict_slots, values_related
 from fgdict.translate import Translator
 
@@ -107,6 +108,50 @@ def sample_programs(seeds=range(300)):
                  for path in sorted(glob.glob("bench/ladder/*.fg"))]
     return programs + [gen_program(GenConfig(seed=seed, mode=mode))
                        for mode in (fg.CORE, fg.EXT) for seed in seeds]
+
+
+def _shrink_subexprs(e):
+    """The subexpressions of `e` in the order the shrinker tries them: a
+    call's arguments, then its receiver; every other node's in source
+    order."""
+    t = type(e)
+    if t is fg.Call:
+        return [*e.args, e.recv]
+    if t is fg.StructLit:
+        return list(e.args)
+    if t is fg.Select:
+        return [e.recv]
+    if t is fg.Assert:
+        return [e.expr]
+    if t is fg.BinOp:
+        return [e.left, e.right]
+    return []
+
+
+def one_step_reductions(prog: fg.Program):
+    """Every one-step reduction of `prog`, well-typed or not, as a plain
+    `fg.Program`, in the shrinker's greedy order: each declaration removed;
+    `main` replaced by each of its subexpressions; then each method body
+    replaced by each of its subexpressions, and then by the minimal value of
+    its return type when that exists and differs from the body."""
+    decls, main, mode = prog.decls, prog.main, prog.mode
+    for i in range(len(decls)):
+        yield fg.Program(decls[:i] + decls[i + 1:], main, mode)
+    for sub in _shrink_subexprs(main):
+        yield fg.Program(decls, sub, mode)
+    for i, d in enumerate(decls):
+        if not isinstance(d, fg.MethodDecl):
+            continue
+        bodies = _shrink_subexprs(d.body)
+        try:
+            small = minimal_value(prog.table, d.sig.ret)
+        except ValueError:
+            small = None
+        if small is not None and small != d.body:
+            bodies.append(small)
+        for b in bodies:
+            d2 = fg.MethodDecl(d.recv_var, d.recv_type, d.name, d.sig, b, d.span)
+            yield fg.Program(decls[:i] + (d2,) + decls[i + 1:], main, mode)
 
 
 def reference_values_related(decls: fg.Decls, mu, t: str, v, V, k: int) -> bool:

@@ -99,6 +99,16 @@ def test_run_tl_reports_a_duplicate_binding_where_it_is(tmp_path, capsys):
         f"{f}:3:3: error: duplicate let binding f [dup-binding]\n"
 
 
+def test_run_tl_reports_each_validation_problem_on_a_line(tmp_path, capsys):
+    # A TL file that reads but fails `validate_program` gets one
+    # `FILE: where: problem` line per problem, with no position.
+    f = tmp_path / "bad.tl"
+    f.write_text("let\n  f = \\x -> y\nin\nz\n", encoding="utf-8")
+    assert cli_dispatch(["run-tl", str(f)]) == EXIT_DIAGNOSTICS
+    assert capsys.readouterr().err == \
+        f"{f}: main: free variable z\n{f}: f: free variable y\n"
+
+
 def test_run_fg_trace(capsys):
     assert cli_dispatch(["run-fg", EQ, "--ext", "--trace"]) == EXIT_OK
     err = capsys.readouterr().err

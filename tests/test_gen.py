@@ -10,7 +10,7 @@ from fgdict.fg_parser import parse_program, print_program
 from fgdict.gen import GenConfig, _candidates, gen_program, minimal_value, shrink
 from fgdict.relate import BOTH_STUCK, diff_run
 from fgdict.translate import Translator, fold, method_env, translate_program
-from helpers import sample_programs
+from helpers import one_step_reductions, sample_programs
 
 # sha256 over the printed programs of `_stream_configs`, recorded before the
 # generator read subtyping from the declaration table.
@@ -217,18 +217,28 @@ def test_shrink_outputs_are_pinned(shrink_runs):
     assert sum(_program_nodes(out) for _path, out in shrink_runs) == 629
 
 
+def _fields(prog):
+    return prog.decls, prog.main, prog.mode
+
+
 def test_candidate_decisions_match_the_checker(shrink_runs):
     """The shrinker decides each candidate from the typing of the program it
-    was cut from; that must be exactly `translate_program(cand).ok`."""
+    was cut from, and builds only those it keeps; they must be, in order,
+    the one-step reductions that `translate_program` accepts."""
     programs = [p for path, _out in shrink_runs for p in path]
     programs += [gen_program(GenConfig(seed=seed, mode=mode))
                  for mode in (fg.CORE, fg.EXT) for seed in range(100)]
     checked = rejected = 0
     for prog in programs:
-        for cand, ok in _candidates(prog, _with_reference_relies(prog)):
-            assert ok == translate_program(cand).ok, print_program(cand)
+        accepted = []
+        for cand in one_step_reductions(prog):
+            if translate_program(cand).ok:
+                accepted.append(_fields(cand))
+            else:
+                rejected += 1
             checked += 1
-            rejected += not ok
+        built = [_fields(cand) for cand in _candidates(prog, _with_reference_relies(prog))]
+        assert built == accepted, print_program(prog)
     assert checked > 7000 and rejected > checked // 2
 
 
@@ -465,11 +475,11 @@ def test_a_removal_retranslates_only_the_downcasts_it_changes():
     res = translate_program(prog)
     parent = dict(res.tl_program.bindings)
     removed = {}
-    for i, (cand, ok) in enumerate(_candidates(prog, res)):
-        if not ok or len(cand.decls) == len(prog.decls):
+    for cand in _candidates(prog, res):
+        if len(cand.decls) == len(prog.decls):
             continue
-        d = prog.decls[i]
-        carried = gen._removed(prog, res, i).translation
+        d = next(d for d, e in zip(prog.decls, cand.decls + (None,)) if d is not e)
+        carried = cand.translation
         full = translate_program(cand)
         assert (carried.tl_program, carried.main_type) == (full.tl_program, full.main_type)
         changed = cand.table.implementers != {

@@ -9,11 +9,12 @@ import pytest
 
 from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
 from fgdict.fg_parser import parse_program
-from fgdict.gen import GenConfig, _candidates, gen_program
+from fgdict.gen import GenConfig, gen_program
 from fgdict.outcome import Value
 from fgdict.relate import AGREE, BOTH_STUCK, DEFAULT_EVAL_FUEL, diff_run
 from fgdict.tl_ast import downcast_name, method_var_name, upcast_name
 from fgdict.translate import Translator, require_translation, translate_program
+from helpers import one_step_reductions, sample_programs
 
 EQUALITY = Path("corpus/equality.fg").read_text(encoding="utf-8")
 
@@ -126,25 +127,49 @@ def test_helpers_are_built_once_per_program(equality):
     assert reused > 0  # some program uses a helper more than once
 
 
+def _rules_and_outcome(prog, helpers=frozenset()):
+    """The rule of each step of the TL program `prog`, and how it ends.  A
+    `tl-method` step whose control term is one of the lambdas `helpers`
+    (by identity) is recorded as "unfold"."""
+    rules = []
+
+    def on_step(_n, rule, state):
+        rules.append("unfold" if rule == "tl-method" and id(state[1]) in helpers else rule)
+
+    return rules, tl_interp._run(prog.method_subst(), prog.main, DEFAULT_EVAL_FUEL, on_step)
+
+
 def test_hoisted_translation_runs_as_the_inline_one():
-    """On generated programs, the program with hoisted helpers ends as the
-    inline one does: the same outcome kind, and the same printed value or
-    stuck reason.  How their step counts relate is not stated yet."""
+    """On the corpus, the ladder and generated programs, the program with
+    hoisted helpers runs as the inline one does, but for the unfolding of
+    each helper: a `tl-method` step to the lambda of a hoisted helper
+    binding, one the inline program does not have (a method `to` of `X` is
+    the method variable `to_X`, so names are not read for a prefix).
+    Without those steps the hoisted run takes the inline run's rules in
+    order, and it ends as the inline run does: the same outcome kind, and
+    the same printed value or stuck reason.  So the hoisted form takes as
+    many steps as the inline one plus its helper unfoldings."""
     kinds = set()
-    for mode in (fg.CORE, fg.EXT):
-        for seed in range(300):
-            prog = gen_program(GenConfig(seed=seed, mode=mode))
-            inline, hoisted = (
-                tl_interp.run_program(translate_program(prog, hoist_helpers=h).tl_program,
-                                      DEFAULT_EVAL_FUEL)
-                for h in (False, True))
-            assert type(inline) is type(hoisted), (mode, seed)
-            if type(inline) is Value:
-                assert tl.print_expr(inline.value) == tl.print_expr(hoisted.value), (mode, seed)
-            else:
-                assert inline.reason == hoisted.reason, (mode, seed)
-            kinds.add(type(inline).__name__)
+    unfoldings = 0
+    for i, prog in enumerate(sample_programs()):
+        inline, hoisted = (translate_program(prog, hoist_helpers=h).tl_program
+                           for h in (False, True))
+        names = {n for n, _lam in inline.bindings}
+        helpers = {id(lam) for n, lam in hoisted.bindings if n not in names}
+        inline_rules, inline_end = _rules_and_outcome(inline)
+        hoisted_rules, hoisted_end = _rules_and_outcome(hoisted, helpers)
+        unfolded = hoisted_rules.count("unfold")
+        assert [r for r in hoisted_rules if r != "unfold"] == inline_rules, i
+        assert type(inline_end) is type(hoisted_end), i
+        if type(inline_end) is Value:
+            assert tl.print_expr(inline_end.value) == tl.print_expr(hoisted_end.value), i
+        else:
+            assert inline_end.reason == hoisted_end.reason, i
+        assert hoisted_end.steps == inline_end.steps + unfolded, i
+        kinds.add(type(inline_end).__name__)
+        unfoldings += unfolded
     assert kinds == {"Value", "StuckOutcome"}
+    assert unfoldings > 0
 
 
 def test_translation_is_deterministic(equality):
@@ -330,7 +355,8 @@ TRANSLATION_DIGEST = "9a215db51008d24de91c7a19d62337230de95467a1a0a640fbb6c439db
 
 def _translation_programs():
     """The corpus, the ladder, generated programs in both modes, and every
-    shrink candidate, well-typed or not, of the first 100 of each mode."""
+    one-step reduction the shrinker may try, well-typed or not
+    (`helpers.one_step_reductions`), of the first 100 of each mode."""
     with open("corpus/manifest.json", encoding="utf-8") as f:
         manifest = json.load(f)["files"]
     for entry in manifest:
@@ -345,8 +371,7 @@ def _translation_programs():
             prog = gen_program(GenConfig(seed=seed, mode=mode))
             yield f"gen-{mode}-{seed}", prog
             if seed < 100:
-                res = translate_program(prog)
-                for i, (cand, _ok) in enumerate(_candidates(prog, res)):
+                for i, cand in enumerate(one_step_reductions(prog)):
                     yield f"gen-{mode}-{seed}-cand{i}", cand
 
 
