@@ -206,7 +206,7 @@ def _emit_verdict(prog, verdict, args, seed=None):
 
 def _cmd_diff(args):
     prog = _load(args)
-    verdict = diff_run(prog, fuel=args.steps, rel_fuel=args.rel_fuel)
+    verdict = diff_run(prog, fuel=args.steps)
     _emit_verdict(prog, verdict, args)
     return verdict.exit_code()
 
@@ -217,7 +217,7 @@ def _cmd_fuzz(args):
     for i in range(args.count):
         seed = args.seed + i
         prog = gen_program(GenConfig(seed=seed, mode=_mode(args)))
-        verdict = diff_run(prog, fuel=args.steps, rel_fuel=args.rel_fuel)
+        verdict = diff_run(prog, fuel=args.steps)
         counts[verdict.kind] += 1
         _emit_verdict(prog, verdict, args, seed=seed)
         if verdict.kind == DISAGREE and args.keep_failures:

@@ -145,7 +145,7 @@ def _run(decls, e, fuel, on_step):
                     t_dyn = value_type(v)
                     if not fg.is_subtype(decls, t_dyn, node.type_name):
                         raise _Stuck(ASSERT_FAILURE,
-                                     f"{t_dyn} does not conform to {node.type_name}")
+                                     f"{t_dyn} does not conform to {node.type_name}", t_dyn)
                     rule = "fg-assert"
                 elif len(vals) == base:
                     vals.append(v)
@@ -165,7 +165,7 @@ def _run(decls, e, fuel, on_step):
             else:
                 return Value(v, steps)
     except _Stuck as s:
-        return StuckOutcome(s.reason, s.detail, steps)
+        return StuckOutcome(s.reason, s.detail, steps, s.struct)
 
 
 def _call(methods, node, recv, args):

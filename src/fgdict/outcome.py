@@ -32,6 +32,7 @@ class StuckOutcome:
     reason: str
     detail: str
     steps: int
+    struct: str = None  # what a failed FG assertion or TL match was on
 
 
 @record
@@ -46,9 +47,10 @@ class Stepped:
 
 
 class _Stuck(Exception):
-    def __init__(self, reason, detail):
+    def __init__(self, reason, detail, struct=None):
         self.reason = reason
         self.detail = detail
+        self.struct = struct
         super().__init__(f"{reason}: {detail}")
 
 

@@ -1,16 +1,15 @@
-"""Fuel-bounded executable form of the step-indexed value relation between
-FG and TL, plus the differential runner.
+"""The exact value relation between FG and TL final values, plus the
+differential runner.
 
-The relation checker decides relatedness of final values:
+Final values are finite first-order trees, so the relation has no step
+index and compares the whole value:
 
 * at a struct type the TL value must be the tagged tuple of related field
-  values (same index);
+  values;
 * at an interface type it must be an interface value whose payload is
-  related at the payload's struct type with a strictly smaller index and
-  whose dictionary slots are syntactically the canonical method variables
-  for that struct, in interface spec order;
-* index 0 relates everything (the relation's bounded quantifiers are
-  vacuous there).
+  related at the payload's struct type and whose dictionary slots are
+  syntactically the canonical method variables for that struct, in
+  interface spec order.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from .outcome import OutOfFuel, StuckOutcome
 from .translate import require_translation, translate_program  # noqa: F401
 
 DEFAULT_EVAL_FUEL = 10 ** 5
-DEFAULT_RELATION_FUEL = 64
+DEFAULT_RELATION_FUEL = 64  # only echoed as the v1 record's "rel-fuel"
 
 AGREE = "agree"
 BOTH_STUCK = "both-stuck"
@@ -37,18 +36,16 @@ DISAGREE = "disagree"
 BUDGET = "budget"
 
 
-def values_related(decls: fg.Decls, mu, t: str, v, V, k: int) -> bool:
-    """Decidable witness for the value relation at type t and index k.  The
-    pairs still to relate wait on an explicit stack, in pre-order, so values
-    of any depth relate; each type's facts are read once per call."""
+def values_related(decls: fg.Decls, mu, t: str, v, V) -> bool:
+    """Whether FG value v and TL value V are related at type t.  The pairs
+    still to relate wait on an explicit stack, in pre-order, so values of
+    any depth relate; each type's facts are read once per call."""
     facts = {}  # type -> (kind, constructor, field types)
     slots = {}  # (interface, payload constructor) -> _dict_slots
-    todo = [(t, v, V, k)]
+    todo = [(t, v, V)]
     pop, push = todo.pop, todo.append
     while todo:
-        t, v, V, k = pop()
-        if k <= 0:
-            continue
+        t, v, V = pop()
         fact = facts.get(t)
         if fact is None:
             kind = decls.kind(t)
@@ -65,7 +62,7 @@ def values_related(decls: fg.Decls, mu, t: str, v, V, k: int) -> bool:
                 return False
             while i:
                 i -= 1
-                push((types[i], args[i], tl_args[i], k))
+                push((types[i], args[i], tl_args[i]))
         elif kind == "prim":
             lit, tl_lit = (fg.IntLit, tl.TLInt) if t == fg.INT else (fg.BoolLit, tl.TLBool)
             if not (isinstance(v, lit) and isinstance(V, tl_lit) and v.value == V.value):
@@ -81,7 +78,7 @@ def values_related(decls: fg.Decls, mu, t: str, v, V, k: int) -> bool:
             want = slots[key]
             if want is None or V.args[1:] != want[1]:
                 return False
-            push((want[0], v, payload, k - 1))
+            push((want[0], v, payload))
     return True
 
 
@@ -125,7 +122,7 @@ def diff_run(prog: fg.Program, fuel=DEFAULT_EVAL_FUEL,
     """Run main under both semantics and relate the outcomes.  Raises
     FgError for an ill-formed or ill-typed program.  A program that
     carries its translation (a candidate of `gen.shrink`) is not
-    translated again."""
+    translated again.  Nothing reads `rel_fuel`; `bench/` still passes it."""
     res = getattr(prog, "translation", None)
     if res is None:
         res = require_translation(prog)
@@ -144,15 +141,15 @@ def diff_run(prog: fg.Program, fuel=DEFAULT_EVAL_FUEL,
     fg_stuck = isinstance(fg_out, StuckOutcome)
     tl_stuck = isinstance(tl_out, StuckOutcome)
     if fg_stuck and tl_stuck:
-        # A well-typed FG program gets stuck only at a failed type
-        # assertion, which the translation turns into a failed match.
-        if (fg_out.reason, tl_out.reason) == (fg_interp.ASSERT_FAILURE,
+        # A well-typed FG program gets stuck only at a failed type assertion,
+        # which the translation turns into a failed match on the same struct.
+        detail = None
+        if (fg_out.reason, tl_out.reason) != (fg_interp.ASSERT_FAILURE,
                                               tl_interp.MATCH_FAILURE):
-            kind, detail = BOTH_STUCK, None
-        else:
-            kind = DISAGREE
             detail = f"both sides stuck: fg {fg_out.reason}, tl {tl_out.reason}"
-        return Verdict(kind, main_type=res.main_type,
+        elif fg_out.struct != tl_out.struct:
+            detail = f"both sides stuck: fg on {fg_out.struct}, tl on {tl_out.struct}"
+        return Verdict(DISAGREE if detail else BOTH_STUCK, main_type=res.main_type,
                        fg_reason=fg_out.reason, tl_reason=tl_out.reason,
                        fg_steps=fg_out.steps, tl_steps=tl_out.steps, detail=detail)
     if fg_stuck != tl_stuck:
@@ -163,7 +160,7 @@ def diff_run(prog: fg.Program, fuel=DEFAULT_EVAL_FUEL,
                        tl_reason=getattr(tl_out, "reason", None),
                        detail=f"{side} side stuck ({out.reason}: {out.detail}), "
                               "other side produced a value")
-    if values_related(decls, mu, res.main_type, fg_out.value, tl_out.value, rel_fuel):
+    if values_related(decls, mu, res.main_type, fg_out.value, tl_out.value):
         return Verdict(AGREE, main_type=res.main_type,
                        fg_value=fg_out.value, tl_value=tl_out.value,
                        fg_steps=fg_out.steps, tl_steps=tl_out.steps)

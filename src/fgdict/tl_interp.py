@@ -182,7 +182,7 @@ def _run(mu, e, fuel, on_step):
             else:
                 return Value(_value_term(v), steps)
     except _Stuck as s:
-        return StuckOutcome(s.reason, s.detail, steps)
+        return StuckOutcome(s.reason, s.detail, steps, s.struct)
 
 
 def _match(node, env, v):
@@ -204,7 +204,7 @@ def _match(node, env, v):
             env = dict(env)
             env.update(zip(reversed(names), reversed(v.args)))
             return c.body, env
-    raise _Stuck(MATCH_FAILURE, f"no clause matches {v.ctor}")
+    raise _Stuck(MATCH_FAILURE, f"no clause matches {v.ctor}", tl.ctor_type(v.ctor))
 
 
 def _value_term(v):

@@ -1,10 +1,10 @@
 """Functions only the tests use: looking up a method declaration, the
 standalone translation of one method and its comparison with a program's
-method substitution, the samples and check of the relation's
-monotonicity, the programs the reference comparisons run over, every
-one-step reduction the shrinker may try, and the implementations of the
-value relation, the FG printer and the token offsets that the faster or
-shorter ones replaced, kept as references.
+method substitution, the pairs the relation is checked on and a TL value
+changed at its deepest leaf, the programs the reference comparisons run
+over, every one-step reduction the shrinker may try, and the
+implementations of the value relation, the FG printer and the token
+offsets that the faster or shorter ones replaced, kept as references.
 
 Tests import this module as `helpers`: pytest puts `tests/` on the path,
 and `tests/test_peano.py` adds it to its child interpreter's."""
@@ -19,7 +19,7 @@ from fgdict import fg_ast as fg, tl_ast as tl
 from fgdict.diagnostics import PREC, PREC_CMP, push_items
 from fgdict.fg_parser import _PREC_POSTFIX, parse_program
 from fgdict.gen import GenConfig, gen_program, minimal_value
-from fgdict.relate import DEFAULT_RELATION_FUEL, _dict_slots, values_related
+from fgdict.relate import _dict_slots
 from fgdict.translate import Translator
 
 
@@ -67,7 +67,7 @@ def _same_term(a, b) -> bool:
 
 def harvest_related(decls: fg.Decls, t: str, v, V):
     """Collect, in pre-order, the (type, fg value, tl value) triples below a
-    related root pair, for the monotonicity/preservation suites."""
+    related root pair, for the exactness/preservation suites."""
     out = []
     todo = [(t, v, V)]
     while todo:
@@ -85,17 +85,34 @@ def harvest_related(decls: fg.Decls, t: str, v, V):
     return out
 
 
-def monotonicity_violations(decls, mu, samples, kmax=DEFAULT_RELATION_FUEL):
-    """Check that relatedness at k implies relatedness at every k' <= k,
-    exhaustively up to kmax.  Returns a list of violation descriptions."""
-    violations = []
-    for t, v, V in samples:
-        flags = [values_related(decls, mu, t, v, V, k) for k in range(kmax + 1)]
-        for k in range(kmax + 1):
-            if flags[k] and not all(flags[:k]):
-                violations.append((t, k, v, V))
-                break
-    return violations
+def deepest_leaf_changed(V):
+    """`V` with its deepest leaf changed, the leftmost of the deepest: a
+    nullary constructor or a method variable renamed, an integer plus one, a
+    boolean negated.  The path to it is found breadth-first and rebuilt from
+    the leaf up, so values of any depth are changed without recursion."""
+    nodes = [(V, -1, -1, 0)]  # (value, parent's index, position in it, depth)
+    leaf = None
+    for i, (W, _parent, _pos, depth) in enumerate(nodes):
+        if type(W) is tl.CtorApp and W.args:
+            nodes.extend((arg, i, pos, depth + 1) for pos, arg in enumerate(W.args))
+        elif leaf is None or depth > nodes[leaf][3]:
+            leaf = i
+    W, parent, pos, _depth = nodes[leaf]
+    if type(W) is tl.CtorApp:
+        W = tl.CtorApp(W.ctor + "x", ())
+    elif type(W) is tl.MethodVar:
+        W = tl.MethodVar(W.name + "x")
+    elif type(W) is tl.TLInt:
+        W = tl.TLInt(W.value + 1)
+    elif type(W) is tl.TLBool:
+        W = tl.TLBool(not W.value)
+    else:
+        raise TypeError(f"not a TL value leaf: {W!r}")
+    while parent >= 0:
+        P, up, up_pos, _depth = nodes[parent]
+        W = tl.CtorApp(P.ctor, P.args[:pos] + (W,) + P.args[pos + 1:])
+        parent, pos = up, up_pos
+    return W
 
 
 def sample_programs(seeds=range(300)):
@@ -154,15 +171,13 @@ def one_step_reductions(prog: fg.Program):
             yield fg.Program(decls[:i] + (d2,) + decls[i + 1:], main, mode)
 
 
-def reference_values_related(decls: fg.Decls, mu, t: str, v, V, k: int) -> bool:
+def reference_values_related(decls: fg.Decls, mu, t: str, v, V) -> bool:
     """The value relation as it was before it read each type's facts once
     per call: every level looks up its type's kind, constructor and fields."""
     slots = {}  # (interface, payload constructor) -> _dict_slots
-    todo = [(t, v, V, k)]
+    todo = [(t, v, V)]
     while todo:
-        t, v, V, k = todo.pop()
-        if k <= 0:
-            continue
+        t, v, V = todo.pop()
         kind = decls.kind(t)
         if kind == "prim":
             lit, tl_lit = (fg.IntLit, tl.TLInt) if t == fg.INT else (fg.BoolLit, tl.TLBool)
@@ -176,7 +191,7 @@ def reference_values_related(decls: fg.Decls, mu, t: str, v, V, k: int) -> bool:
             fields = decls.struct_fields(t)
             if len(V.args) != len(fields) or len(v.args) != len(fields):
                 return False
-            todo.extend((fields[i][1], v.args[i], V.args[i], k)
+            todo.extend((fields[i][1], v.args[i], V.args[i])
                         for i in range(len(fields) - 1, -1, -1))
         else:  # interface type
             if not (isinstance(V, tl.CtorApp) and V.ctor == tl.struct_ctor(t)
@@ -189,7 +204,7 @@ def reference_values_related(decls: fg.Decls, mu, t: str, v, V, k: int) -> bool:
             want = slots[key]
             if want is None or V.args[1:] != want[1]:
                 return False
-            todo.append((want[0], v, payload, k - 1))
+            todo.append((want[0], v, payload))
     return True
 
 

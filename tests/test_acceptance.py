@@ -16,10 +16,9 @@ from fgdict.fg_parser import parse_program, print_expr, print_program
 from fgdict.gen import GenConfig, gen_program
 from fgdict.relate import AGREE, BOTH_STUCK, BUDGET, DISAGREE, diff_run, values_related
 from fgdict.translate import Translator, require_translation, translate_program
-from helpers import harvest_related, monotonicity_violations
+from helpers import deepest_leaf_changed, harvest_related
 
 EVAL_FUEL = 10 ** 5
-REL_FUEL = 64
 
 
 def report(name, ok, detail=""):
@@ -44,8 +43,7 @@ def fuzz_results():
     results = []
     for seed in range(1000):
         prog = gen_program(GenConfig(seed=seed))
-        results.append((seed, prog, diff_run(prog, fuel=EVAL_FUEL,
-                                             rel_fuel=REL_FUEL)))
+        results.append((seed, prog, diff_run(prog, fuel=EVAL_FUEL)))
     return results
 
 
@@ -98,7 +96,7 @@ def test_criterion_1_running_example():
         lam.body.clauses[0].pat.ctor == "K_Eq" and \
         lam.body.clauses[0].body.clauses[0].pat.ctor == "K_Int"
 
-    verdict = diff_run(prog, fuel=EVAL_FUEL, rel_fuel=REL_FUEL)
+    verdict = diff_run(prog, fuel=EVAL_FUEL)
     golden = json.loads(Path("corpus/equality.golden.json").read_text(encoding="utf-8"))
     ok = ok and verdict.kind == AGREE
     ok = ok and verdict.main_type == golden["main-type"]
@@ -129,23 +127,20 @@ def test_criterion_2_runtime():
     t0 = time.time()
     for seed in range(1000):
         prog = gen_program(GenConfig(seed=seed))
-        diff_run(prog, fuel=EVAL_FUEL, rel_fuel=REL_FUEL)
+        diff_run(prog, fuel=EVAL_FUEL)
     elapsed = time.time() - t0
     report("criterion 2: runtime under 60 s", elapsed < 60.0, f"{elapsed:.1f}s")
 
 
-def test_criterion_3_monotonicity(harvested):
-    samples_by_prog = {}
-    for decls, mu, t, v, V in harvested:
-        samples_by_prog.setdefault(id(decls), (decls, mu, []))[2].append((t, v, V))
-    total = 0
-    violations = []
-    for decls, mu, samples in samples_by_prog.values():
-        total += len(samples)
-        violations += monotonicity_violations(decls, mu, samples, kmax=REL_FUEL)
-    ok = total >= 200 and not violations
-    report("criterion 3: relation monotonicity up to k=64",
-           ok, f"{total} triples, {len(violations)} violations")
+def test_criterion_3_exactness(harvested):
+    """Each harvested pair is related, and stops being related when its TL
+    value's deepest leaf changes: the relation compares the whole value."""
+    violations = [(t, V) for decls, mu, t, v, V in harvested
+                  if not values_related(decls, mu, t, v, V)
+                  or values_related(decls, mu, t, v, deepest_leaf_changed(V))]
+    ok = len(harvested) >= 200 and not violations
+    report("criterion 3: the relation compares every pair down to its deepest leaf",
+           ok, f"{len(harvested)} triples, {len(violations)} violations")
 
 
 def test_criterion_4_cast_preservation(harvested):
@@ -164,7 +159,7 @@ def test_criterion_4_cast_preservation(harvested):
             want_steps = 1 if kind == "struct" else 2
             if not (isinstance(out, tl_interp.Value) and
                     out.steps == want_steps and
-                    values_related(decls, mu, u, v, out.value, REL_FUEL)):
+                    values_related(decls, mu, u, v, out.value)):
                 bad.append((t, u, "upcast"))
             checked += 1
         # Destructor edges: every declared type an assertion could target.
@@ -177,7 +172,7 @@ def test_criterion_4_cast_preservation(harvested):
             out = tl_interp.tl_eval(mu, tl.App(tr.build_downcast(t, u), V), 10)
             if fg.is_subtype(decls, dyn, u):
                 if not (isinstance(out, tl_interp.Value) and out.steps == 3 and
-                        values_related(decls, mu, u, v, out.value, REL_FUEL)):
+                        values_related(decls, mu, u, v, out.value)):
                     bad.append((t, u, "downcast-success"))
             else:
                 # The source-side assertion sticks; the target side must too.
@@ -193,7 +188,7 @@ def test_criterion_5_coherence(monkeypatch):
     progs = [gen_program(GenConfig(seed=seed)) for seed in range(100)]
 
     def run_all():
-        return [(diff_run(prog, fuel=EVAL_FUEL, rel_fuel=REL_FUEL).kind,
+        return [(diff_run(prog, fuel=EVAL_FUEL).kind,
                  tl.print_program(require_translation(prog).tl_program))
                 for prog in progs]
 
@@ -218,8 +213,7 @@ def test_criterion_5_coherence(monkeypatch):
 
 def test_criterion_6_stuckness_fidelity():
     files = sorted(glob.glob("corpus/stuck/*.fg"))
-    verdicts = [diff_run(load(p), fuel=EVAL_FUEL, rel_fuel=REL_FUEL).kind
-                for p in files]
+    verdicts = [diff_run(load(p), fuel=EVAL_FUEL).kind for p in files]
     ok = len(files) == 10 and all(k == BOTH_STUCK for k in verdicts)
     report("criterion 6: failing assertions stick on both sides",
            ok, f"{verdicts.count(BOTH_STUCK)}/10 both-stuck")
@@ -269,14 +263,13 @@ def test_criterion_8_determinism(tmp_path):
         h1 = tl.print_program(require_translation(prog, hoist_helpers=True).tl_program)
         h2 = tl.print_program(require_translation(prog, hoist_helpers=True).tl_program)
         ok = ok and h1.encode() == h2.encode()
-        ok = ok and diff_run(prog, fuel=EVAL_FUEL,
-                             rel_fuel=REL_FUEL).kind == entry["verdict"]
+        ok = ok and diff_run(prog, fuel=EVAL_FUEL).kind == entry["verdict"]
 
     def stream(n=60, seed=0):
         out = []
         for s in range(seed, seed + n):
             prog = gen_program(GenConfig(seed=s))
-            v = diff_run(prog, fuel=EVAL_FUEL, rel_fuel=REL_FUEL)
+            v = diff_run(prog, fuel=EVAL_FUEL)
             out.append((s, print_program(prog), v.kind, v.fg_steps, v.tl_steps))
         return out
 

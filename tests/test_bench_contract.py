@@ -1,14 +1,20 @@
-"""The names the benchmark in `bench/` uses from the package.
+"""The names the benchmark in `bench/` uses from the package, and the
+shapes of the calls it makes.
 
 `bench/test_bench.py` runs every workload and is too slow for tier-1; this
-guard only loads `bench/tracing.py` and `bench/workloads.py`, so a change
-that deletes or renames a name the benchmark relies on fails here.
+guard only loads `bench/tracing.py` and `bench/workloads.py` and reads the
+calls in the latter, so a change that deletes or renames a name the
+benchmark relies on, or a parameter that one of its calls passes, fails
+here.
 """
 
+import ast
+import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
-from fgdict import fg_ast, fg_parser, gen, relate, tl_ast, translate
+from fgdict import gen, relate
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -34,18 +40,41 @@ def test_tracing_wraps_every_boundary_and_restores_it():
     assert all(a is b for a, b in zip(after, before))
 
 
+def _package_calls(path):
+    """(module, name, positional count, keyword names, line) of each call
+    `module.name(...)` in `path` on a module it imports `from fgdict`,
+    except calls that pass `*` or `**` arguments."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: importlib.import_module(f"fgdict.{alias.name}")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "fgdict"
+               for alias in node.names}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in modules):
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args) or \
+                any(k.arg is None for k in node.keywords):
+            continue
+        yield (modules[node.func.value.id], node.func.attr, len(node.args),
+               tuple(k.arg for k in node.keywords), node.lineno)
+
+
 def test_names_the_workloads_call_exist():
-    for module, name in [
-        (fg_ast, "require_wellformed"),
-        (fg_ast, "program_exprs"),
-        (fg_parser, "print_expr"),
-        (relate, "verdict_json"),
-        (translate, "require_translation"),
-        (tl_ast, "print_program"),
-        (tl_ast, "parse_program"),
-        (tl_ast, "validate_program"),
-    ]:
-        assert hasattr(module, name), f"{module.__name__}.{name}"
+    """Each call binds to the signature of the function it names."""
+    shapes = set()
+    for module, name, n_args, keywords, line in _package_calls(BENCH / "workloads.py"):
+        assert hasattr(module, name), f"workloads.py:{line}: {module.__name__}.{name}"
+        signature = inspect.signature(getattr(module, name))
+        try:
+            signature.bind(*range(n_args), **dict.fromkeys(keywords))
+        except TypeError as e:
+            raise AssertionError(f"workloads.py:{line}: {module.__name__}.{name}: {e}") from e
+        shapes.add((module.__name__, name, n_args, keywords))
+    assert {("fgdict.relate", "diff_run", 1, ("fuel", "rel_fuel")),
+            ("fgdict.relate", "diff_run", 1, ()),
+            ("fgdict.relate", "verdict_json", 4, ("seed",))} <= shapes
+    assert type(relate.DEFAULT_RELATION_FUEL) is int
 
 
 def test_compile_workload_config_builds():

@@ -10,9 +10,7 @@ from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
 from fgdict.cli import EXIT_DIAGNOSTICS, EXIT_OK, cli_dispatch
 from fgdict.fg_parser import parse_program
 from fgdict.gen import GenConfig, gen_program
-from fgdict.relate import (
-    AGREE, DEFAULT_EVAL_FUEL, DEFAULT_RELATION_FUEL, diff_run, values_related,
-)
+from fgdict.relate import AGREE, DEFAULT_EVAL_FUEL, diff_run, values_related
 from fgdict.translate import require_translation, translate_program
 
 # Method variables a_b_C twice under `{m}_{T}` mangling.
@@ -90,7 +88,7 @@ def test_user_method_named_like_a_helper():
     fg_out = fg_interp.fg_eval(prog.table, prog.main, DEFAULT_EVAL_FUEL)
     tl_out = tl_interp.run_program(res.tl_program, DEFAULT_EVAL_FUEL)
     assert values_related(prog.table, res.tl_program.method_subst(), res.main_type,
-                          fg_out.value, tl_out.value, DEFAULT_RELATION_FUEL)
+                          fg_out.value, tl_out.value)
 
 
 def test_diff_rejects_ill_formed_program(tmp_path, capsys):

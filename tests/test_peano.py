@@ -10,7 +10,9 @@ import pytest
 
 from fgdict.cli import EXIT_OK, cli_dispatch
 from fgdict.fg_parser import parse_program, print_expr
-from fgdict.relate import AGREE, diff_run
+from fgdict.relate import AGREE, diff_run, values_related
+from fgdict.translate import require_translation
+from helpers import deepest_leaf_changed
 
 NAT = """
 package main
@@ -88,11 +90,14 @@ def test_run_tl_prints_a_value_deeper_than_the_recursion_limit(tmp_path, capsys)
         "K_Nat K_Z add_Z mul_Z" + ")) add_S mul_S" * 10000 + "\n"
 
 
-def test_relation_fuel_deeper_than_the_recursion_limit(tmp_path, capsys):
-    f = tmp_path / "mul100.fg"
-    f.write_text(NAT % f"{numeral(100)}.mul({numeral(100)})", encoding="utf-8")
-    assert cli_dispatch(["diff", str(f), "--rel-fuel", "5000"]) == EXIT_OK
-    assert capsys.readouterr().out.startswith("agree: S{S{")
+def test_relation_compares_a_value_deeper_than_the_recursion_limit():
+    # The TL value nests 10,001 interface values; changing only its
+    # innermost K_Z makes it unrelated.
+    prog = parse_program(NAT % f"{numeral(100)}.mul({numeral(100)})")
+    v = diff_run(prog)
+    assert v.kind == AGREE
+    mu = require_translation(prog).tl_program.method_subst()
+    assert not values_related(prog.table, mu, "Nat", v.fg_value, deepest_leaf_changed(v.tl_value))
 
 
 # Runs in a fresh interpreter, at Python's default recursion limit, on a

@@ -6,12 +6,10 @@ import pytest
 
 from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
 from fgdict.fg_parser import parse_expr, print_expr
-from fgdict.relate import DEFAULT_EVAL_FUEL, DEFAULT_RELATION_FUEL, values_related
+from fgdict.relate import DEFAULT_EVAL_FUEL, values_related
 from fgdict.translate import require_translation
 from helpers import harvest_related, reference_print_expr, reference_values_related, \
     sample_programs
-
-KS = (0, 1, 2, DEFAULT_RELATION_FUEL)
 
 
 @pytest.fixture(scope="module")
@@ -60,27 +58,23 @@ def test_relation_is_its_reference_on_related_pairs(runs):
     for _prog, decls, mu, main_type, fg_out, tl_out in runs:
         if type(fg_out) is fg_interp.Value:
             roots += 1
-            assert values_related(decls, mu, main_type, fg_out.value, tl_out.value,
-                                  DEFAULT_RELATION_FUEL)
+            assert values_related(decls, mu, main_type, fg_out.value, tl_out.value)
     for decls, mu, t, v, V in _related_triples(runs):
         pairs += 1
-        for k in KS:
-            assert values_related(decls, mu, t, v, V, k) == \
-                reference_values_related(decls, mu, t, v, V, k), (t, k)
+        assert values_related(decls, mu, t, v, V) == \
+            reference_values_related(decls, mu, t, v, V), t
     assert roots > 300 and pairs > roots
 
 
 def test_relation_is_its_reference_on_mismatched_pairs(runs):
-    """Each one-edit mismatch stays unrelated above index 0, and relates at
-    index 0, as the reference says."""
+    """Each one-edit mismatch is unrelated, as the reference says."""
     edits = 0
     for decls, mu, t, v, V in _related_triples(runs):
         for W in _mismatches(V):
             edits += 1
-            for k in KS:
-                got = values_related(decls, mu, t, v, W, k)
-                assert got == reference_values_related(decls, mu, t, v, W, k)
-                assert got is (k == 0), (t, k, W)
+            got = values_related(decls, mu, t, v, W)
+            assert got == reference_values_related(decls, mu, t, v, W)
+            assert got is False, (t, W)
     assert edits > 1000
 
 
@@ -109,7 +103,7 @@ def test_relation_meets_types_in_the_reference_order(runs):
         firsts = []
         for relation in (values_related, reference_values_related):
             spy = _KindsAsked(decls)
-            relation(spy, mu, main_type, fg_out.value, tl_out.value, DEFAULT_RELATION_FUEL)
+            relation(spy, mu, main_type, fg_out.value, tl_out.value)
             firsts.append(list(dict.fromkeys(spy.asked)))
         assert firsts[0] == firsts[1]
 

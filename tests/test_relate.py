@@ -1,5 +1,6 @@
-"""Bounded value relation and the differential runner."""
+"""The value relation and the differential runner."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from fgdict.relate import (
     AGREE, BOTH_STUCK, BUDGET, DISAGREE, diff_run, program_hash, values_related, verdict_json,
 )
 from fgdict.translate import require_translation
-from helpers import harvest_related, methods_related, monotonicity_violations
+from helpers import deepest_leaf_changed, harvest_related, methods_related
 
 EQUALITY = Path("corpus/equality.fg").read_text(encoding="utf-8")
 
@@ -23,25 +24,19 @@ def eq_setup():
     return prog, prog.table, res.tl_program.method_subst()
 
 
-def test_relation_at_zero_is_total(eq_setup):
-    _p, decls, mu = eq_setup
-    assert values_related(decls, mu, "Int", fg.IntLit(1), tl.TLBool(False), 0)
-
-
 def test_prim_relation(eq_setup):
     _p, decls, mu = eq_setup
-    assert values_related(decls, mu, "int", fg.IntLit(3), tl.TLInt(3), 5)
-    assert not values_related(decls, mu, "int", fg.IntLit(3), tl.TLInt(4), 5)
-    assert values_related(decls, mu, "bool", fg.BoolLit(True), tl.TLBool(True), 5)
+    assert values_related(decls, mu, "int", fg.IntLit(3), tl.TLInt(3))
+    assert not values_related(decls, mu, "int", fg.IntLit(3), tl.TLInt(4))
+    assert values_related(decls, mu, "bool", fg.BoolLit(True), tl.TLBool(True))
 
 
 def test_struct_relation_compares_fields(eq_setup):
     _p, decls, mu = eq_setup
     v = fg.StructLit("Int", (fg.IntLit(7),))
     V = tl.CtorApp("K_Int", (tl.TLInt(7),))
-    assert values_related(decls, mu, "Int", v, V, 5)
-    assert not values_related(decls, mu, "Int", v,
-                              tl.CtorApp("K_Int", (tl.TLInt(8),)), 5)
+    assert values_related(decls, mu, "Int", v, V)
+    assert not values_related(decls, mu, "Int", v, tl.CtorApp("K_Int", (tl.TLInt(8),)))
 
 
 def test_iface_relation_requires_canonical_dictionary(eq_setup):
@@ -50,13 +45,12 @@ def test_iface_relation_requires_canonical_dictionary(eq_setup):
     payload = tl.CtorApp("K_Int", (tl.TLInt(7),))
     good = tl.CtorApp("K_Eq", (payload, tl.MethodVar("eq_Int")))
     bad = tl.CtorApp("K_Eq", (payload, tl.MethodVar("eq_Pair")))
-    assert values_related(decls, mu, "Eq", v, good, 5)
-    assert not values_related(decls, mu, "Eq", v, bad, 5)
-    # At index 1 the payload comparison happens at index 0 and is vacuous.
+    assert values_related(decls, mu, "Eq", v, good)
+    assert not values_related(decls, mu, "Eq", v, bad)
+    # The payload is compared too, below the dictionary.
     wrong_payload = tl.CtorApp("K_Eq", (tl.CtorApp("K_Int", (tl.TLInt(9),)),
                                         tl.MethodVar("eq_Int")))
-    assert values_related(decls, mu, "Eq", v, wrong_payload, 1)
-    assert not values_related(decls, mu, "Eq", v, wrong_payload, 2)
+    assert not values_related(decls, mu, "Eq", v, wrong_payload)
 
 
 def test_each_dictionary_is_compared_where_it_occurs(eq_setup):
@@ -77,10 +71,8 @@ def test_each_dictionary_is_compared_where_it_occurs(eq_setup):
                 eq(pair(eq(ints[1], "eq_Int"), eq(ints[2], "eq_Int")), "eq_Pair"))
     bad = pair(eq(ints[0], "eq_Int"),
                eq(pair(eq(ints[1], "eq_Pair"), eq(ints[2], "eq_Int")), "eq_Pair"))
-    assert values_related(decls, mu, "Pair", v, good, 5)
-    assert not values_related(decls, mu, "Pair", v, bad, 5)
-    assert values_related(decls, mu, "Pair", v, bad, 1)
-    assert not values_related(decls, mu, "Pair", v, bad, 2)
+    assert values_related(decls, mu, "Pair", v, good)
+    assert not values_related(decls, mu, "Pair", v, bad)
 
 
 def test_methods_related(eq_setup):
@@ -102,13 +94,44 @@ def test_diff_agrees_on_equality(eq_setup):
     assert v.exit_code() == 0
 
 
+ASSERT01 = Path("corpus/stuck/assert01.fg").read_text(encoding="utf-8")
+
+
 def test_diff_both_stuck():
-    prog = parse_program(Path("corpus/stuck/assert01.fg").read_text(encoding="utf-8"))
-    v = diff_run(prog)
+    v = diff_run(parse_program(ASSERT01))
     assert v.kind == BOTH_STUCK
     assert v.fg_reason == fg_interp.ASSERT_FAILURE
     assert v.tl_reason == tl_interp.MATCH_FAILURE
     assert v.exit_code() == 0
+
+
+def _tl_stuck_as(monkeypatch, out):
+    """Break the TL side: every run gets stuck as `out`, at the real run's
+    step count."""
+    real = tl_interp.tl_eval
+    monkeypatch.setattr(tl_interp, "tl_eval", lambda mu, e, fuel, trace=None: replace(
+        out, steps=real(mu, e, fuel).steps))
+
+
+def test_both_stuck_on_other_structs_disagrees(monkeypatch):
+    # FG's assertion fails on the A in the box; TL's match fails on Box.
+    _tl_stuck_as(monkeypatch, tl_interp.StuckOutcome(
+        tl_interp.MATCH_FAILURE, "no clause matches K_Box", 0, "Box"))
+    v = diff_run(parse_program(ASSERT01))
+    assert (v.fg_reason, v.tl_reason) == (fg_interp.ASSERT_FAILURE, tl_interp.MATCH_FAILURE)
+    assert (v.kind, v.detail) == (DISAGREE, "both sides stuck: fg on A, tl on Box")
+    assert v.exit_code() == 2
+
+
+def test_both_stuck_on_a_pattern_arity_mismatch_disagrees(monkeypatch):
+    # A match that fails on arity names no struct.
+    arity = tl_interp.tl_eval({}, tl.parse_expr("case K_A of { K_A x -> K_A }"), 10)
+    assert arity == tl_interp.StuckOutcome(
+        tl_interp.MATCH_FAILURE, "pattern arity mismatch for K_A", 0, None)
+    _tl_stuck_as(monkeypatch, arity)
+    v = diff_run(parse_program(ASSERT01))
+    assert (v.fg_reason, v.tl_reason) == (fg_interp.ASSERT_FAILURE, tl_interp.MATCH_FAILURE)
+    assert (v.kind, v.detail) == (DISAGREE, "both sides stuck: fg on A, tl on None")
 
 
 UNSOUND_CALL = """
@@ -158,6 +181,23 @@ def test_unrelated_values_disagree(monkeypatch):
     assert (rec["verdict"], rec["detail"]) == (DISAGREE, "values unrelated at type A")
 
 
+def test_the_whole_numeral_is_compared(monkeypatch):
+    # add80's value nests 161 interface values; only its innermost K_Z is
+    # changed, and the relation fuel bounds nothing.
+    real = tl_interp.tl_eval
+
+    def broken(mu, e, fuel, trace=None):
+        out = real(mu, e, fuel)
+        return tl_interp.Value(deepest_leaf_changed(out.value), out.steps)
+
+    prog = parse_program(Path("bench/ladder/add80.fg").read_text(encoding="utf-8"))
+    assert diff_run(prog).kind == AGREE
+    monkeypatch.setattr(tl_interp, "tl_eval", broken)
+    for v in (diff_run(prog), diff_run(prog, rel_fuel=0)):
+        assert (v.kind, v.detail) == (DISAGREE, "values unrelated at type Nat")
+        assert tl.print_expr(v.tl_value).count("K_Zx") == 1
+
+
 @pytest.mark.parametrize("side", ["FG", "TL"])
 def test_one_side_stuck_disagrees(monkeypatch, side):
     if side == "FG":
@@ -204,15 +244,6 @@ def test_harvest_descends_into_interfaces(eq_setup):
     triples = harvest_related(decls, "Eq", v, V)
     types = [t for t, _v, _V in triples]
     assert types == ["Eq", "Int", "int"]
-
-
-def test_monotonicity_on_harvested_triples(eq_setup):
-    _p, decls, mu = eq_setup
-    payload = tl.CtorApp("K_Int", (tl.TLInt(7),))
-    V = tl.CtorApp("K_Eq", (payload, tl.MethodVar("eq_Int")))
-    v = fg.StructLit("Int", (fg.IntLit(7),))
-    samples = harvest_related(decls, "Eq", v, V)
-    assert monotonicity_violations(decls, mu, samples, kmax=64) == []
 
 
 def test_program_hash_is_stable(eq_setup):
