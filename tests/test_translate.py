@@ -9,7 +9,7 @@ import pytest
 
 from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
 from fgdict.fg_parser import parse_program
-from fgdict.gen import GenConfig, gen_program
+from fgdict.gen import GenConfig, gen_program, minimal_value
 from fgdict.outcome import Value
 from fgdict.relate import AGREE, BOTH_STUCK, DEFAULT_EVAL_FUEL, diff_run
 from fgdict.tl_ast import downcast_name, method_var_name, upcast_name
@@ -241,6 +241,85 @@ def test_failing_destructor_sticks(equality):
     out = tl_interp.tl_eval({}, tl.App(tr.build_downcast("Eq", "Int"), eq_v), 10)
     assert isinstance(out, tl_interp.StuckOutcome)
     assert out.reason == tl_interp.MATCH_FAILURE
+
+
+def _law_instances(prog):
+    """The coercion laws on `prog`'s table, as (law, lhs, rhs): for a struct
+    S and distinct interfaces with S <: I <: J <: K, v the code of S's
+    minimal value and w = up(S,I) v,
+      L1  up(J,K) (up(I,J) w) = up(I,K) w
+      L2  up(I,J) (up(S,I) v) = up(S,J) v
+      L3  down(I,S) (up(S,I) v) = v
+      L4  down(J,I) (up(I,J) w) = w
+      L5  down(J,I) (up(S,J) v) gets stuck when S does not implement I,
+    whose rhs is None."""
+    decls = prog.table
+    tr = Translator(decls)
+
+    def sub(t, u):
+        return fg.is_subtype(decls, t, u)
+
+    def up(t, u, code):
+        return tl.App(tr.build_upcast(t, u), code)
+
+    def down(t, u, code):
+        return tl.App(tr.build_downcast(t, u), code)
+
+    ifaces = [u for u in decls.types if decls.kind(u) == "interface"]
+    for s in decls.types:
+        if decls.kind(s) != "struct":
+            continue
+        try:
+            v = tr.infer_expr({}, minimal_value(decls, s))[1]
+        except ValueError:
+            continue
+        for i in ifaces:
+            if not sub(s, i):
+                continue
+            w = up(s, i, v)
+            yield "L3", down(i, s, w), v
+            for j in ifaces:
+                if j == i or not sub(i, j):
+                    continue
+                yield "L2", up(i, j, w), up(s, j, v)
+                yield "L4", down(j, i, up(i, j, w)), w
+                for k in ifaces:
+                    if k not in (i, j) and sub(j, k):
+                        yield "L1", up(j, k, up(i, j, w)), up(i, k, w)
+        for j in ifaces:
+            if sub(s, j):
+                for i in ifaces:
+                    if i != j and not sub(s, i):
+                        yield "L5", down(j, i, up(s, j, v)), None
+
+
+def test_coercion_laws():
+    """The coercions compose: going through an intermediate interface, or
+    up and back down, means the same as the direct coercion (ROADMAP item
+    17), on every generated program of seeds 0-299 in both modes."""
+    counts = {}
+    failures = []
+    for mode in (fg.CORE, fg.EXT):
+        for seed in range(300):
+            prog = gen_program(GenConfig(seed=seed, mode=mode))
+            mu = require_translation(prog).tl_program.method_subst()
+            n = 0
+            for law, lhs, rhs in _law_instances(prog):
+                n += 1
+                counts[law] = counts.get(law, 0) + 1
+                out = tl_interp.tl_eval(mu, lhs, 100)
+                if rhs is None:
+                    ok = isinstance(out, tl_interp.StuckOutcome) and \
+                        out.reason == tl_interp.MATCH_FAILURE
+                else:
+                    want = tl_interp.tl_eval(mu, rhs, 100)
+                    ok = isinstance(out, Value) and isinstance(want, Value) and \
+                        tl.print_expr(out.value) == tl.print_expr(want.value)
+                if not ok:
+                    failures.append((mode, seed, law, tl.print_expr(lhs)))
+            assert n, (mode, seed)  # every program has an instance
+    assert not failures, failures[:5]
+    assert sum(counts.values()) >= 8000 and set(counts) == {"L1", "L2", "L3", "L4", "L5"}
 
 
 def test_rule_counts_cover_main_forms(equality):
