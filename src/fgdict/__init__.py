@@ -1,7 +1,7 @@
 """A compiler workbench for a tiny structurally-typed Go-like language:
 parser, type checker, small-step interpreter, dictionary-passing translation
 to an untyped functional target language, and a differential harness that
-checks, at bounded depth, that translation preserves dynamic behavior.
+checks, on whole final values, that translation preserves dynamic behavior.
 """
 
 from .diagnostics import Diagnostic, FgError, SourceSpan

@@ -235,19 +235,21 @@ class Program:
 
 class Decls:
     """Indexed view over a declaration sequence, and the facts derived from
-    it: each name's kind, each declared type's method-spec keys, each
-    interface's implementing structs, each struct's field indices and the
-    subtyping answers asked so far.  Building it never raises, so
+    it: each name's kind, each struct's fields and field indices, each
+    interface's specs and each method's slot among them, each declared
+    type's method-spec keys, each interface's implementing structs and the
+    subtyping answers asked so far.  The struct and interface tables list
+    their types in declaration order.  Building it never raises, so
     `check_wellformed` can use the table of an ill-formed program; the first
-    declaration of a name or method wins.
+    declaration of a name or method, and the first spec of a name, wins.
     """
 
     def __init__(self, decls, mode=CORE):
         self.decls = tuple(decls)
         self.mode = mode
         self.types = {}
-        self.struct_names = []  # declaration order
-        self.iface_names = []
+        self.fields = {}  # struct -> (field, type) pairs
+        self.specs = {}  # interface -> method specs, its dictionary's layout
         # positions of the declarations an earlier one wins over
         self.repeats = self._index_methods()
         for i, d in enumerate(self.decls):
@@ -257,22 +259,24 @@ class Decls:
                 else:
                     self.types[d.name] = d
                     if isinstance(d.literal, StructType):
-                        self.struct_names.append(d.name)
+                        self.fields[d.name] = d.literal.fields
                     else:
-                        self.iface_names.append(d.name)
-        self.kinds = dict.fromkeys(self.struct_names, "struct")
-        self.kinds.update(dict.fromkeys(self.iface_names, "interface"))
+                        self.specs[d.name] = d.literal.specs
+        self.kinds = dict.fromkeys(self.fields, "struct")
+        self.kinds.update(dict.fromkeys(self.specs, "interface"))
         if mode == EXT:
             self.kinds.update(dict.fromkeys(PRIMITIVES, "prim"))
         self.subtypes = {}  # (t, u) -> is_subtype answer
         self.spec_keys = {t: frozenset(s.key() for s in methods(self, t))
                           for t in self.types}
         self.implementers = {  # interface -> [struct], declaration order
-            u: [t for t in self.struct_names if self.spec_keys[u] <= self.spec_keys[t]]
-            for u in self.iface_names}
+            u: [t for t in self.fields if self.spec_keys[u] <= self.spec_keys[t]]
+            for u in self.specs}
         self.field_index = {  # struct -> {field: index}
-            s: {f: j for j, (f, _t) in enumerate(self.types[s].literal.fields)}
-            for s in self.struct_names}
+            s: {f: j for j, (f, _t) in enumerate(fields)} for s, fields in self.fields.items()}
+        self.slots = {  # interface -> {method: slot}; reversed, so the first spec wins
+            u: {s.name: j for j, s in reversed(tuple(enumerate(specs)))}
+            for u, specs in self.specs.items()}
 
     def _index_methods(self):
         """Index the method declarations; the positions of the repeated ones."""
@@ -305,18 +309,6 @@ class Decls:
             raise FgError(Diagnostic(UNKNOWN_TYPE, f"unknown type {t}"))
         return k
 
-    def struct_fields(self, t_s):
-        d = self.types.get(t_s)
-        if d is None or not isinstance(d.literal, StructType):
-            raise FgError(Diagnostic(UNKNOWN_TYPE, f"{t_s} is not a declared struct"))
-        return d.literal.fields
-
-    def iface_specs(self, t_i):
-        d = self.types.get(t_i)
-        if d is None or not isinstance(d.literal, InterfaceType):
-            raise FgError(Diagnostic(UNKNOWN_TYPE, f"{t_i} is not a declared interface"))
-        return d.literal.specs
-
 
 def methods(decls: Decls, t: str):
     """Method specs of a type: for a struct, the specs of its method
@@ -326,7 +318,7 @@ def methods(decls: Decls, t: str):
         return ()
     if kind == "struct":
         return tuple(d.spec() for d in decls.methods_by_recv.get(t, ()))
-    return decls.iface_specs(t)
+    return decls.specs[t]
 
 
 def is_subtype(decls: Decls, t: str, u: str) -> bool:
@@ -407,7 +399,7 @@ def check_wellformed(prog: Program):
                 diags.append(Diagnostic(
                     FG4_DUP_METHOD,
                     f"duplicate method declaration ({d.recv_type}, {d.name})", d.span))
-            if d.recv_type not in table.field_index:
+            if d.recv_type not in table.fields:
                 diags.append(Diagnostic(
                     UNKNOWN_TYPE, f"receiver type {d.recv_type} is not a declared struct", d.span))
             _check_sig(d.sig, d.span, diags, check_type_name, recv=d.recv_var)
@@ -416,17 +408,15 @@ def check_wellformed(prog: Program):
     # fields contribute no edges.  A cycle is a strongly connected component
     # with an edge inside it.  Each is reported once, at its first-declared
     # member, naming its members in declaration order.
-    order = {name: i for i, name in enumerate(table.struct_names)}
-    edges = {
-        name: [t for _, t in table.struct_fields(name) if t in table.field_index]
-        for name in table.struct_names
-    }
+    structs = table.fields
+    order = {name: i for i, name in enumerate(structs)}
+    edges = {name: [t for _, t in fields if t in structs] for name, fields in structs.items()}
     cycles = {}  # first-declared member -> the members of its cycle
-    for comp in _components(table.struct_names, edges):
+    for comp in _components(structs, edges):
         if len(comp) > 1 or comp[0] in edges[comp[0]]:
             comp.sort(key=order.__getitem__)
             cycles[comp[0]] = comp
-    for name in table.struct_names:
+    for name in structs:
         if name in cycles:
             diags.append(Diagnostic(
                 FG1_RECURSIVE_STRUCT,

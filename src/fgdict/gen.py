@@ -311,7 +311,7 @@ def minimal_value(decls: fg.Decls, t: str, rng=None):
             if not impls:
                 raise ValueError(f"no struct implements {t}")
             return ((impls[0], seen),)
-        return tuple((ft, seen) for _f, ft in decls.struct_fields(t))
+        return tuple((ft, seen) for _f, ft in decls.fields[t])
 
     def build(node, subs):
         t = node[0]

@@ -50,7 +50,7 @@ def values_related(decls: fg.Decls, mu, t: str, v, V) -> bool:
         if fact is None:
             kind = decls.kind(t)
             fact = facts[t] = kind, tl.struct_ctor(t), kind == "struct" and tuple(
-                ft for _f, ft in decls.struct_fields(t))
+                ft for _f, ft in decls.fields[t])
         kind, ctor, types = fact
         if kind == "struct":
             if not (type(v) is fg.StructLit and v.type_name == t
@@ -88,10 +88,10 @@ def _dict_slots(decls: fg.Decls, mu, t: str, ctor: str):
     no such value relates: the struct is not declared, or lacks a method of
     t, or mu does not bind it."""
     u_s = tl.ctor_type(ctor)
-    if u_s not in decls.types or decls.kind(u_s) != "struct":
+    if u_s not in decls.fields:
         return None
     dictionary = []
-    for spec in decls.iface_specs(t):
+    for spec in decls.specs[t]:
         name = tl.method_var_name(spec.name, u_s)
         if (u_s, spec.name) not in decls.method_decls or name not in mu:
             return None

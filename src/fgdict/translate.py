@@ -118,10 +118,10 @@ class Translator:
                 subs = fg.children(e)
                 wants = None
                 if t is fg.StructLit:
-                    if self.decls.kind(e.type_name) != "struct":
+                    wants = self.decls.fields.get(e.type_name)
+                    if wants is None:
                         raise FgError(Diagnostic(
                             UNKNOWN_TYPE, f"{e.type_name} is not a declared struct", e.span))
-                    wants = self.decls.struct_fields(e.type_name)
                     if len(wants) != len(subs):
                         raise FgError(Diagnostic(
                             ARITY_MISMATCH,
@@ -177,16 +177,15 @@ class Translator:
         return fg.BINOPS[e.op][1], tl.TLPrim(e.op, *codes)
 
     def _select(self, e, t_recv, code):
-        decls = self.decls
-        if decls.kind(t_recv) != "struct":
+        fields = self.decls.fields.get(t_recv)
+        if fields is None:
             raise FgError(Diagnostic(
                 NOT_A_STRUCT, f"field selection on non-struct type {t_recv}", e.span))
-        i = decls.field_index[t_recv].get(e.fld)
+        i = self.decls.field_index[t_recv].get(e.fld)
         if i is None:
             raise FgError(Diagnostic(
                 UNKNOWN_FIELD, f"no field {e.fld} on {t_recv}", e.span))
         self.count("td-access")
-        fields = decls.struct_fields(t_recv)
         vars_ = [self.fresh() for _ in fields]
         return fields[i][1], _match(code, tl.struct_ctor(t_recv), vars_,
                                     tl.TLVar(vars_[i]))
@@ -206,12 +205,11 @@ class Translator:
                     UNKNOWN_METHOD, f"no method {e.method} on {t_recv}", e.span))
             sig, idx = d.sig, None
         else:
-            specs = decls.iface_specs(t_recv)
-            idx = next((j for j, s in enumerate(specs) if s.name == e.method), None)
+            idx = decls.slots[t_recv].get(e.method)
             if idx is None:
                 raise FgError(Diagnostic(
                     UNKNOWN_METHOD, f"interface {t_recv} has no method {e.method}", e.span))
-            sig = specs[idx].sig
+            sig = decls.specs[t_recv][idx].sig
         if len(sig.params) != len(e.args):
             raise FgError(Diagnostic(
                 ARITY_MISMATCH,
@@ -227,7 +225,7 @@ class Translator:
             return sig.ret, tl.App(tl.App(fn, code), tl.make_tuple(args))
         self.count("td-call-iface")
         x = self.fresh()
-        slots = tuple(self.fresh() for _ in self.decls.iface_specs(t_recv))
+        slots = tuple(self.fresh() for _ in self.decls.specs[t_recv])
         call = tl.App(tl.App(tl.TLVar(slots[idx]), tl.TLVar(x)), tl.make_tuple(args))
         return sig.ret, _match(code, tl.struct_ctor(t_recv), (x,) + slots, call)
 
@@ -294,7 +292,7 @@ class Translator:
     def _upcast(self, fresh, t, u_i):
         decls = self.decls
         assert decls.kind(u_i) == "interface"
-        specs = decls.iface_specs(u_i)
+        specs = decls.specs[u_i]
         x = fresh()
         if decls.kind(t) == "struct":
             self.count("td-cons-struct-iface")
@@ -303,13 +301,12 @@ class Translator:
             return tl.Lam(x, tl.CtorApp(tl.struct_ctor(u_i), (tl.TLVar(x),) + slots)), \
                 [(t, s.name) for s in specs]
         self.count("td-cons-iface-iface")
-        given = decls.iface_specs(t)
-        keys = [r.key() for r in given]
-        perm = [keys.index(s.key()) for s in specs]  # guaranteed by subtyping
+        # By subtyping each spec of u_i is one of t's, under the same name.
+        slots = decls.slots[t]
         xv = fresh()
-        xs = [fresh() for _ in given]
+        xs = [fresh() for _ in decls.specs[t]]
         body = tl.CtorApp(tl.struct_ctor(u_i),
-                          (tl.TLVar(xv),) + tuple(tl.TLVar(xs[p]) for p in perm))
+                          (tl.TLVar(xv),) + tuple(tl.TLVar(xs[slots[s.name]]) for s in specs))
         return tl.Lam(x, _match(tl.TLVar(x), tl.struct_ctor(t), [xv] + xs, body)), ()
 
     def _downcast(self, fresh, t_i, u):
@@ -317,24 +314,24 @@ class Translator:
         assert decls.kind(t_i) == "interface"
         x = fresh()
         y = fresh()
-        dict_vars = [fresh() for _ in decls.iface_specs(t_i)]
+        dict_vars = [fresh() for _ in decls.specs[t_i]]
         if decls.kind(u) == "struct":
             self.count("td-destr-iface-struct")
             assert fg.is_subtype(decls, u, t_i)
-            relies = [(u, s.name) for s in decls.iface_specs(t_i)]
-            ys = [fresh() for _ in decls.struct_fields(u)]
+            relies = [(u, s.name) for s in decls.specs[t_i]]
+            ys = [fresh() for _ in decls.fields[u]]
             inner = _match(tl.TLVar(y), tl.struct_ctor(u), ys,
                            tl.CtorApp(tl.struct_ctor(u), tuple(map(tl.TLVar, ys))))
         else:
             self.count("td-destr-iface-iface")
-            specs = decls.iface_specs(u)
+            specs = decls.specs[u]
             relies = ()
             clauses = []
             for t_sj in decls.implementers[u]:
                 # Build the target interface value directly (the reduct of the
                 # struct upcast), so a successful destructor costs exactly one
                 # lambda plus two pattern matches.
-                ys = tuple(fresh() for _ in decls.struct_fields(t_sj))
+                ys = tuple(fresh() for _ in decls.fields[t_sj])
                 repacked = tl.CtorApp(tl.struct_ctor(t_sj), tuple(map(tl.TLVar, ys)))
                 slots = tuple(tl.MethodVar(tl.method_var_name(s.name, t_sj)) for s in specs)
                 clauses.append(tl.Clause(

@@ -76,7 +76,7 @@ def harvest_related(decls: fg.Decls, t: str, v, V):
         kind = decls.kind(t)
         if kind == "struct" and isinstance(V, tl.CtorApp):
             todo.extend(reversed([(ft, va, Va) for (_f, ft), va, Va
-                                  in zip(decls.struct_fields(t), v.args, V.args)]))
+                                  in zip(decls.fields[t], v.args, V.args)]))
         elif kind == "interface" and isinstance(V, tl.CtorApp) and V.args:
             payload = V.args[0]
             u_s = isinstance(payload, tl.CtorApp) and tl.ctor_type(payload.ctor)
@@ -188,7 +188,7 @@ def reference_values_related(decls: fg.Decls, mu, t: str, v, V) -> bool:
                 return False
             if not (isinstance(V, tl.CtorApp) and V.ctor == tl.struct_ctor(t)):
                 return False
-            fields = decls.struct_fields(t)
+            fields = decls.fields[t]
             if len(V.args) != len(fields) or len(v.args) != len(fields):
                 return False
             todo.extend((fields[i][1], v.args[i], V.args[i])

@@ -152,7 +152,7 @@ def test_criterion_4_cast_preservation(harvested):
             continue
         tr = Translator(decls)
         # Constructor edges: every declared supertype interface.
-        for u in decls.iface_names:
+        for u in decls.specs:
             if not fg.is_subtype(decls, t, u):
                 continue
             out = tl_interp.tl_eval(mu, tl.App(tr.build_upcast(t, u), V), 10)
@@ -165,8 +165,8 @@ def test_criterion_4_cast_preservation(harvested):
         # Destructor edges: every declared type an assertion could target.
         if kind != "interface":
             continue
-        targets = [s for s in decls.struct_names if fg.is_subtype(decls, s, t)]
-        targets += list(decls.iface_names)
+        targets = [s for s in decls.fields if fg.is_subtype(decls, s, t)]
+        targets += list(decls.specs)
         dyn = fg_interp.value_type(v)
         for u in targets:
             out = tl_interp.tl_eval(mu, tl.App(tr.build_downcast(t, u), V), 10)

@@ -115,6 +115,20 @@ def test_run_fg_trace(capsys):
     assert "[1]" in err and "fg-call" in err
 
 
+@pytest.mark.parametrize("command, text, err", [
+    ("run-fg", None, "stuck after 1 steps: assert-failure: A does not conform to B\n"),
+    ("run-tl", "case 1 of { K_A -> 1 }\n",
+     "stuck after 0 steps: match-failure: case on non-constructor value 1\n"),
+])
+def test_a_stuck_run_is_reported_and_exits_zero(command, text, err, tmp_path, capsys):
+    path = "corpus/stuck/assert01.fg"
+    if text is not None:
+        path = tmp_path / "stuck.tl"
+        path.write_text(text, encoding="utf-8")
+    assert cli_dispatch([command, str(path)]) == EXIT_OK
+    assert capsys.readouterr() == ("", err)
+
+
 def test_run_fg_budget(tmp_path):
     f = tmp_path / "loop.fg"
     f.write_text(LOOP, encoding="utf-8")

@@ -174,13 +174,17 @@ def test_table_of_ill_formed_declarations_builds():
     type A struct {}
     type A interface { m() A }
     type I interface { m() A }
+    type J interface { m() A; n() A; m() I }
     func (this Z) m() A { return A{} }
     func (this A) m() A { return A{} }
     func main() { _ = A{} }
     """)
-    decls = prog.table  # duplicate type A, method on undeclared receiver Z
+    # duplicate type A, method on undeclared receiver Z, duplicate spec m in J
+    decls = prog.table
     assert decls.kind("A") == "struct"
-    assert decls.implementers == {"I": ["A"]}
+    assert decls.fields == {"A": ()} and list(decls.specs) == ["I", "J"]
+    assert decls.implementers == {"I": ["A"], "J": []}
+    assert decls.slots == {"I": {"m": 0}, "J": {"m": 0, "n": 1}}  # the first m wins
     assert codes(prog)
 
 

@@ -83,6 +83,23 @@ def test_stuck_terms_do_not_step(decls):
     assert r == fg_interp.StuckOutcome(fg_interp.NO_METHOD, "no method nope on A", 0)
 
 
+A = fg.StructLit("A", ())
+
+
+@pytest.mark.parametrize("term, reason, detail, steps", [
+    (fg.Select(fg.IntLit(1), "x"), fg_interp.BAD_FIELD, "selecting x from non-struct value", 0),
+    (fg.Select(A, "x"), fg_interp.BAD_FIELD, "no field x on A", 0),
+    (fg.Select(fg.Call(A, "id", ()), "x"), fg_interp.BAD_FIELD, "no field x on A", 1),
+    (fg.Call(fg.IntLit(1), "m", ()), fg_interp.NO_METHOD, "calling m on non-struct value", 0),
+    (fg.Call(A, "id", (A,)), fg_interp.NO_METHOD, "arity mismatch calling id on A", 0),
+])
+def test_an_ill_typed_term_sticks(decls, term, reason, detail, steps):
+    """The stuck states a well-typed program never reaches, on hand-built
+    terms."""
+    out = fg_interp.fg_eval(decls, term, 100)
+    assert out == fg_interp.StuckOutcome(reason, detail, steps)
+
+
 def test_out_of_fuel(decls):
     out = eval_src(decls, "Pair{A{}, A{}}.fst()", fuel=1)
     assert isinstance(out, fg_interp.OutOfFuel)

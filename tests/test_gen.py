@@ -6,7 +6,7 @@ import pytest
 
 from fgdict import fg_ast as fg, gen
 from fgdict.diagnostics import NOT_A_SUBTYPE, FgError
-from fgdict.fg_parser import parse_program, print_program
+from fgdict.fg_parser import parse_program, print_expr, print_program
 from fgdict.gen import GenConfig, _candidates, gen_program, minimal_value, shrink
 from fgdict.relate import BOTH_STUCK, diff_run
 from fgdict.translate import Translator, fold, method_env, translate_program
@@ -78,9 +78,31 @@ def test_invalid_config_rejected():
 def test_minimal_value_is_closed_and_typed():
     prog = gen_program(GenConfig(seed=3))
     decls = prog.table
-    for s in decls.struct_names:
+    for s in decls.fields:
         v = minimal_value(decls, s)
         assert isinstance(v, fg.StructLit)
+
+
+NO_FINITE_I = """
+package main
+type I interface { m() I }
+type A struct { f I }
+type B struct {}
+func (a A) m() I { return A{a.f} }
+func main() { _ = B{} }
+"""
+
+
+def test_an_interface_with_no_finite_value():
+    """Every value of I holds a value of I, so I has no minimal value, and
+    the shrinker tries every body candidate of m but that one."""
+    prog = parse_program(NO_FINITE_I)
+    with pytest.raises(ValueError, match="^cannot build a finite value of I$"):
+        minimal_value(prog.table, "I")
+    bodies = [d.body for cand in _candidates(prog, translate_program(prog))
+              for d in cand.decls if isinstance(d, fg.MethodDecl)]
+    assert [print_expr(b) for b in bodies] == ["a.f"]
+    assert print_program(shrink(prog, lambda p: False)) == print_program(prog)
 
 
 def _find_stuck_seed():
@@ -412,8 +434,8 @@ def test_a_carried_candidate_runs_as_its_plain_program(shrink_runs):
 
 # -- the table a program holds ---------------------------------------------------
 
-TABLE_FACTS = ("decls", "types", "struct_names", "iface_names", "method_decls",
-               "methods_by_recv", "repeats", "spec_keys", "implementers", "field_index")
+TABLE_FACTS = ("decls", "types", "fields", "specs", "method_decls", "methods_by_recv",
+               "repeats", "spec_keys", "implementers", "field_index", "slots")
 
 
 def _assert_own_table(prog):

@@ -9,7 +9,8 @@ from fgdict import fg_ast as fg, fg_interp, tl_ast as tl, tl_interp
 from fgdict.fg_parser import parse_program
 from fgdict.gen import GenConfig, gen_program
 from fgdict.relate import (
-    AGREE, BOTH_STUCK, BUDGET, DISAGREE, diff_run, program_hash, values_related, verdict_json,
+    AGREE, BOTH_STUCK, BUDGET, DISAGREE, _dict_slots, diff_run, program_hash, values_related,
+    verdict_json,
 )
 from fgdict.translate import require_translation
 from helpers import deepest_leaf_changed, harvest_related, methods_related
@@ -51,6 +52,36 @@ def test_iface_relation_requires_canonical_dictionary(eq_setup):
     wrong_payload = tl.CtorApp("K_Eq", (tl.CtorApp("K_Int", (tl.TLInt(9),)),
                                         tl.MethodVar("eq_Int")))
     assert not values_related(decls, mu, "Eq", v, wrong_payload)
+
+
+SLOTS = """
+package main
+type E interface {}
+type I interface { m() A }
+type J interface { m() A; n() A }
+type A struct {}
+func (this A) m() A { return this }
+func main() { _ = A{} }
+"""
+
+
+@pytest.mark.parametrize("t, ctor, slots, bound", [
+    # A has J's m but declares no n, though mu binds n_A
+    ("J", "K_A", ("m_A", "n_A"), {"m_A", "n_A"}),
+    ("I", "K_A", ("m_A",), set()),  # mu does not bind A's m
+    # The payload's constructor names no declared struct: E has no slots to
+    # check, so only the struct test stands between it and the payload.
+    ("E", "K_Nope", (), {"m_A"}),
+    ("E", "K_I", (), {"m_A"}),
+])
+def test_an_interface_value_without_its_dictionary_is_unrelated(t, ctor, slots, bound):
+    prog = parse_program(SLOTS)
+    decls = prog.table
+    m_a = require_translation(prog).tl_program.method_subst()["m_A"]
+    mu = dict.fromkeys(bound, m_a)
+    V = tl.CtorApp(tl.struct_ctor(t), (tl.CtorApp(ctor, ()), *map(tl.MethodVar, slots)))
+    assert _dict_slots(decls, mu, t, ctor) is None
+    assert values_related(decls, mu, t, fg.StructLit("A", ()), V) is False
 
 
 def test_each_dictionary_is_compared_where_it_occurs(eq_setup):

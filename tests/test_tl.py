@@ -393,6 +393,26 @@ def test_match_failure_sticks():
     assert out.reason == tl_interp.MATCH_FAILURE
 
 
+@pytest.mark.parametrize("src, detail, steps", [
+    ("case 1 of { K_A -> 1 }", "case on non-constructor value 1", 0),
+    # the scrutinee's closure is read back as a term
+    ("case (\\f -> f) (\\x -> x) of { K_A -> 1 }", "case on non-constructor value \\x -> x", 1),
+])
+def test_case_on_a_non_constructor_sticks(src, detail, steps):
+    out = tl_interp.tl_eval({}, tl.parse_expr(src), 10)
+    assert out == tl_interp.StuckOutcome(tl_interp.MATCH_FAILURE, detail, steps)
+
+
+@pytest.mark.parametrize("src, detail, steps", [
+    ("true == 1", "== applied to non-int operands", 0),
+    ("((\\y -> y) true) == 1", "== applied to non-int operands", 1),
+    ("1 && true", "&& applied to non-bool operands", 0),
+])
+def test_a_primitive_on_operands_of_the_wrong_kind_sticks(src, detail, steps):
+    out = tl_interp.tl_eval({}, tl.parse_expr(src), 10)
+    assert out == tl_interp.StuckOutcome(tl_interp.BAD_PRIM, detail, steps)
+
+
 def test_applying_non_function_sticks():
     out = tl_interp.tl_eval({}, App(TLInt(1), TLInt(2)), 10)
     assert out.reason == tl_interp.NON_FUNCTION
